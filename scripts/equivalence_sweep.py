@@ -9,8 +9,7 @@ Experiment 2 runs the three Lie 2-bialgebra verifiers (bialgebra cocycle,
 matched pair, differential-is-a-derivation-of-the-bracket) on seeded pairs
 and reports the verdict agreement rate, which must be 100%.
 
-Usage: python3 scripts/equivalence_sweep.py [--count N] [--seed-base B]
-       [--degree-bound K] [--verbose]
+Usage: python3 scripts/equivalence_sweep.py [--count N] [--seed-base B] [--verbose]
 """
 
 import argparse
@@ -79,7 +78,7 @@ def sweep_e1(count, seed_base, verbose):
     return mismatches
 
 
-def sweep_e2(count, seed_base, degree_bound, verbose):
+def sweep_e2(count, seed_base, verbose):
     mismatches = 0
     verdicts = Counter()
     t0 = time.perf_counter()
@@ -91,7 +90,7 @@ def sweep_e2(count, seed_base, degree_bound, verbose):
         trio = (
             verify_l2b_def(d).passed,
             verify_l2b_matched(d).passed,
-            verify_l2b_weil(d, degree_bound).passed,
+            verify_l2b_weil(d).passed,
         )
         agree = len(set(trio)) == 1
         mismatches += not agree
@@ -99,7 +98,7 @@ def sweep_e2(count, seed_base, degree_bound, verbose):
         if verbose and not agree:
             print(f"  DISAGREEMENT seed={seed}: def/matched/weil = {trio}")
     dt = time.perf_counter() - t0
-    print(f"experiment 2: {count} instances in {dt:.1f}s (degree bound {degree_bound})")
+    print(f"experiment 2: {count} instances in {dt:.1f}s")
     print(f"  verdicts: {dict(verdicts)}")
     print(f"  verifier disagreements: {mismatches}")
     return mismatches
@@ -109,12 +108,11 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--count", type=int, default=200)
     parser.add_argument("--seed-base", type=int, default=0)
-    parser.add_argument("--degree-bound", type=int, default=4)
     parser.add_argument("--verbose", action="store_true")
     args = parser.parse_args()
 
     bad = sweep_e1(args.count, args.seed_base, args.verbose)
-    bad += sweep_e2(max(args.count // 2, 1), args.seed_base, args.degree_bound, args.verbose)
+    bad += sweep_e2(max(args.count // 2, 1), args.seed_base, args.verbose)
     if bad:
         print(f"TOTAL DISAGREEMENTS: {bad} (kernel defect)")
         return 1

@@ -9,7 +9,6 @@ its inputs, flags and seed, so repeated runs are byte-identical.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import catalog
@@ -23,21 +22,6 @@ from .documents import (
     serialize_document,
     serialize_report,
 )
-
-_DEGREE_BOUND_ENV = "L2B_DEGREE_BOUND"
-
-
-def _degree_bound() -> int:
-    raw = os.environ.get(_DEGREE_BOUND_ENV)
-    if raw is None:
-        return 4
-    try:
-        bound = int(raw)
-    except ValueError:
-        raise UnsupportedMethod(f"{_DEGREE_BOUND_ENV} must be an integer, got {raw!r}")
-    if bound < 1:
-        raise UnsupportedMethod(f"{_DEGREE_BOUND_ENV} must be >= 1, got {bound}")
-    return bound
 
 
 def _emit(data: bytes, out_path: str | None):
@@ -95,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_verify(args) -> int:
     doc = _read_document(args.file)
-    report = run_verifier(doc, args.method, _degree_bound())
+    report = run_verifier(doc, args.method)
     _emit(serialize_report(doc, args.method, report), args.out)
     return 0 if report.passed else 1
 
@@ -147,6 +131,10 @@ def main(argv=None) -> int:
         # construction-invariant failures are all ValueError subclasses: every
         # one of them is an input problem, exit code 2
         sys.stderr.write(f"error: {e}\n")
+        return 2
+    except OSError as e:
+        # an output path that cannot be written, or a closed stdout
+        sys.stderr.write(f"error: cannot write output: {e}\n")
         return 2
 
 

@@ -149,6 +149,11 @@ class StructureDocument:
 # --- parsing ------------------------------------------------------------------
 
 
+def _is_int(x) -> bool:
+    """A JSON integer; ``bool`` is an ``int`` subclass but not a number here."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _expect(cond: bool, path: str, message: str):
     if not cond:
         raise DocumentError(path, message)
@@ -163,6 +168,8 @@ def parse_document(data: bytes) -> StructureDocument:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise DocumentError("", f"syntax error at line {e.lineno} column {e.colno}: {e.msg}") from e
+    except RecursionError as e:
+        raise DocumentError("", "nesting too deep") from e
     _expect(isinstance(obj, dict), "", "top level must be an object")
     unknown = set(obj) - {"kind", "name", "spaces", "blocks"}
     _expect(not unknown, sorted(unknown)[0] if unknown else "", "unknown field")
@@ -187,7 +194,7 @@ def parse_document(data: bytes) -> StructureDocument:
         bad = set(decl) - allowed
         _expect(not bad, f"{path}.{sorted(bad)[0]}" if bad else "", "unknown field")
         dim = decl.get("dim")
-        _expect(isinstance(dim, int) and dim >= 0, f"{path}.dim", "must be a non-negative integer")
+        _expect(_is_int(dim) and dim >= 0, f"{path}.dim", "must be a non-negative integer")
         if kind == "dvb":
             sname = decl.get("name", key)
             dual = decl.get("dual", False)
@@ -228,7 +235,7 @@ def parse_document(data: bytes) -> StructureDocument:
             )
             idx_raw, val_raw = item
             _expect(
-                isinstance(idx_raw, list) and all(isinstance(i, int) for i in idx_raw),
+                isinstance(idx_raw, list) and all(_is_int(i) for i in idx_raw),
                 ipath,
                 "indices must be a list of integers",
             )
@@ -501,9 +508,7 @@ def dualize_document(doc: StructureDocument, which: str) -> StructureDocument:
 METHODS = ("auto", "def", "matched", "weil", "all")
 
 
-def run_verifier(
-    doc: StructureDocument, method: str = "auto", degree_bound: int = 4
-) -> VerificationReport:
+def run_verifier(doc: StructureDocument, method: str = "auto") -> VerificationReport:
     """Dispatch a document to the verifier selected by ``method``.
 
     ``auto`` picks the natural verifier for the kind (for Lie 2-bialgebra
@@ -533,8 +538,8 @@ def run_verifier(
     if method == "matched":
         return verify_l2b_matched(d)
     if method == "weil":
-        return verify_l2b_weil(d, degree_bound)
-    return cross_check(d, degree_bound)
+        return verify_l2b_weil(d)
+    return cross_check(d)
 
 
 # --- reports ---------------------------------------------------------------------

@@ -174,17 +174,17 @@ def weil_mul(a: WeilElement, b: WeilElement) -> WeilElement:
     return WeilElement(a.dims, out)
 
 
-def enumerate_monomials(dims, degree_bound: int):
-    """All monomials of total degree <= degree_bound, in a fixed order."""
+def _generators(dims) -> list[WeilMonomial]:
+    """The generators ``a0..a{n0-1}, g0..g{n1-1}``, in monomial sort order.
+
+    Under `WeilMonomial.sort_key` every generator sorts before every
+    product of two or more generators (``a_i a_j`` has the same total degree
+    as ``g_k`` but a non-empty exterior part).
+    """
     n0, n1 = dims
-    out = []
-    for r in range(min(n0, degree_bound) + 1):
-        for ext in itertools.combinations(range(n0), r):
-            for s in range((degree_bound - r) // 2 + 1):
-                for sym in itertools.combinations_with_replacement(range(n1), s):
-                    out.append(WeilMonomial(ext, sym))
-    out.sort(key=WeilMonomial.sort_key)
-    return out
+    return [WeilMonomial((i,), ()) for i in range(n0)] + [
+        WeilMonomial((), (j,)) for j in range(n1)
+    ]
 
 
 # --- graded derivations -------------------------------------------------------
@@ -197,7 +197,7 @@ class GradedDerivation:
     Homogeneous derivations carry their bidegree; sums of different
     bidegrees (such as a total differential) carry ``bidegree=None`` and an
     explicit total degree.  Images extend to the whole algebra lazily by
-    the graded Leibniz rule, so only bounded-degree slices are ever built.
+    the graded Leibniz rule.
     """
 
     dims: tuple[int, int]
@@ -324,19 +324,23 @@ def check_zero_on_generators(d: GradedDerivation, prefix: str) -> VerificationRe
     )
 
 
-def check_square_zero(d: GradedDerivation) -> VerificationReport:
-    """d(d(gen)) = 0 for every generator; only odd derivations can square to zero."""
-    if d.total_degree % 2 == 0:
-        raise ValueError("square-zero check requires an odd derivation")
+def _square(d: GradedDerivation) -> GradedDerivation:
+    """``d o d`` on the generators; for odd ``d`` it is the derivation ``[d, d] / 2``."""
     n0, n1 = d.dims
-    sq = GradedDerivation(
+    return GradedDerivation(
         d.dims,
         None,
         tuple(apply_derivation(d, d.image_ext(i)) for i in range(n0)),
         tuple(apply_derivation(d, d.image_sym(j)) for j in range(n1)),
         total_degree=2 * d.total_degree,
     )
-    return check_zero_on_generators(sq, "square_zero")
+
+
+def check_square_zero(d: GradedDerivation) -> VerificationReport:
+    """d(d(gen)) = 0 for every generator; only odd derivations can square to zero."""
+    if d.total_degree % 2 == 0:
+        raise ValueError("square-zero check requires an odd derivation")
+    return check_zero_on_generators(_square(d), "square_zero")
 
 
 # --- the three differentials --------------------------------------------------
@@ -456,29 +460,17 @@ def verify_weak_lie2(w: WeakLie2Data) -> VerificationReport:
     (3,-1) = [delta_h, delta_J], (4,-2) = delta_J^2.  With a vanishing
     Jacobiator this agrees with `twoterm.verify_cm` on the same data.
     """
-    dims = (w.dim0, w.dim1)
     dv = build_delta_v(
         TwoVectorSpace(w.dim0, w.dim1, w.partial, w.labels0, w.labels1)
     )
     dh = build_delta_h(w.bracket0, w.action)
     dj = build_delta_j(w.jacobiator)
-
-    def square(d):
-        n0, n1 = dims
-        return GradedDerivation(
-            dims,
-            None,
-            tuple(apply_derivation(d, d.image_ext(i)) for i in range(n0)),
-            tuple(apply_derivation(d, d.image_sym(j)) for j in range(n1)),
-            total_degree=2 * d.total_degree,
-        )
-
     components = (
-        ("(0,2)", square(dv)),
+        ("(0,2)", _square(dv)),
         ("(1,1)", graded_commutator(dh, dv)),
-        ("(2,0)", derivation_sum(square(dh), graded_commutator(dv, dj))),
+        ("(2,0)", derivation_sum(_square(dh), graded_commutator(dv, dj))),
         ("(3,-1)", graded_commutator(dh, dj)),
-        ("(4,-2)", square(dj)),
+        ("(4,-2)", _square(dj)),
     )
     reports = []
     for tag, comp in components:
@@ -505,7 +497,8 @@ class GerstenhaberStructure:
     ``core_bracket`` stores ``[g_i, g_j]`` (a core-generator-valued tensor,
     antisymmetric), ``side_action`` stores ``[g_i, a_j]`` (side-generator
     valued); ``[a_i, a_j] = 0`` is forced since its bidegree would have a
-    negative symmetric component.
+    negative symmetric component.  The antisymmetry is checked here, so the
+    bracket is graded skew, which the generator-level checks rely on.
     """
 
     dims: tuple[int, int]
@@ -523,6 +516,7 @@ class GerstenhaberStructure:
             raise DimensionMismatch(
                 f"side action dims {self.side_action.dims}, expected {(n1, n0, n0)}"
             )
+        _check_bracket_antisym(self.core_bracket)
 
 
 def build_gerstenhaber(cm2: CrossedModuleData) -> GerstenhaberStructure:
@@ -630,26 +624,35 @@ def _mono_elt(G: GerstenhaberStructure, m: WeilMonomial) -> WeilElement:
     return WeilElement(G.dims, {m: Fraction(1)})
 
 
-def check_gerst_axioms(G: GerstenhaberStructure, degree_bound: int) -> VerificationReport:
-    """Graded skew-symmetry, Jacobi and Leibniz on monomials up to a degree bound.
+def check_gerst_axioms(G: GerstenhaberStructure) -> VerificationReport:
+    """Graded skew-symmetry, Jacobi and Leibniz, decided on generators.
 
-    Jacobi and Leibniz are checked on sorted tuples; together with skew
-    symmetry this covers all orderings.
+    The bracket is the Leibniz extension of the generator table, so it is
+    a biderivation by construction, and it is skew because the table is
+    (see `GerstenhaberStructure`); skew and Leibniz are checked on
+    generators all the same.  The Jacobiator of a skew biderivation is a
+    graded-antisymmetric triderivation, so it vanishes on all monomials iff
+    it vanishes on sorted generator triples.  Generators sort before every
+    product, and a failing tuple with a product in it stays failing, up to
+    order, when the product is replaced by a suitable one of its factors,
+    which sorts earlier; so the first failing sorted generator tuple is
+    also the first failing sorted monomial tuple.
     """
-    monos = enumerate_monomials(G.dims, degree_bound)
+    gens = _generators(G.dims)
 
     skew_witness = None
-    for m1, m2 in itertools.combinations_with_replacement(monos, 2):
+    for m1, m2 in itertools.combinations_with_replacement(gens, 2):
         lhs = _mono_bracket(G, m1, m2)
         sign = -1 if (m1.total_degree * m2.total_degree) % 2 else 1
         rhs = weil_scale(-sign, _mono_bracket(G, m2, m1))
-        if lhs != rhs and skew_witness is None:
+        if lhs != rhs:
             skew_witness = Witness(
                 (), lhs.render(), rhs.render(), at=f"({m1.render()}, {m2.render()})"
             )
+            break
 
     jacobi_witness = None
-    for m1, m2, m3 in itertools.combinations_with_replacement(monos, 3):
+    for m1, m2, m3 in itertools.combinations_with_replacement(gens, 3):
         lhs = gerst_bracket(G, _mono_elt(G, m1), _mono_bracket(G, m2, m3))
         rhs = gerst_bracket(G, _mono_bracket(G, m1, m2), _mono_elt(G, m3))
         sign = -1 if (m1.total_degree * m2.total_degree) % 2 else 1
@@ -657,33 +660,34 @@ def check_gerst_axioms(G: GerstenhaberStructure, degree_bound: int) -> Verificat
             rhs,
             weil_scale(sign, gerst_bracket(G, _mono_elt(G, m2), _mono_bracket(G, m1, m3))),
         )
-        if lhs != rhs and jacobi_witness is None:
+        if lhs != rhs:
             jacobi_witness = Witness(
                 (),
                 lhs.render(),
                 rhs.render(),
                 at=f"({m1.render()}, {m2.render()}, {m3.render()})",
             )
+            break
 
     leibniz_witness = None
-    for m1 in monos:
-        for m2, m3 in itertools.combinations_with_replacement(monos, 2):
-            if m2.total_degree + m3.total_degree > degree_bound:
-                continue
-            prod = weil_mul(_mono_elt(G, m2), _mono_elt(G, m3))
-            lhs = gerst_bracket(G, _mono_elt(G, m1), prod)
-            rhs = weil_mul(_mono_bracket(G, m1, m2), _mono_elt(G, m3))
-            sign = -1 if (m1.total_degree * m2.total_degree) % 2 else 1
-            rhs = weil_add(
-                rhs, weil_scale(sign, weil_mul(_mono_elt(G, m2), _mono_bracket(G, m1, m3)))
+    for m1, (m2, m3) in itertools.product(
+        gens, itertools.combinations_with_replacement(gens, 2)
+    ):
+        prod = weil_mul(_mono_elt(G, m2), _mono_elt(G, m3))
+        lhs = gerst_bracket(G, _mono_elt(G, m1), prod)
+        rhs = weil_mul(_mono_bracket(G, m1, m2), _mono_elt(G, m3))
+        sign = -1 if (m1.total_degree * m2.total_degree) % 2 else 1
+        rhs = weil_add(
+            rhs, weil_scale(sign, weil_mul(_mono_elt(G, m2), _mono_bracket(G, m1, m3)))
+        )
+        if lhs != rhs:
+            leibniz_witness = Witness(
+                (),
+                lhs.render(),
+                rhs.render(),
+                at=f"({m1.render()}; {m2.render()}, {m3.render()})",
             )
-            if lhs != rhs and leibniz_witness is None:
-                leibniz_witness = Witness(
-                    (),
-                    lhs.render(),
-                    rhs.render(),
-                    at=f"({m1.render()}; {m2.render()}, {m3.render()})",
-                )
+            break
 
     return VerificationReport(
         (
@@ -695,9 +699,17 @@ def check_gerst_axioms(G: GerstenhaberStructure, degree_bound: int) -> Verificat
 
 
 def check_derivation_of_bracket(
-    d: GradedDerivation, G: GerstenhaberStructure, degree_bound: int
+    d: GradedDerivation, G: GerstenhaberStructure
 ) -> VerificationReport:
-    """Check d[x,y] = [d x, y] + (-1)^|x| [x, d y] on generator and monomial pairs."""
+    """Check d[x,y] = [d x, y] + (-1)^|x| [x, d y], decided on generators.
+
+    The defect is a biderivation (``[d, ad_x] - ad_{dx}`` in each argument),
+    so it vanishes on all monomials iff it vanishes on generator pairs, and
+    it is graded-skew because the bracket is.  ``generator_pairs`` reports
+    the first failing ordered generator pair, ``monomial_pairs`` the first
+    failing sorted one, which is also the first failing sorted monomial pair
+    (the argument of `check_gerst_axioms`).
+    """
     if d.total_degree % 2 == 0:
         raise ValueError("derivation compatibility check requires an odd derivation")
     if d.dims != G.dims:
@@ -711,27 +723,18 @@ def check_derivation_of_bracket(
         rhs = weil_add(rhs, weil_scale(sign, gerst_bracket(G, e1, apply_derivation(d, e2))))
         return weil_sub(lhs, rhs)
 
-    n0, n1 = G.dims
-    gens = [WeilMonomial((i,), ()) for i in range(n0)] + [
-        WeilMonomial((), (j,)) for j in range(n1)
-    ]
-    gen_witness = None
-    for m1, m2 in itertools.product(gens, gens):
-        dft = defect(m1, m2)
-        if not dft.is_zero() and gen_witness is None:
-            gen_witness = Witness(
-                (), dft.render(), "0", at=f"({m1.render()}, {m2.render()})"
-            )
+    gens = _generators(G.dims)
+    defects = {pair: defect(*pair) for pair in itertools.product(gens, gens)}
 
-    mono_witness = None
-    monos = enumerate_monomials(G.dims, degree_bound)
-    for m1, m2 in itertools.combinations_with_replacement(monos, 2):
-        dft = defect(m1, m2)
-        if not dft.is_zero() and mono_witness is None:
-            mono_witness = Witness(
-                (), dft.render(), "0", at=f"({m1.render()}, {m2.render()})"
-            )
+    def first_failing(pairs) -> Witness | None:
+        for m1, m2 in pairs:
+            dft = defects[(m1, m2)]
+            if not dft.is_zero():
+                return Witness((), dft.render(), "0", at=f"({m1.render()}, {m2.render()})")
+        return None
 
+    gen_witness = first_failing(itertools.product(gens, gens))
+    mono_witness = first_failing(itertools.combinations_with_replacement(gens, 2))
     return VerificationReport(
         (
             Check("generator_pairs", gen_witness is None, gen_witness),

@@ -34,7 +34,7 @@ from l2b.catalog import (
 from l2b.documents import build_lie2_bialgebra
 from l2b.exact import SparseTensor, zero_matrix
 from l2b.liecore import LieAlgebra, Representation, semidirect, verify_lie, verify_rep
-from l2b.twoterm import CrossedModuleData, TwoVectorSpace, dual_two_vs
+from l2b.twoterm import CrossedModuleData, TwoVectorSpace, dual_two_vs, verify_cm
 
 
 def seeded_l2b(seed, modifications=0):
@@ -240,6 +240,24 @@ def test_cross_check_agreement_on_valid_and_invalid():
     assert not bad.passed
     assert dict(bad.metadata)["agreement"] == "true"
     assert bad.check("agreement").passed
+
+
+def test_cross_check_verifies_each_crossed_module_once(monkeypatch):
+    from l2b import bicross
+
+    calls = []
+
+    def counted(cm):
+        calls.append(cm)
+        return verify_cm(cm)
+
+    d = trace_pair(1, 0, 0, 1)
+    rd, rm = verify_l2b_def(d), verify_l2b_matched(d)
+    monkeypatch.setattr(bicross, "verify_cm", counted)
+    report = cross_check(d)
+    assert calls == [d.cm1, d.cm2]
+    n = len(rd.checks) + len(rm.checks)
+    assert report.checks[:n] == rd.prefixed("def.").checks + rm.prefixed("matched.").checks
 
 
 # --- equivalence and closure properties ------------------------------------------------

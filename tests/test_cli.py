@@ -165,13 +165,21 @@ def test_catalog_show_unknown(capsys):
     assert code == 2
 
 
-def test_degree_bound_env(doc_file, capsys, monkeypatch):
-    monkeypatch.setenv("L2B_DEGREE_BOUND", "2")
-    code, out, _ = run_cli(capsys, "verify", doc_file("scaling_l2b"), "--method", "weil")
-    assert code == 0
-    monkeypatch.setenv("L2B_DEGREE_BOUND", "junk")
-    code, _, err = run_cli(capsys, "verify", doc_file("scaling_l2b"), "--method", "weil")
-    assert code == 2 and "L2B_DEGREE_BOUND" in err
+def test_verify_deeply_nested_input_exit_two(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_bytes(b"[" * 200_000)
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_verify_unwritable_out_exit_two(doc_file, tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(capsys, "verify", doc_file("sl2"), "--out", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err and not target.exists()
 
 
 def test_subprocess_entry_point(doc_file, tmp_path):

@@ -35,6 +35,19 @@ def test_parse_rejects_out_of_range_index():
     assert "out of range" in str(err.value)
 
 
+def test_parse_rejects_booleans_as_integers():
+    doc = {"kind": "lie_algebra", "spaces": {"g": {"dim": True}}}
+    with pytest.raises(DocumentError) as err:
+        parse_document(json.dumps(doc).encode())
+    assert "spaces.g.dim" in str(err.value)
+    obj = json.loads(doc_bytes("sl2"))
+    obj["blocks"]["bracket"].append([[False, 1, 2], "1"])
+    with pytest.raises(DocumentError) as err:
+        parse_document(json.dumps(obj).encode())
+    assert f"blocks.bracket[{len(obj['blocks']['bracket']) - 1}]" in str(err.value)
+    assert "integers" in str(err.value)
+
+
 def test_parse_rejects_bad_rational():
     obj = json.loads(doc_bytes("sl2"))
     obj["blocks"]["bracket"][0][1] = "1/0"

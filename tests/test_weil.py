@@ -29,7 +29,6 @@ from l2b.weil import (
     check_square_zero,
     check_zero_on_generators,
     derivation_sum,
-    enumerate_monomials,
     gerst_bracket,
     graded_commutator,
     verify_cm_via_weil,
@@ -42,6 +41,13 @@ from l2b.weil import (
     weil_scale,
     weil_sub,
     weil_zero,
+)
+
+from conftest import nonzero_rationals
+from monomial_oracle import (
+    check_derivation_of_bracket_bounded,
+    check_gerst_axioms_bounded,
+    enumerate_monomials,
 )
 
 
@@ -303,7 +309,7 @@ def test_gerst_trivial_table():
     a = weil_alpha((2, 1), 0)
     g = weil_gamma((2, 1), 0)
     assert gerst_bracket(G, g, a).is_zero()
-    assert check_gerst_axioms(G, 4).passed
+    assert check_gerst_axioms(G).passed
 
 
 def test_gerst_table_entry():
@@ -340,16 +346,21 @@ def test_gerst_square_peels_with_factor_two():
 
 
 def test_gerst_axioms_scaling_and_broken():
-    assert check_gerst_axioms(_scaling_gerst(), 4).passed
+    assert check_gerst_axioms(_scaling_gerst()).passed
     bad_core = SparseTensor(
         (3, 3, 3), {(0, 1, 2): 1, (1, 0, 2): -1, (0, 2, 0): 1, (2, 0, 0): -1}
     )
     report = check_gerst_axioms(
-        GerstenhaberStructure((0, 3), bad_core, SparseTensor((3, 0, 0))), 4
+        GerstenhaberStructure((0, 3), bad_core, SparseTensor((3, 0, 0)))
     )
     assert not report.passed
     assert not report.check("jacobi").passed
     assert "g" in report.check("jacobi").witness.at
+    # the generator-level decision needs a skew table, so a table that is
+    # not antisymmetric is refused at construction
+    for entries in ({(1, 0, 0): -1}, {(0, 0, 1): 2}):
+        with pytest.raises(ValueError):
+            GerstenhaberStructure((0, 2), SparseTensor((2, 2, 2), entries), SparseTensor((2, 0, 0)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -370,10 +381,10 @@ def test_derivation_of_bracket_trivial_cases():
     cm = axb_action_cm()
     d = derivation_sum(build_delta_h_from_cm(cm), build_delta_v_from_cm(cm))
     zero_G = GerstenhaberStructure((2, 1), SparseTensor.zero((1, 1, 1)), SparseTensor.zero((1, 2, 2)))
-    assert check_derivation_of_bracket(d, zero_G, 4).passed
+    assert check_derivation_of_bracket(d, zero_G).passed
     # the zero derivation is compatible with any bracket table
     zero_d = build_delta_v(TwoVectorSpace(1, 1, ((0,),)))
-    assert check_derivation_of_bracket(zero_d, _scaling_gerst(3), 4).passed
+    assert check_derivation_of_bracket(zero_d, _scaling_gerst(3)).passed
 
 
 def test_derivation_of_bracket_inconsistent_table_fails():
@@ -386,8 +397,8 @@ def test_derivation_of_bracket_inconsistent_table_fails():
     d = derivation_sum(
         build_delta_h_from_cm(good.cm1), build_delta_v_from_cm(good.cm1)
     )
-    assert check_derivation_of_bracket(d, build_gerstenhaber(good.cm2), 4).passed
-    report = check_derivation_of_bracket(d, build_gerstenhaber(bad.cm2), 4)
+    assert check_derivation_of_bracket(d, build_gerstenhaber(good.cm2)).passed
+    report = check_derivation_of_bracket(d, build_gerstenhaber(bad.cm2))
     assert not report.passed
     assert not report.check("generator_pairs").passed
 
@@ -403,8 +414,57 @@ def test_derivation_generator_pairs_imply_monomial_pairs(seed):
     d = derivation_sum(
         build_delta_h_from_cm(d2b.cm1), build_delta_v_from_cm(d2b.cm1)
     )
-    report = check_derivation_of_bracket(d, build_gerstenhaber(d2b.cm2), 4)
+    report = check_derivation_of_bracket(d, build_gerstenhaber(d2b.cm2))
     assert report.check("generator_pairs").passed == report.check("monomial_pairs").passed
+
+
+@st.composite
+def tables_and_odd_derivations(draw):
+    """A random skew bracket table (often failing Jacobi) and a random odd
+    derivation of total degree -1 or 1 on the same small Weil algebra."""
+    n1 = draw(st.integers(1, 3))
+    n0 = draw(st.integers(0, 4 - n1))
+    dims = (n0, n1)
+    core = {}
+    for (i, j, k), v in draw(
+        st.dictionaries(st.tuples(*[st.integers(0, n1 - 1)] * 3), nonzero_rationals, max_size=4)
+    ).items():
+        if i != j:
+            core[(i, j, k)], core[(j, i, k)] = v, -v
+    side = {}
+    if n0:
+        side = draw(
+            st.dictionaries(
+                st.tuples(st.integers(0, n1 - 1), st.integers(0, n0 - 1), st.integers(0, n0 - 1)),
+                nonzero_rationals,
+                max_size=4,
+            )
+        )
+    G = GerstenhaberStructure(dims, SparseTensor((n1, n1, n1), core), SparseTensor((n1, n0, n0), side))
+
+    degree = draw(st.sampled_from((-1, 1)))
+    monos = enumerate_monomials(dims, 2 + degree)
+
+    def images(gen_degree, count):
+        of_degree = [m for m in monos if m.total_degree == gen_degree + degree]
+        if not of_degree:
+            return tuple(WeilElement(dims) for _ in range(count))
+        terms = st.dictionaries(st.sampled_from(of_degree), nonzero_rationals, max_size=2)
+        return tuple(WeilElement(dims, draw(terms)) for _ in range(count))
+
+    d = GradedDerivation(dims, None, images(1, n0), images(2, n1), total_degree=degree)
+    return G, d
+
+
+@settings(max_examples=80, deadline=None)
+@given(tables_and_odd_derivations())
+def test_generator_checks_equal_bounded_oracle(case):
+    G, d = case
+    assert check_gerst_axioms(G).checks == check_gerst_axioms_bounded(G, 4).checks
+    assert (
+        check_derivation_of_bracket(d, G).checks
+        == check_derivation_of_bracket_bounded(d, G, 4).checks
+    )
 
 
 # --- weak two-term data -------------------------------------------------------------
