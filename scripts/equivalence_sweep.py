@@ -13,24 +13,17 @@ Usage: python3 scripts/equivalence_sweep.py [--count N] [--seed-base B] [--verbo
 """
 
 import argparse
-import random
 import sys
 import time
 from collections import Counter
 
-from l2b import catalog
-from l2b.bicross import verify_l2b_def, verify_l2b_matched, verify_l2b_weil
+from l2b.bicross import cross_check
+from l2b.catalog import CM_FAMILIES, L2B_FAMILIES, seeded_doc
 from l2b.documents import build_crossed_module, build_lie2_bialgebra
 from l2b.twoterm import verify_cm
 from l2b.weil import verify_cm_via_weil
 
-CM_FAMILIES = ("abelian", "adjoint", "random_basis_change:adjoint")
-L2B_FAMILIES = (
-    "scaling",
-    "abelian_dual",
-    "random_basis_change:scaling",
-    "random_basis_change:abelian_dual",
-)
+VERIFIERS = ("def", "matched", "weil")
 
 E1_MAP = {
     "jacobi": "delta_h.square_zero.side",
@@ -38,14 +31,6 @@ E1_MAP = {
     "equivariance": "commute.side",
     "skew_action": "commute.core",
 }
-
-
-def edited_doc(family, seed, edits):
-    doc = catalog.gen_document(family, seed)
-    rng = random.Random(seed * 7919 + edits)
-    for _ in range(edits):
-        doc = catalog.perturb_document(doc, rng)
-    return doc
 
 
 def sweep_e1(count, seed_base, verbose):
@@ -56,7 +41,7 @@ def sweep_e1(count, seed_base, verbose):
     for k in range(count):
         seed = seed_base + k
         cm = build_crossed_module(
-            edited_doc(CM_FAMILIES[k % len(CM_FAMILIES)], seed, k % 3)
+            seeded_doc(CM_FAMILIES[k % len(CM_FAMILIES)], seed, k % 3)
         )
         direct = verify_cm(cm)
         weil = verify_cm_via_weil(cm)
@@ -85,14 +70,14 @@ def sweep_e2(count, seed_base, verbose):
     for k in range(count):
         seed = seed_base + k
         d = build_lie2_bialgebra(
-            edited_doc(L2B_FAMILIES[k % len(L2B_FAMILIES)], seed, k % 3)
+            seeded_doc(L2B_FAMILIES[k % len(L2B_FAMILIES)], seed, k % 3)
         )
-        trio = (
-            verify_l2b_def(d).passed,
-            verify_l2b_matched(d).passed,
-            verify_l2b_weil(d).passed,
+        report = cross_check(d)
+        trio = tuple(
+            all(c.passed for c in report.checks if c.cond.startswith(f"{name}."))
+            for name in VERIFIERS
         )
-        agree = len(set(trio)) == 1
+        agree = report.check("agreement").passed
         mismatches += not agree
         verdicts["valid" if trio[0] else "invalid"] += 1
         if verbose and not agree:

@@ -1,0 +1,116 @@
+#!/usr/bin/env python3
+"""Print one sha256 per group of kernel outputs, to compare two source trees.
+
+Groups:
+
+* ``catalog``: the report of every catalog entry under every method that
+  applies to its kind;
+* ``gen``: ``gen_document`` for every family, seeds 0-19, plain and
+  perturbed, with the ``auto`` report of each document;
+* ``edits``: seeded ``perturb_document`` edits of the plain generated
+  documents, with their ``auto`` reports;
+* ``dualize``: every dualization of every catalog entry.
+
+An error is hashed as its type and message, so a change in which inputs
+are refused also changes the digest.  Only long-standing API is used, so
+the same file runs against an older tree:
+
+    PYTHONPATH=<tree>/src python3 scripts/report_digest.py
+"""
+
+import hashlib
+import random
+
+from l2b import catalog
+from l2b.documents import (
+    dualize_document,
+    run_verifier,
+    serialize_document,
+    serialize_report,
+)
+
+L2B_METHODS = ("auto", "def", "matched", "weil", "all")
+FAMILIES = tuple(catalog.FAMILIES) + tuple(
+    f"random_basis_change:{base}" for base in ("adjoint", "scaling", "abelian_dual")
+)
+SEEDS = range(20)
+EDITS = 2
+DUALIZATIONS = ("two_vs", "dvb_vertical", "dvb_horizontal", "flip")
+
+
+def _output(fn, *args) -> bytes:
+    try:
+        return fn(*args)
+    except Exception as e:  # the refusal is part of the behaviour compared
+        return f"{type(e).__name__}: {e}\n".encode("utf-8")
+
+
+def _report(doc, method: str) -> bytes:
+    return serialize_report(doc, method, run_verifier(doc, method))
+
+
+def _document_and_report(doc) -> bytes:
+    return serialize_document(doc) + _output(_report, doc, "auto")
+
+
+def catalog_group():
+    for entry in catalog.entries():
+        methods = L2B_METHODS if entry.kind == "lie2_bialgebra" else ("auto",)
+        for method in methods:
+            yield _output(_report, entry.document, method)
+
+
+def gen_group():
+    for family in FAMILIES:
+        for seed in SEEDS:
+            for perturbed in (False, True):
+                yield _output(
+                    lambda: _document_and_report(catalog.gen_document(family, seed, perturbed))
+                )
+
+
+def _edits(family: str, seed: int):
+    doc = catalog.gen_document(family, seed)
+    rng = random.Random(seed * 7919 + FAMILIES.index(family))
+    out = []
+    for _ in range(EDITS):
+        doc = catalog.perturb_document(doc, rng)
+        out.append(_document_and_report(doc))
+    return b"".join(out)
+
+
+def edits_group():
+    for family in FAMILIES:
+        for seed in SEEDS:
+            yield _output(_edits, family, seed)
+
+
+def dualize_group():
+    for entry in catalog.entries():
+        for which in DUALIZATIONS:
+            yield _output(
+                lambda: serialize_document(dualize_document(entry.document, which))
+            )
+
+
+GROUPS = {
+    "catalog": catalog_group,
+    "gen": gen_group,
+    "edits": edits_group,
+    "dualize": dualize_group,
+}
+
+
+def main():
+    for name, group in GROUPS.items():
+        digest = hashlib.sha256()
+        count = 0
+        for data in group():
+            digest.update(len(data).to_bytes(8, "big"))
+            digest.update(data)
+            count += 1
+        print(f"{name:8s} {count:4d} {digest.hexdigest()}")
+
+
+if __name__ == "__main__":
+    main()

@@ -7,10 +7,8 @@ from .liecore import (
     Check,
     LieAlgebra,
     LieCobracket,
-    Representation,
     VerificationReport,
     Witness,
-    adjoint_rep,
     bracket_to_dual_cobracket,
     cobracket_to_dual_lie,
     semidirect,

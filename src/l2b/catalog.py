@@ -28,15 +28,7 @@ from .documents import (
     doc_from_weak_lie2,
     run_verifier,
 )
-from .exact import (
-    SparseTensor,
-    contract,
-    identity_matrix,
-    mat_mul,
-    mat_transpose,
-    permute_axes,
-    zero_matrix,
-)
+from .exact import SparseTensor, contract, perm_parity, permute_axes
 from .liecore import LieAlgebra, LieCobracket
 from .twoterm import (
     CrossedModuleData,
@@ -79,12 +71,13 @@ def adjoint_cm(g: LieAlgebra) -> CrossedModuleData:
     """The crossed module [g -> g] with identity map and adjoint action."""
     n = g.dim
     core_labels = tuple(s.upper() if s.upper() != s else s + "'" for s in g.labels)
-    tvs = TwoVectorSpace(n, n, identity_matrix(n), g.labels, core_labels)
+    identity = SparseTensor((n, n), {(i, i): 1 for i in range(n)})
+    tvs = TwoVectorSpace(n, n, identity, g.labels, core_labels)
     return CrossedModuleData(g, tvs, SparseTensor((n, n, n), dict(g.bracket.entries)))
 
 
 def abelian_cm(n0: int, n1: int) -> CrossedModuleData:
-    tvs = TwoVectorSpace(n0, n1, zero_matrix(n0, n1))
+    tvs = TwoVectorSpace(n0, n1, SparseTensor.zero((n0, n1)))
     return CrossedModuleData(
         LieAlgebra.abelian(tvs.labels0), tvs, SparseTensor.zero((n0, n1, n1))
     )
@@ -93,13 +86,13 @@ def abelian_cm(n0: int, n1: int) -> CrossedModuleData:
 def axb_action_cm() -> CrossedModuleData:
     """g0 = axb acting on a 1-dimensional core by e0.f = f, zero structure map."""
     g = axb()
-    tvs = TwoVectorSpace(2, 1, zero_matrix(2, 1), g.labels, ("f",))
+    tvs = TwoVectorSpace(2, 1, SparseTensor.zero((2, 1)), g.labels, ("f",))
     return CrossedModuleData(g, tvs, SparseTensor((2, 1, 1), {(0, 0, 0): 1}))
 
 
 def scaling_pair(lam, mu) -> Lie2BialgebraData:
     """1-dimensional side and core, zero structure map, scaling actions."""
-    tvs1 = TwoVectorSpace(1, 1, ((0,),), ("e",), ("f",))
+    tvs1 = TwoVectorSpace(1, 1, SparseTensor.zero((1, 1)), ("e",), ("f",))
     cm1 = CrossedModuleData(
         LieAlgebra.abelian(("e",)), tvs1, SparseTensor((1, 1, 1), {(0, 0, 0): lam})
     )
@@ -120,7 +113,7 @@ def trace_pair(a, b, c, d) -> Lie2BialgebraData:
     a + d = 0.
     """
     g = axb()
-    tvs1 = TwoVectorSpace(2, 1, zero_matrix(2, 1), g.labels, ("f",))
+    tvs1 = TwoVectorSpace(2, 1, SparseTensor.zero((2, 1)), g.labels, ("f",))
     cm1 = CrossedModuleData(g, tvs1, SparseTensor((2, 1, 1), {(0, 0, 0): 1}))
     tvs2 = dual_two_vs(tvs1)
     dual_act = SparseTensor(
@@ -133,19 +126,14 @@ def trace_pair(a, b, c, d) -> Lie2BialgebraData:
 
 def weak_l3_example(n1: int = 1, coeff=1, target: int = 0) -> WeakLie2Data:
     """Abelian 3-dim side, trivial structure, nonzero alternating 3-form into g1."""
-    entries = {}
-    for perm in itertools.permutations((0, 1, 2)):
-        sign = 1
-        p = list(perm)
-        for i in range(3):
-            for j in range(i + 1, 3):
-                if p[i] > p[j]:
-                    sign = -sign
-        entries[perm + (target,)] = sign * Fraction(coeff)
+    entries = {
+        perm + (target,): perm_parity(perm) * Fraction(coeff)
+        for perm in itertools.permutations((0, 1, 2))
+    }
     return WeakLie2Data(
         3,
         n1,
-        zero_matrix(3, n1),
+        SparseTensor.zero((3, n1)),
         SparseTensor.zero((3, 3, 3)),
         SparseTensor.zero((3, n1, n1)),
         SparseTensor((3, 3, 3, n1), entries),
@@ -278,7 +266,12 @@ def _build_entries() -> tuple[CatalogEntry, ...]:
         "same 3-form with a nonzero structure map; the (2,0) square fails",
         doc_from_weak_lie2(
             WeakLie2Data(
-                3, 1, ((1,), (0,), (0,)), wbad.bracket0, wbad.action, wbad.jacobiator
+                3,
+                1,
+                SparseTensor((3, 1), {(0, 0): 1}),
+                wbad.bracket0,
+                wbad.action,
+                wbad.jacobiator,
             ),
             "weak_l3_bad_partial",
         ),
@@ -352,6 +345,7 @@ def _rand_nonzero(rng: random.Random) -> Fraction:
 
 
 def _mat_tensor(m) -> SparseTensor:
+    """A basis change given as row tuples, as a tensor of dims (rows, columns)."""
     entries = {}
     for i, row in enumerate(m):
         for j, v in enumerate(row):
@@ -361,76 +355,66 @@ def _mat_tensor(m) -> SparseTensor:
 
 
 def _unimodular(rng: random.Random, n: int, shears: int = 3):
-    """A product of elementary shears together with its exact inverse."""
-    s = identity_matrix(n)
-    s_inv = identity_matrix(n)
-    if n < 2:
-        return s, s_inv
-    for _ in range(shears):
+    """A product of elementary shears together with its exact inverse, as row tuples.
+
+    Shear ``i, j, c`` is the identity plus ``c`` at row ``i``, column ``j``;
+    multiplying ``s`` by it on the right adds ``c`` times column ``i`` to
+    column ``j``, and multiplying ``s_inv`` by its inverse on the left
+    subtracts ``c`` times row ``j`` from row ``i``.
+    """
+    s = [[Fraction(int(a == b)) for b in range(n)] for a in range(n)]
+    s_inv = [list(row) for row in s]
+    for _ in range(shears if n >= 2 else 0):
         i = rng.randrange(n)
         j = rng.randrange(n)
         while j == i:
             j = rng.randrange(n)
         c = Fraction(rng.randrange(1, 3) * (1 if rng.randrange(2) else -1))
-        e = [list(row) for row in identity_matrix(n)]
-        e[i][j] = c
-        e = tuple(tuple(r) for r in e)
-        e_inv = [list(row) for row in identity_matrix(n)]
-        e_inv[i][j] = -c
-        e_inv = tuple(tuple(r) for r in e_inv)
-        s = mat_mul(s, e)
-        s_inv = mat_mul(e_inv, s_inv)
-    return s, s_inv
+        for row in s:
+            row[j] += c * row[i]
+        s_inv[i] = [x - c * y for x, y in zip(s_inv[i], s_inv[j])]
+    return tuple(map(tuple, s)), tuple(map(tuple, s_inv))
+
+
+def _change_bracket(bracket: SparseTensor, s: SparseTensor, s_inv: SparseTensor) -> SparseTensor:
+    """A bracket-shaped tensor (x, y, out) in the basis e~_i = sum_a S[a][i] e_a."""
+    return permute_axes(
+        contract(s_inv, contract(contract(bracket, s, [(0, 0)]), s, [(0, 0)]), [(1, 0)]),
+        (1, 2, 0),
+    )
 
 
 def transform_lie(g: LieAlgebra, s, s_inv) -> LieAlgebra:
     """Change of basis e~_i = sum_a S[a][i] e_a on a bare Lie algebra."""
-    bracket = permute_axes(
-        contract(
-            _mat_tensor(s_inv),
-            contract(contract(g.bracket, _mat_tensor(s), [(0, 0)]),
-                     _mat_tensor(s), [(0, 0)]),
-            [(1, 0)],
-        ),
-        (1, 2, 0),
-    )
-    return LieAlgebra(g.labels, bracket)
+    return LieAlgebra(g.labels, _change_bracket(g.bracket, _mat_tensor(s), _mat_tensor(s_inv)))
 
 
-def transform_cm(cm: CrossedModuleData, s, s_inv, t, t_inv) -> CrossedModuleData:
-    """Change of basis e~_i = sum_a S[a][i] e_a on the side, T on the core."""
-    bracket = permute_axes(
-        contract(
-            _mat_tensor(s_inv),
-            contract(contract(cm.base.bracket, _mat_tensor(s), [(0, 0)]),
-                     _mat_tensor(s), [(0, 0)]),
-            [(1, 0)],
-        ),
-        (1, 2, 0),
-    )
+def _transform_cm(cm: CrossedModuleData, s, s_inv, t, t_inv) -> CrossedModuleData:
+    bracket = _change_bracket(cm.base.bracket, s, s_inv)
     action = permute_axes(
-        contract(
-            _mat_tensor(t_inv),
-            contract(contract(cm.action, _mat_tensor(s), [(0, 0)]),
-                     _mat_tensor(t), [(0, 0)]),
-            [(1, 0)],
-        ),
+        contract(t_inv, contract(contract(cm.action, s, [(0, 0)]), t, [(0, 0)]), [(1, 0)]),
         (1, 2, 0),
     )
-    partial = mat_mul(mat_mul(s_inv, cm.tvs.partial), t)
+    partial = contract(contract(s_inv, cm.tvs.partial, [(1, 0)]), t, [(1, 0)])
     base = LieAlgebra(cm.base.labels, bracket)
     tvs = TwoVectorSpace(cm.dim0, cm.dim1, partial, cm.tvs.labels0, cm.tvs.labels1)
     return CrossedModuleData(base, tvs, action)
 
 
+def transform_cm(cm: CrossedModuleData, s, s_inv, t, t_inv) -> CrossedModuleData:
+    """Change of basis e~_i = sum_a S[a][i] e_a on the side, T on the core.
+
+    The four basis changes are row tuples.
+    """
+    return _transform_cm(cm, *map(_mat_tensor, (s, s_inv, t, t_inv)))
+
+
 def transform_l2b(d: Lie2BialgebraData, s, s_inv, t, t_inv) -> Lie2BialgebraData:
     """Simultaneous change of basis; the dual data moves contragrediently."""
-    cm1 = transform_cm(d.cm1, s, s_inv, t, t_inv)
-    s2 = mat_transpose(t_inv, ncols_if_empty=d.dim1)
-    s2_inv = mat_transpose(t, ncols_if_empty=d.dim1)
-    t2 = mat_transpose(s_inv, ncols_if_empty=d.dim0)
-    t2_inv = mat_transpose(s, ncols_if_empty=d.dim0)
-    cm2 = transform_cm(d.cm2, s2, s2_inv, t2, t2_inv)
+    s, s_inv, t, t_inv = map(_mat_tensor, (s, s_inv, t, t_inv))
+    cm1 = _transform_cm(d.cm1, s, s_inv, t, t_inv)
+    s2, s2_inv, t2, t2_inv = (permute_axes(m, (1, 0)) for m in (t_inv, t, s_inv, s))
+    cm2 = _transform_cm(d.cm2, s2, s2_inv, t2, t2_inv)
     return Lie2BialgebraData(cm1, cm2)
 
 
@@ -572,13 +556,7 @@ def perturb_document(doc: StructureDocument, rng: random.Random) -> StructureDoc
         i, j, k = sorted(picks)
         b = rng.randrange(dims[3])
         for perm in itertools.permutations((i, j, k)):
-            sign = 1
-            p = list(perm)
-            for a in range(3):
-                for bb in range(a + 1, 3):
-                    if p[a] > p[bb]:
-                        sign = -sign
-            bump(perm + (b,), sign * delta)
+            bump(perm + (b,), perm_parity(perm) * delta)
     else:
         idx = tuple(rng.randrange(d) for d in dims)
         bump(idx, delta)
@@ -609,3 +587,29 @@ def gen_document(family: str, seed: int, perturbed: bool = False) -> StructureDo
     raise RetryExhaustion(
         f"no invalidating single-entry perturbation found for {family} seed {seed}"
     )
+
+
+# --- seeded populations -------------------------------------------------------------
+
+# shared by the tests and scripts/equivalence_sweep.py: crossed-module
+# families whose valid members exercise all the crossed-module machinery,
+# and Lie 2-bialgebra families, every member of which has a nonzero core
+CM_FAMILIES = ("abelian", "adjoint", "random_basis_change:adjoint")
+L2B_FAMILIES = (
+    "scaling",
+    "abelian_dual",
+    "random_basis_change:scaling",
+    "random_basis_change:abelian_dual",
+)
+
+
+def seeded_doc(family: str, seed: int, modifications: int = 0) -> StructureDocument:
+    """``gen_document(family, seed)`` with ``modifications`` seeded edits.
+
+    Unlike ``perturbed=True`` the edits are kept whatever the verdict.
+    """
+    doc = gen_document(family, seed)
+    rng = random.Random(seed * 1000003 + modifications * 97 + sum(map(ord, family)))
+    for _ in range(modifications):
+        doc = perturb_document(doc, rng)
+    return doc

@@ -24,7 +24,7 @@ from .bicross import (
     verify_l2b_weil,
     verify_matched_pair,
 )
-from .exact import Matrix, SparseTensor, format_rational, mat_transpose, parse_rational
+from .exact import SparseTensor, format_rational, parse_rational
 from .liecore import (
     LieAlgebra,
     LieCobracket,
@@ -60,7 +60,7 @@ class UnsupportedMethod(ValueError):
     """The requested verification method does not apply to this document kind."""
 
 
-# block arity expressed through space names; "2matrix" marks matrix blocks
+# block arity expressed through space names
 _SCHEMAS: dict[str, dict] = {
     "lie_algebra": {
         "spaces": ("g",),
@@ -136,14 +136,6 @@ class StructureDocument:
         axes = _SCHEMAS[self.kind]["blocks"][key]
         dims = tuple(self.spaces[s].dim for s in axes)
         return SparseTensor(dims, dict(self.blocks.get(key, ())))
-
-    def block_matrix(self, key: str) -> Matrix:
-        axes = _SCHEMAS[self.kind]["blocks"][key]
-        nrows, ncols = (self.spaces[s].dim for s in axes)
-        rows = [[Fraction(0)] * ncols for _ in range(nrows)]
-        for idx, val in self.blocks.get(key, ()):
-            rows[idx[0]][idx[1]] = val
-        return tuple(tuple(r) for r in rows)
 
 
 # --- parsing ------------------------------------------------------------------
@@ -296,7 +288,7 @@ def _tvs_of(doc: StructureDocument) -> TwoVectorSpace:
     return TwoVectorSpace(
         doc.space("g0").dim,
         doc.space("g1").dim,
-        doc.block_matrix("partial"),
+        doc.block_tensor("partial"),
         doc.space("g0").labels,
         doc.space("g1").labels,
     )
@@ -311,7 +303,7 @@ def build_weak_lie2(doc: StructureDocument) -> WeakLie2Data:
     return WeakLie2Data(
         doc.space("g0").dim,
         doc.space("g1").dim,
-        doc.block_matrix("partial"),
+        doc.block_tensor("partial"),
         doc.block_tensor("bracket0"),
         doc.block_tensor("action"),
         doc.block_tensor("jacobiator"),
@@ -353,15 +345,6 @@ def _tensor_block(t: SparseTensor) -> tuple:
     return tuple(sorted(t.entries.items()))
 
 
-def _matrix_block(m: Matrix) -> tuple:
-    out = []
-    for i, row in enumerate(m):
-        for j, v in enumerate(row):
-            if v:
-                out.append(((i, j), v))
-    return tuple(out)
-
-
 def doc_from_lie_algebra(g: LieAlgebra, name: str = "") -> StructureDocument:
     return StructureDocument(
         "lie_algebra",
@@ -390,7 +373,7 @@ def doc_from_crossed_module(cm: CrossedModuleData, name: str = "") -> StructureD
         },
         {
             "bracket0": _tensor_block(cm.base.bracket),
-            "partial": _matrix_block(cm.tvs.partial),
+            "partial": _tensor_block(cm.tvs.partial),
             "action": _tensor_block(cm.action),
         },
     )
@@ -406,7 +389,7 @@ def doc_from_weak_lie2(w: WeakLie2Data, name: str = "") -> StructureDocument:
         },
         {
             "bracket0": _tensor_block(w.bracket0),
-            "partial": _matrix_block(w.partial),
+            "partial": _tensor_block(w.partial),
             "action": _tensor_block(w.action),
             "jacobiator": _tensor_block(w.jacobiator),
         },
@@ -424,7 +407,7 @@ def doc_from_lie2_bialgebra(d: Lie2BialgebraData, name: str = "") -> StructureDo
         },
         {
             "bracket0": _tensor_block(cm1.base.bracket),
-            "partial": _matrix_block(cm1.tvs.partial),
+            "partial": _tensor_block(cm1.tvs.partial),
             "action0": _tensor_block(cm1.action),
             "dual_bracket": _tensor_block(d.cm2.base.bracket),
             "dual_action": _tensor_block(d.cm2.action),
@@ -486,7 +469,7 @@ def dualize_document(doc: StructureDocument, which: str) -> StructureDocument:
                     "g0": SpaceDecl(t.dim0, t.labels0),
                     "g1": SpaceDecl(t.dim1, t.labels1),
                 },
-                {"partial": _matrix_block(t.partial), "bracket0": (), "action": ()},
+                {"partial": _tensor_block(t.partial), "bracket0": (), "action": ()},
             )
         raise UnsupportedMethod(f"two_vs dualization does not apply to kind {doc.kind!r}")
     if which in ("dvb_vertical", "dvb_horizontal", "flip"):

@@ -217,72 +217,3 @@ def permute_axes(t: SparseTensor, perm) -> SparseTensor:
         out[tuple(idx[p] for p in perm)] = val
     return SparseTensor(dims, out)
 
-
-# --- small exact matrices (tuples of row tuples) ---------------------------
-
-Matrix = tuple
-
-
-def matrix(rows) -> Matrix:
-    """Coerce nested iterables into a rectangular tuple-of-tuples of Fractions."""
-    rows = tuple(tuple(Fraction(x) for x in row) for row in rows)
-    widths = {len(r) for r in rows}
-    if len(widths) > 1:
-        raise DimensionMismatch(f"ragged matrix rows with widths {sorted(widths)}")
-    return rows
-
-
-def zero_matrix(nrows: int, ncols: int) -> Matrix:
-    return tuple(tuple(Fraction(0) for _ in range(ncols)) for _ in range(nrows))
-
-
-def identity_matrix(n: int) -> Matrix:
-    return tuple(
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(n))
-        for i in range(n)
-    )
-
-
-def mat_shape(m: Matrix, ncols_if_empty: int = 0) -> tuple[int, int]:
-    if not m:
-        return (0, ncols_if_empty)
-    return (len(m), len(m[0]))
-
-
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_scale(c, a: Matrix) -> Matrix:
-    c = Fraction(c)
-    return tuple(tuple(c * x for x in row) for row in a)
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    if not a:
-        return ()
-    n, k = len(a), len(a[0])
-    if k != len(b):
-        raise DimensionMismatch(f"matrix shapes ({n},{k}) x ({len(b)},...)")
-    if not b:
-        # k == 0 and the column count of b is taken as 0 (the 0x0 case)
-        return tuple(() for _ in a)
-    m = len(b[0])
-    return tuple(
-        tuple(sum((a[i][t] * b[t][j] for t in range(k)), Fraction(0)) for j in range(m))
-        for i in range(n)
-    )
-
-
-def mat_transpose(a: Matrix, ncols_if_empty: int = 0) -> Matrix:
-    if not a:
-        return tuple(() for _ in range(ncols_if_empty))
-    return tuple(tuple(a[i][j] for i in range(len(a))) for j in range(len(a[0])))
-
-
-def mat_is_zero(a: Matrix) -> bool:
-    return all(all(x == 0 for x in row) for row in a)

@@ -8,7 +8,10 @@ Index conventions:
   invariant -- it is what `verify_lie` checks, and invalid candidates must
   be representable for negative tests);
 * a cobracket tensor stores ``(i, j, k) -> d`` meaning
-  ``delta(e_i) = sum_{j<k} d * e_j ^ e_k`` (antisymmetric in ``j, k``).
+  ``delta(e_i) = sum_{j<k} d * e_j ^ e_k`` (antisymmetric in ``j, k``);
+* an action tensor on a module ``V`` stores ``(i, j, k) -> a`` meaning
+  the coefficient of ``v_k`` in ``e_i . v_j``; the adjoint action is the
+  bracket tensor itself.
 
 The 1-cocycle convention is ``delta([x,y]) = x.delta(y) - y.delta(x)``
 with ``x`` acting on wedge squares by the extended adjoint action
@@ -23,14 +26,10 @@ from fractions import Fraction
 
 from .exact import (
     DimensionMismatch,
-    Matrix,
     SparseTensor,
+    contract,
     format_rational,
-    mat_mul,
-    mat_sub,
-    matrix,
     permute_axes,
-    zero_matrix,
 )
 
 # --- verification reports ---------------------------------------------------
@@ -151,25 +150,6 @@ class LieAlgebra:
 
 
 @dataclass(frozen=True)
-class Representation:
-    algebra: LieAlgebra
-    module_dim: int
-    matrices: tuple[Matrix, ...]  # one m x m matrix per basis element
-
-    def __post_init__(self):
-        mats = tuple(matrix(m) for m in self.matrices)
-        object.__setattr__(self, "matrices", mats)
-        n, m = self.algebra.dim, self.module_dim
-        if len(mats) != n:
-            raise DimensionMismatch(f"{len(mats)} matrices for dimension {n}")
-        for rho in mats:
-            if len(rho) != m or any(len(row) != m for row in rho):
-                raise DimensionMismatch(
-                    f"matrix shape inconsistent with module dimension {m}"
-                )
-
-
-@dataclass(frozen=True)
 class LieCobracket:
     dim: int
     tensor: SparseTensor  # (i, j, k) -> coefficient of e_j^e_k in delta(e_i)
@@ -274,50 +254,52 @@ def verify_lie(g: LieAlgebra) -> VerificationReport:
     return VerificationReport((Check("jacobi", witness is None, witness),))
 
 
-def verify_rep(r: Representation) -> VerificationReport:
-    """Check that the matrices define a Lie-algebra representation.
-
-    The underlying algebra must itself satisfy Jacobi; that prerequisite
-    appears in the report as the ``lie.jacobi`` check.
-    """
-    g = r.algebra
-    pre = verify_lie(g).prefixed("lie.")
-    witness = None
-    for i, j in itertools.combinations(range(g.dim), 2):
-        lhs = zero_matrix(r.module_dim, r.module_dim)
-        for k, ck in g.bracket_coeffs(i, j).items():
-            lhs = tuple(
-                tuple(x + ck * y for x, y in zip(row_l, row_r))
-                for row_l, row_r in zip(lhs, r.matrices[k])
-            )
-        comm = mat_sub(
-            mat_mul(r.matrices[i], r.matrices[j]),
-            mat_mul(r.matrices[j], r.matrices[i]),
+def _check_action_dims(g: LieAlgebra, action: SparseTensor) -> int:
+    """The module dimension of an action tensor of ``g``, checked."""
+    m = action.dims[1] if action.rank == 3 else 0
+    if action.dims != (g.dim, m, m):
+        raise DimensionMismatch(
+            f"action dims {action.dims}, expected {(g.dim, m, m)}"
         )
-        diff = mat_sub(lhs, comm)
-        for a in range(r.module_dim):
-            for b in range(r.module_dim):
-                if diff[a][b] != 0 and witness is None:
-                    witness = Witness(
-                        (i, j, a, b),
-                        format_rational(lhs[a][b]),
-                        format_rational(comm[a][b]),
-                    )
-    rep_check = Check("representation", witness is None, witness)
-    return combine(pre, VerificationReport((rep_check,)))
+    return m
 
 
-def adjoint_rep(g: LieAlgebra) -> Representation:
-    """The adjoint representation: rho(e_i)[k][j] = coefficient of e_k in [e_i, e_j]."""
-    n = g.dim
-    mats = []
-    for i in range(n):
-        rho = [[Fraction(0)] * n for _ in range(n)]
-        for (a, j, k), v in g.bracket.entries.items():
-            if a == i:
-                rho[k][j] = v
-        mats.append(tuple(tuple(row) for row in rho))
-    return Representation(g, n, tuple(mats))
+def verify_rep(g: LieAlgebra, action: SparseTensor) -> VerificationReport:
+    """Check that an action tensor is a representation of ``g``.
+
+    ``action`` stores ``(i, j, k) -> a``, the coefficient of ``v_k`` in
+    ``e_i . v_j``.  The one check, ``representation``, compares
+    ``[e_i, e_j] . v_b`` with ``e_i.(e_j.v_b) - e_j.(e_i.v_b)`` for
+    ``i < j``; it fails with the lexicographically first witness
+    ``(i, j, a, b)``, where ``a`` indexes the output coefficient and ``b``
+    the input basis vector.  Jacobi of ``g`` is not part of it.
+    """
+    _check_action_dims(g, action)
+    # coefficients keyed (i, j, a, b) for i < j: of v_a in [e_i, e_j].v_b ...
+    lhs = {
+        (i, j, a, b): v
+        for (i, j, b, a), v in contract(g.bracket, action, [(2, 0)]).entries.items()
+        if i < j
+    }
+    # ... and in e_i.(e_j.v_b) - e_j.(e_i.v_b); entry (j, b, i, a) of the
+    # contraction is the coefficient of v_a in e_i.(e_j.v_b)
+    zero = Fraction(0)
+    comm: dict[tuple[int, int, int, int], Fraction] = {}
+    for (j, b, i, a), v in contract(action, action, [(2, 1)]).entries.items():
+        if i < j:
+            comm[(i, j, a, b)] = comm.get((i, j, a, b), zero) + v
+        elif j < i:
+            comm[(j, i, a, b)] = comm.get((j, i, a, b), zero) - v
+    failing = [k for k in lhs.keys() | comm.keys() if lhs.get(k, zero) != comm.get(k, zero)]
+    witness = None
+    if failing:
+        idx = min(failing)
+        witness = Witness(
+            idx,
+            format_rational(lhs.get(idx, zero)),
+            format_rational(comm.get(idx, zero)),
+        )
+    return VerificationReport((Check("representation", witness is None, witness),))
 
 
 def cobracket_to_dual_lie(d: LieCobracket, labels=None) -> LieAlgebra:
@@ -367,19 +349,18 @@ def verify_cocycle(g: LieAlgebra, d: LieCobracket) -> VerificationReport:
 
 def semidirect(
     g: LieAlgebra,
-    r: Representation,
+    action: SparseTensor,
     core_bracket: LieAlgebra | None = None,
     module_labels=None,
 ) -> LieAlgebra:
-    """Semidirect-sum bracket on g (+) V.
+    """Semidirect-sum bracket on g (+) V for an action tensor as in `verify_rep`.
 
     ``[(x,u),(y,w)] = ([x,y], x.w - y.u + [u,w]_V)`` where the module
     bracket ``[.,.]_V`` is zero when ``core_bracket`` is absent.  Jacobi of
     the result is not asserted; callers use `verify_lie`.
     """
-    if r.algebra != g:
-        raise DimensionMismatch("representation is not over the given algebra")
-    n, m = g.dim, r.module_dim
+    m = _check_action_dims(g, action)
+    n = g.dim
     if core_bracket is not None and core_bracket.dim != m:
         raise DimensionMismatch(
             f"core bracket dim {core_bracket.dim} vs module dim {m}"
@@ -390,17 +371,10 @@ def semidirect(
         else:
             module_labels = tuple(f"v{a}" for a in range(m))
     total = n + m
-    entries: dict[tuple[int, int, int], Fraction] = {}
-    for (i, j, k), v in g.bracket.entries.items():
-        entries[(i, j, k)] = v
-    for i in range(n):
-        rho = r.matrices[i]
-        for a in range(m):
-            for b in range(m):
-                v = rho[b][a]
-                if v:
-                    entries[(i, n + a, n + b)] = v
-                    entries[(n + a, i, n + b)] = -v
+    entries: dict[tuple[int, int, int], Fraction] = dict(g.bracket.entries)
+    for (i, a, b), v in action.items_sorted():
+        entries[(i, n + a, n + b)] = v
+        entries[(n + a, i, n + b)] = -v
     if core_bracket is not None:
         for (a, b, k), v in core_bracket.bracket.entries.items():
             entries[(n + a, n + b, n + k)] = v

@@ -1,9 +1,9 @@
 """Two-term structures: 2-vector spaces, crossed-module data, split DVB duals.
 
 A 2-vector space is a linear map ``partial: g1 -> g0`` between finite
-dimensional spaces (``g0`` the side, ``g1`` the core), stored as an
-``n0 x n1`` matrix whose column ``b`` holds the ``g0`` coordinates of
-``partial(f_b)``.
+dimensional spaces (``g0`` the side, ``g1`` the core), stored as a tensor
+of dims ``(n0, n1)`` whose entry ``(a, b)`` is the coefficient of ``e_a``
+in ``partial(f_b)``.
 
 Crossed-module candidate data is (Lie algebra on g0, 2-vector space,
 action tensor ``(i, j, k) -> a`` meaning the coefficient of ``f_k`` in
@@ -22,17 +22,15 @@ from fractions import Fraction
 
 from .exact import (
     DimensionMismatch,
-    Matrix,
     SparseTensor,
+    contract,
     format_rational,
-    mat_transpose,
-    matrix,
     perm_parity,
+    permute_axes,
 )
 from .liecore import (
     Check,
     LieAlgebra,
-    Representation,
     VerificationReport,
     Witness,
     combine,
@@ -48,22 +46,23 @@ def star_label(label: str) -> str:
     return label[:-1] if label.endswith("*") else label + "*"
 
 
+def _check_partial_dims(partial: SparseTensor, n0: int, n1: int):
+    if partial.dims != (n0, n1):
+        raise DimensionMismatch(
+            f"partial dims {partial.dims}, expected {(n0, n1)}"
+        )
+
+
 @dataclass(frozen=True)
 class TwoVectorSpace:
     dim0: int
     dim1: int
-    partial: Matrix  # shape (dim0, dim1)
+    partial: SparseTensor  # (a, b) -> coefficient of e_a in partial(f_b)
     labels0: tuple[str, ...] | None = None
     labels1: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        p = matrix(self.partial) if self.partial else ()
-        if len(p) != self.dim0 or any(len(row) != self.dim1 for row in p):
-            raise DimensionMismatch(
-                f"partial has shape {(len(p), len(p[0]) if p else 0)}, "
-                f"expected {(self.dim0, self.dim1)}"
-            )
-        object.__setattr__(self, "partial", p)
+        _check_partial_dims(self.partial, self.dim0, self.dim1)
         l0 = self.labels0 or tuple(f"e{i}" for i in range(self.dim0))
         l1 = self.labels1 or tuple(f"f{i}" for i in range(self.dim1))
         if len(l0) != self.dim0 or len(l1) != self.dim1:
@@ -77,7 +76,7 @@ def dual_two_vs(t: TwoVectorSpace) -> TwoVectorSpace:
     return TwoVectorSpace(
         t.dim1,
         t.dim0,
-        mat_transpose(t.partial, ncols_if_empty=t.dim1),
+        permute_axes(t.partial, (1, 0)),
         tuple(star_label(s) for s in t.labels1),
         tuple(star_label(s) for s in t.labels0),
     )
@@ -109,19 +108,6 @@ class CrossedModuleData:
         return self.tvs.dim1
 
 
-def action_rep(cm: CrossedModuleData) -> Representation:
-    """The action tensor repackaged as candidate representation matrices."""
-    n0, n1 = cm.dim0, cm.dim1
-    mats = []
-    for i in range(n0):
-        rho = [[Fraction(0)] * n1 for _ in range(n1)]
-        for (a, j, k), v in cm.action.entries.items():
-            if a == i:
-                rho[k][j] = v
-        mats.append(tuple(tuple(row) for row in rho))
-    return Representation(cm.base, n1, tuple(mats))
-
-
 def _act(cm: CrossedModuleData, i: int, vec: dict[int, Fraction]) -> dict[int, Fraction]:
     """Apply e_i to a g1 vector given by coefficients."""
     out: dict[int, Fraction] = {}
@@ -132,28 +118,28 @@ def _act(cm: CrossedModuleData, i: int, vec: dict[int, Fraction]) -> dict[int, F
     return {k: v for k, v in out.items() if v}
 
 
-def _partial_coeffs(cm: CrossedModuleData, vec: dict[int, Fraction]) -> dict[int, Fraction]:
+def _partial_columns(cm: CrossedModuleData) -> list[dict[int, Fraction]]:
+    """``partial(f_b)`` as g0 coefficients, for each core basis vector ``f_b``."""
+    cols: list[dict[int, Fraction]] = [{} for _ in range(cm.dim1)]
+    for (a, b), v in cm.tvs.partial.entries.items():
+        cols[b][a] = v
+    return cols
+
+
+def _partial_coeffs(
+    cols: list[dict[int, Fraction]], vec: dict[int, Fraction]
+) -> dict[int, Fraction]:
     """partial applied to a g1 vector, as g0 coefficients."""
     out: dict[int, Fraction] = {}
     for b, c in vec.items():
-        for a in range(cm.dim0):
-            v = cm.tvs.partial[a][b]
-            if v:
-                out[a] = out.get(a, Fraction(0)) + c * v
+        for a, v in cols[b].items():
+            out[a] = out.get(a, Fraction(0)) + c * v
     return {k: v for k, v in out.items() if v}
 
 
 def derived_bracket_tensor(cm: CrossedModuleData) -> SparseTensor:
     """Raw tensor of the pairing [f_i, f_j] := partial(f_i).f_j (no symmetry check)."""
-    n1 = cm.dim1
-    entries: dict[tuple[int, int, int], Fraction] = {}
-    for (m, j, k), v in cm.action.entries.items():
-        for i in range(n1):
-            p = cm.tvs.partial[m][i]
-            if p:
-                key = (i, j, k)
-                entries[key] = entries.get(key, Fraction(0)) + p * v
-    return SparseTensor((n1, n1, n1), entries)
+    return contract(cm.tvs.partial, cm.action, [(0, 0)])
 
 
 class DerivedBracketError(ValueError):
@@ -169,20 +155,16 @@ def verify_cm(cm: CrossedModuleData) -> VerificationReport:
     ``partial(f_i).f_j = -partial(f_j).f_i``.
     """
     n0, n1 = cm.dim0, cm.dim1
-    jac = verify_lie(cm.base)
-    rep = verify_rep(action_rep(cm))
-    rep_check = Check("representation", rep.check("representation").passed,
-                      rep.check("representation").witness)
+    cols = _partial_columns(cm)
 
     eq_witness = None
     for i in range(n0):
         for j in range(n1):
-            lhs = _partial_coeffs(cm, _act(cm, i, {j: Fraction(1)}))
+            lhs = _partial_coeffs(cols, _act(cm, i, {j: Fraction(1)}))
             rhs: dict[int, Fraction] = {}
-            for k, p in enumerate(row[j] for row in cm.tvs.partial):
-                if p:
-                    for a, c in cm.base.bracket_coeffs(i, k).items():
-                        rhs[a] = rhs.get(a, Fraction(0)) + p * c
+            for k, p in cols[j].items():
+                for a, c in cm.base.bracket_coeffs(i, k).items():
+                    rhs[a] = rhs.get(a, Fraction(0)) + p * c
             rhs = {k: v for k, v in rhs.items() if v}
             if lhs != rhs and eq_witness is None:
                 eq_witness = Witness(
@@ -206,8 +188,8 @@ def verify_cm(cm: CrossedModuleData) -> VerificationReport:
 
     return VerificationReport(
         (
-            jac.check("jacobi"),
-            rep_check,
+            verify_lie(cm.base).check("jacobi"),
+            verify_rep(cm.base, cm.action).check("representation"),
             Check("equivariance", eq_witness is None, eq_witness),
             Check("skew_action", skew_witness is None, skew_witness),
         )
@@ -256,14 +238,13 @@ def verify_full_crossed_module(
         )
 
     n1 = cm.dim1
+    cols = _partial_columns(cm)
     morph_witness = None
     for i, j in itertools.combinations(range(n1), 2):
-        lhs = _partial_coeffs(cm, core_bracket.bracket_coeffs(i, j))
+        lhs = _partial_coeffs(cols, core_bracket.bracket_coeffs(i, j))
         rhs: dict[int, Fraction] = {}
-        pi = {a: cm.tvs.partial[a][i] for a in range(cm.dim0) if cm.tvs.partial[a][i]}
-        pj = {a: cm.tvs.partial[a][j] for a in range(cm.dim0) if cm.tvs.partial[a][j]}
-        for a, ca in pi.items():
-            for b, cb in pj.items():
+        for a, ca in cols[i].items():
+            for b, cb in cols[j].items():
                 for k, c in cm.base.bracket_coeffs(a, b).items():
                     rhs[k] = rhs.get(k, Fraction(0)) + ca * cb * c
         rhs = {k: v for k, v in rhs.items() if v}
@@ -311,12 +292,12 @@ def gamma_total(cm: CrossedModuleData) -> LieAlgebra:
     Raises `DerivedBracketError` when the skew pairing condition fails;
     for any candidate passing `verify_cm` the result satisfies Jacobi.
     """
-    return semidirect(cm.base, action_rep(cm), derived_bracket(cm))
+    return semidirect(cm.base, cm.action, derived_bracket(cm))
 
 
 def g_action_algebroid(cm: CrossedModuleData) -> LieAlgebra:
     """Semidirect total of g0 with the core as a plain module (no core bracket)."""
-    return semidirect(cm.base, action_rep(cm), None, module_labels=cm.tvs.labels1)
+    return semidirect(cm.base, cm.action, None, module_labels=cm.tvs.labels1)
 
 
 @dataclass(frozen=True)
@@ -333,7 +314,7 @@ class WeakLie2Data:
 
     dim0: int
     dim1: int
-    partial: Matrix
+    partial: SparseTensor  # (a, b) -> coefficient of e_a in partial(f_b)
     bracket0: SparseTensor
     action: SparseTensor
     jacobiator: SparseTensor
@@ -342,13 +323,7 @@ class WeakLie2Data:
 
     def __post_init__(self):
         n0, n1 = self.dim0, self.dim1
-        p = matrix(self.partial) if self.partial else ()
-        if len(p) != n0 or any(len(row) != n1 for row in p):
-            raise DimensionMismatch(
-                f"partial has shape {(len(p), len(p[0]) if p else 0)}, "
-                f"expected {(n0, n1)}"
-            )
-        object.__setattr__(self, "partial", p)
+        _check_partial_dims(self.partial, n0, n1)
         if self.bracket0.dims != (n0, n0, n0):
             raise DimensionMismatch(f"bracket0 dims {self.bracket0.dims}")
         if self.action.dims != (n0, n1, n1):

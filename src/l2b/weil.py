@@ -13,7 +13,7 @@ exactly equivalent to ``delta_h^2 = 0``, ``delta_v^2 = 0`` and the
 vanishing graded commutator ``[delta_h, delta_v] = 0``):
 
 * ``delta_v`` extends the transpose of the structure map:
-  ``delta_v(a_i) = sum_b partial[i][b] g_b``, ``delta_v(g_b) = 0``;
+  ``delta_v(a_i) = sum_b partial[i, b] g_b``, ``delta_v(g_b) = 0``;
 * ``delta_h(a_l) = - sum_{p<q} c^l_{pq} a_p a_q`` and
   ``delta_h(g_b) = - sum_{i,j} act^b_{ij} a_i g_j``
   (Chevalley-Eilenberg convention);
@@ -349,14 +349,10 @@ def check_square_zero(d: GradedDerivation) -> VerificationReport:
 def build_delta_v(t: TwoVectorSpace) -> GradedDerivation:
     """The bidegree (0,1) differential extending the transpose of the structure map."""
     dims = (t.dim0, t.dim1)
-    ext = []
-    for a in range(t.dim0):
-        terms = {}
-        for b in range(t.dim1):
-            v = t.partial[a][b]
-            if v:
-                terms[WeilMonomial((), (b,))] = v
-        ext.append(WeilElement(dims, terms))
+    rows: list[dict[WeilMonomial, Fraction]] = [{} for _ in range(t.dim0)]
+    for (a, b), v in t.partial.items_sorted():
+        rows[a][WeilMonomial((), (b,))] = v
+    ext = [WeilElement(dims, terms) for terms in rows]
     sym = tuple(weil_zero(dims) for _ in range(t.dim1))
     return GradedDerivation(dims, (0, 1), tuple(ext), sym)
 
@@ -529,13 +525,6 @@ def build_gerstenhaber(cm2: CrossedModuleData) -> GerstenhaberStructure:
     n1 = cm2.tvs.dim0
     n0 = cm2.tvs.dim1
     return GerstenhaberStructure((n0, n1), cm2.base.bracket, cm2.action)
-
-
-def zero_gerstenhaber(dims) -> GerstenhaberStructure:
-    n0, n1 = dims
-    return GerstenhaberStructure(
-        (n0, n1), SparseTensor.zero((n1, n1, n1)), SparseTensor.zero((n1, n0, n0))
-    )
 
 
 def _gen_mono(kind: str, idx: int) -> WeilMonomial:

@@ -1,6 +1,3 @@
-import random
-from fractions import Fraction
-
 import hypothesis.strategies as st
 import pytest
 
@@ -17,34 +14,6 @@ def small_tensor(dims, max_entries=4):
     return st.dictionaries(idx, nonzero_rationals, max_size=max_entries).map(
         lambda e: SparseTensor(dims, e)
     )
-
-
-# families whose valid members exercise all the crossed-module machinery
-CM_FAMILIES = (
-    "abelian",
-    "adjoint",
-    "random_basis_change:adjoint",
-)
-
-L2B_FAMILIES = (
-    "scaling",
-    "abelian_dual",
-    "random_basis_change:scaling",
-    "random_basis_change:abelian_dual",
-)
-
-
-def _edit_seed(family, seed, modifications):
-    return seed * 1000003 + modifications * 97 + sum(ord(c) for c in family)
-
-
-def seeded_doc(family, seed, modifications=0):
-    """A generated document, optionally with raw seeded edits (no re-roll)."""
-    doc = catalog.gen_document(family, seed)
-    rng = random.Random(_edit_seed(family, seed, modifications))
-    for _ in range(modifications):
-        doc = catalog.perturb_document(doc, rng)
-    return doc
 
 
 @pytest.fixture

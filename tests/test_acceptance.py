@@ -9,7 +9,6 @@ import json
 import random
 import time
 from contextlib import contextmanager
-from fractions import Fraction as Q
 
 import pytest
 
@@ -21,7 +20,7 @@ from l2b.bicross import (
     verify_l2b_matched,
     verify_l2b_weil,
 )
-from l2b.catalog import weak_l3_example
+from l2b.catalog import CM_FAMILIES, L2B_FAMILIES, seeded_doc, weak_l3_example
 from l2b.cli import main
 from l2b.documents import (
     build_crossed_module,
@@ -31,6 +30,7 @@ from l2b.documents import (
     serialize_document,
     serialize_report,
 )
+from l2b.exact import SparseTensor
 from l2b.liecore import verify_lie
 from l2b.twoterm import (
     SpaceDescriptor,
@@ -49,8 +49,6 @@ from l2b.twoterm import (
 )
 from l2b.weil import verify_cm_via_weil, verify_weak_lie2
 
-from conftest import seeded_doc
-
 
 @contextmanager
 def criterion(num, title):
@@ -65,21 +63,13 @@ def criterion(num, title):
 
 # --- shared populations ---------------------------------------------------------
 
-_CM_FAMILIES = ("abelian", "adjoint", "random_basis_change:adjoint")
-_L2B_FAMILIES = (
-    "scaling",
-    "abelian_dual",
-    "random_basis_change:scaling",
-    "random_basis_change:abelian_dual",
-)
-
 
 @pytest.fixture(scope="module")
 def cm_population():
     """Criterion-2 population: >= 200 seeded crossed-module candidates, dims <= 3."""
     out = []
     for seed in range(208):
-        fam = _CM_FAMILIES[seed % 3]
+        fam = CM_FAMILIES[seed % 3]
         doc = seeded_doc(fam, seed, modifications=seed % 3)
         cm = build_crossed_module(doc)
         assert cm.dim0 <= 3 and cm.dim1 <= 3
@@ -92,7 +82,7 @@ def l2b_population():
     """Criterion-3 population: >= 100 seeded pairs with nonzero core."""
     out = []
     for seed in range(120):
-        fam = _L2B_FAMILIES[seed % 4]
+        fam = L2B_FAMILIES[seed % 4]
         d = build_lie2_bialgebra(seeded_doc(fam, seed, modifications=seed % 3))
         assert d.dim1 > 0
         out.append(d)
@@ -240,8 +230,9 @@ def test_criterion_6_duality_bookkeeping():
             assert dvb_flip(dvb_flip(d)) == d
         for _ in range(25):
             n0, n1 = 1 + rng.randrange(3), 1 + rng.randrange(3)
-            partial = tuple(
-                tuple(Q(rng.randrange(-2, 3)) for _ in range(n1)) for _ in range(n0)
+            partial = SparseTensor(
+                (n0, n1),
+                {(a, b): rng.randrange(-2, 3) for a in range(n0) for b in range(n1)},
             )
             t = TwoVectorSpace(n0, n1, partial)
             assert dual_two_vs(dual_two_vs(t)) == t

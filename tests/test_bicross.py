@@ -32,19 +32,13 @@ from l2b.catalog import (
     trace_pair,
 )
 from l2b.documents import build_lie2_bialgebra
-from l2b.exact import SparseTensor, zero_matrix
-from l2b.liecore import LieAlgebra, Representation, semidirect, verify_lie, verify_rep
+from l2b.exact import SparseTensor, permute_axes
+from l2b.liecore import LieAlgebra, semidirect, verify_lie, verify_rep
 from l2b.twoterm import CrossedModuleData, TwoVectorSpace, dual_two_vs, verify_cm
 
 
 def seeded_l2b(seed, modifications=0):
-    fam = (
-        "scaling",
-        "abelian_dual",
-        "random_basis_change:scaling",
-        "random_basis_change:abelian_dual",
-    )[seed % 4]
-    doc = catalog.gen_document(fam, seed)
+    doc = catalog.gen_document(catalog.L2B_FAMILIES[seed % 4], seed)
     rng = random.Random(550007 + seed)
     for _ in range(modifications):
         doc = catalog.perturb_document(doc, rng)
@@ -80,20 +74,9 @@ def test_dual_action_core_scaling_sign():
 def test_dual_action_side_adjoint_is_rep(sl2):
     cm = adjoint_cm(sl2)
     tensor = dual_action_side(cm)
-    mats = []
-    for i in range(3):
-        rho = [[Q(0)] * 3 for _ in range(3)]
-        for (a, j, k), v in tensor.entries.items():
-            if a == i:
-                rho[k][j] = v
-        mats.append(tuple(map(tuple, rho)))
-    assert verify_rep(Representation(sl2, 3, tuple(mats))).passed
+    assert verify_rep(sl2, tensor).passed
     # contragredient of the adjoint: minus transpose of each ad matrix
-    from l2b.liecore import adjoint_rep
-    from l2b.exact import mat_transpose, mat_scale
-
-    for rho, ad in zip(mats, adjoint_rep(sl2).matrices):
-        assert rho == mat_scale(-1, mat_transpose(ad))
+    assert tensor == permute_axes(sl2.bracket, (0, 2, 1)).scale(-1)
 
 
 def test_dual_action_round_trip():
@@ -122,10 +105,7 @@ def test_bicrossed_semidirect_degeneration_matches_liecore(axb):
     act = SparseTensor((2, 1, 1), {(0, 0, 0): Q(5, 3)})
     mp = semidirect_mp(axb, act, 1)
     total = bicrossed_sum(mp)
-    rep = Representation(
-        axb, 1, (((Q(5, 3),),), ((Q(0),),))
-    )
-    direct = semidirect(axb, rep, module_labels=("k0",))
+    direct = semidirect(axb, act, module_labels=("k0",))
     assert total.bracket == direct.bracket
     assert verify_lie(total).passed
 
@@ -214,7 +194,7 @@ def test_verify_weil_scaling():
 def test_verify_weil_rejects_degenerate_core():
     cm1 = CrossedModuleData(
         axb(),
-        TwoVectorSpace(2, 0, ((), ())),
+        TwoVectorSpace(2, 0, SparseTensor.zero((2, 0))),
         SparseTensor.zero((2, 0, 0)),
     )
     d = abelian_dual_pair(cm1)
@@ -224,7 +204,7 @@ def test_verify_weil_rejects_degenerate_core():
 
 def test_cross_check_degenerate_core_runs_two_verifiers():
     cm1 = CrossedModuleData(
-        axb(), TwoVectorSpace(2, 0, ((), ())), SparseTensor.zero((2, 0, 0))
+        axb(), TwoVectorSpace(2, 0, SparseTensor.zero((2, 0))), SparseTensor.zero((2, 0, 0))
     )
     report = cross_check(abelian_dual_pair(cm1))
     meta = dict(report.metadata)

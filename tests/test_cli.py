@@ -1,12 +1,19 @@
+import contextlib
+import io
+import itertools
 import json
+import math
 import subprocess
 import sys
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from l2b import catalog
 from l2b.cli import main
-from l2b.documents import serialize_document
+from l2b.documents import KINDS, _SCHEMAS, parse_document, serialize_document
+from l2b.exact import perm_parity
 
 
 @pytest.fixture
@@ -191,3 +198,161 @@ def test_subprocess_entry_point(doc_file, tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["verdict"] == "pass"
+
+
+# --- zero-dimensional sides and cores ------------------------------------------
+
+_AXB = [[[0, 1, 1], "1"], [[1, 0, 1], "-1"]]
+_ZERO_DIMS = ((0, 0), (0, 2), (2, 0))
+
+
+def _zero_dim_doc(kind, n0, n1):
+    """A valid document with a zero side or core; axb where a dimension is 2.
+
+    ``crossed_module`` documents stay bare (zero bracket and action), so
+    that the ``two_vs`` dualization applies to them.
+    """
+    blocks = {}
+    if kind != "crossed_module" and n0 == 2:
+        blocks["bracket0"] = _AXB
+    if kind == "lie2_bialgebra" and n1 == 2:
+        blocks["dual_bracket"] = _AXB
+    return json.dumps(
+        {
+            "kind": kind,
+            "name": f"{kind}_{n0}{n1}",
+            "spaces": {"g0": {"dim": n0}, "g1": {"dim": n1}},
+            "blocks": blocks,
+        }
+    ).encode()
+
+
+@pytest.mark.parametrize("n0,n1", _ZERO_DIMS)
+@pytest.mark.parametrize("kind", ["crossed_module", "weak_lie2", "lie2_bialgebra"])
+def test_zero_dimensional_sides_and_cores(kind, n0, n1, tmp_path, capsys):
+    data = _zero_dim_doc(kind, n0, n1)
+    path = tmp_path / "doc.json"
+    path.write_bytes(data)
+    methods = ("auto", "def", "matched", "weil", "all") if kind == "lie2_bialgebra" else ("auto",)
+    for method in methods:
+        code, out, err = run_cli(capsys, "verify", str(path), "--method", method)
+        expected = 2 if method == "weil" and n1 == 0 else 0
+        assert code == expected, (method, err)
+        if code == 0:
+            assert json.loads(out)["verdict"] == "pass"
+
+    once = tmp_path / "once.json"
+    code, _, err = run_cli(capsys, "dualize", str(path), "--which", "two_vs", "--out", str(once))
+    if kind == "weak_lie2":
+        assert code == 2 and err.startswith("error:")
+        return
+    assert code == 0, err
+    dual = json.loads(once.read_bytes())
+    assert (dual["spaces"]["g0"]["dim"], dual["spaces"]["g1"]["dim"]) == (n1, n0)
+    code, out, _ = run_cli(capsys, "dualize", str(once), "--which", "two_vs")
+    assert code == 0
+    assert out.encode() == serialize_document(parse_document(data))
+
+
+# --- hostile documents ----------------------------------------------------------
+
+# JSON text, so that every draw is a fresh object
+_JUNK = ("null", "true", "false", "0", "-1", "2.5", '""', '"1/0"', '"x"', "[]", "{}", "[[]]",
+         '{"a": 1}')
+_NEGATED = {"1": "-1", "-1": "1", "2/3": "-2/3", "0": "0"}
+# the index positions in which each block is antisymmetric
+_ANTISYMMETRIC = {"bracket": (0, 1), "bracket0": (0, 1), "bracket_h": (0, 1),
+                  "bracket_k": (0, 1), "dual_bracket": (0, 1), "cobracket": (1, 2),
+                  "jacobiator": (0, 1, 2)}
+
+
+def _index(draw, dim, damaged):
+    """In range, or on a damaged document sometimes -1, the dim or a boolean."""
+    if dim and not (damaged and draw(st.integers(0, 9)) == 0):
+        return draw(st.integers(0, dim - 1))
+    return draw(st.sampled_from((-1, dim, True, False)))
+
+
+def _containers(obj):
+    """Every (container, key) pair below ``obj``."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+    for key, value in items:
+        yield obj, key
+        if isinstance(value, (dict, list)):
+            yield from _containers(value)
+
+
+def _signed_orbit(idx, value, positions, taken):
+    """``idx`` and its signed permutations in ``positions``; empty if an
+    index repeats there or the orbit meets ``taken``."""
+    orbit = {}
+    for perm in itertools.permutations(range(len(positions))):
+        moved = list(idx)
+        for pos, src in zip(positions, perm):
+            moved[pos] = idx[positions[src]]
+        orbit[tuple(moved)] = value if perm_parity(perm) == 1 else _NEGATED[value]
+    if len(orbit) < math.factorial(len(positions)) or orbit.keys() & taken.keys():
+        return {}
+    return orbit
+
+
+@st.composite
+def hostile_documents(draw):
+    """Documents of every kind with dims up to 3.
+
+    Half of them have antisymmetric brackets and cobrackets, and half are
+    damaged: on those, entries may be out of range or duplicated, and up to
+    two values anywhere in the tree are replaced by JSON of the wrong type
+    or joined by an unknown field.
+    """
+    kind = draw(st.sampled_from(KINDS))
+    schema = _SCHEMAS[kind]
+    antisymmetric, damaged = draw(st.booleans()), draw(st.booleans())
+    dims = {key: draw(st.integers(0, 3)) for key in schema["spaces"]}
+    if kind == "dvb":
+        spaces = {key: {"name": key, "dim": d, "dual": draw(st.booleans())} for key, d in dims.items()}
+    else:
+        spaces = {key: {"dim": d} for key, d in dims.items()}
+    blocks = {}
+    for key, axes in schema["blocks"].items():
+        entries = {}
+        fits = all(dims[a] for a in axes)
+        for _ in range(draw(st.integers(0, 3)) if fits or damaged else 0):
+            idx = tuple(_index(draw, dims[a], damaged) for a in axes)
+            value = draw(st.sampled_from(sorted(_NEGATED)))
+            if antisymmetric and key in _ANTISYMMETRIC:
+                entries.update(_signed_orbit(idx, value, _ANTISYMMETRIC[key], entries))
+            else:
+                entries.setdefault(idx, value)
+        blocks[key] = [[list(idx), value] for idx, value in entries.items()]
+        if damaged and entries and draw(st.integers(0, 7)) == 0:
+            blocks[key].append(list(blocks[key][0]))
+    doc = {"kind": kind, "name": "hostile", "spaces": spaces, "blocks": blocks}
+    for _ in range(draw(st.integers(0, 2)) if damaged else 0):
+        container, key = draw(st.sampled_from(list(_containers(doc))))
+        junk = json.loads(draw(st.sampled_from(_JUNK)))
+        if isinstance(container, dict) and draw(st.booleans()):
+            container["extra"] = junk
+        else:
+            container[key] = junk
+    return json.dumps(doc).encode()
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "doc.json"
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=hostile_documents())
+def test_verify_hostile_documents_keep_the_exit_contract(data, fuzz_path):
+    fuzz_path.write_bytes(data)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["verify", str(fuzz_path)])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
+    else:
+        assert json.loads(out.getvalue())["verdict"] == ("pass" if code == 0 else "fail")

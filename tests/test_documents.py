@@ -3,6 +3,7 @@ import json
 import pytest
 
 from l2b import catalog
+from l2b.exact import SparseTensor
 from l2b.documents import (
     DocumentError,
     UnsupportedMethod,
@@ -93,7 +94,7 @@ def test_missing_blocks_mean_zero():
     doc = parse_document(data)
     cm = build_crossed_module(doc)
     assert cm.base.bracket.is_zero() and cm.action.is_zero()
-    assert cm.tvs.partial[0][0] == 3
+    assert cm.tvs.partial == SparseTensor((2, 1), {(0, 0): 3})
 
 
 def test_dualize_two_vs_bare_crossed_module():
@@ -101,7 +102,7 @@ def test_dualize_two_vs_bare_crossed_module():
     doc = parse_document(data)
     dual = dualize_document(doc, "two_vs")
     cm = build_crossed_module(dual)
-    assert cm.tvs.partial == ((1, 0), (2, 3))
+    assert cm.tvs.partial == SparseTensor((2, 2), {(0, 0): 1, (1, 0): 2, (1, 1): 3})
     assert dual.spaces["g0"].labels == ("u*", "v*")
     # involution on the serialized form
     assert serialize_document(dualize_document(dual, "two_vs")) == serialize_document(doc)

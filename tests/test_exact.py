@@ -12,10 +12,7 @@ from l2b.exact import (
     alternate,
     contract,
     format_rational,
-    identity_matrix,
     koszul_sign,
-    mat_mul,
-    mat_transpose,
     parse_rational,
     permute_axes,
 )
@@ -184,11 +181,16 @@ def test_koszul_multiplicative(args):
     )
 
 
-# --- matrices ----------------------------------------------------------------
+# --- matrices as rank-2 tensors ------------------------------------------------
 
-def test_matrix_helpers():
-    ident = identity_matrix(2)
-    m = ((Q(1), Q(2)), (Q(0), Q(3)))
-    assert mat_mul(ident, m) == m
-    assert mat_transpose(m) == ((Q(1), Q(0)), (Q(2), Q(3)))
-    assert mat_transpose(mat_transpose(m)) == m
+def test_matrix_products_as_tensors():
+    ident = SparseTensor((2, 2), {(0, 0): 1, (1, 1): 1})
+    m = SparseTensor((2, 2), {(0, 0): 1, (0, 1): 2, (1, 1): 3})
+    assert contract(ident, m, [(1, 0)]) == m
+    assert contract(m, ident, [(1, 0)]) == m
+    assert permute_axes(m, (1, 0)) == SparseTensor((2, 2), {(0, 0): 1, (1, 0): 2, (1, 1): 3})
+    assert permute_axes(permute_axes(m, (1, 0)), (1, 0)) == m
+    # a 0 x 2 matrix keeps its column count through the transpose
+    empty = SparseTensor.zero((0, 2))
+    assert permute_axes(empty, (1, 0)).dims == (2, 0)
+    assert contract(empty, m, [(1, 0)]).dims == (0, 2)

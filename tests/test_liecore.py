@@ -10,8 +10,6 @@ from l2b.exact import DimensionMismatch, SparseTensor
 from l2b.liecore import (
     LieAlgebra,
     LieCobracket,
-    Representation,
-    adjoint_rep,
     bracket_to_dual_cobracket,
     cobracket_to_dual_lie,
     semidirect,
@@ -79,38 +77,50 @@ def test_verify_lie_matches_brute_force(seed):
 
 
 def test_verify_rep_zero_matrices():
-    g = sl2()
-    zero = Representation(g, 2, tuple(((Q(0),) * 2,) * 2 for _ in range(3)))
-    assert verify_rep(zero).passed
+    assert verify_rep(sl2(), SparseTensor.zero((3, 2, 2))).passed
 
 
 def test_verify_rep_adjoint_sl2():
-    assert verify_rep(adjoint_rep(sl2())).passed
+    g = sl2()
+    report = verify_rep(g, g.bracket)
+    assert report.passed
+    assert [c.cond for c in report.checks] == ["representation"]
 
 
 def test_verify_rep_perturbed():
     g = sl2()
-    mats = [list(map(list, m)) for m in adjoint_rep(g).matrices]
-    mats[0][0][0] += 1
-    bad = Representation(g, 3, tuple(tuple(map(tuple, m)) for m in mats))
-    report = verify_rep(bad)
+    report = verify_rep(g, g.bracket.add(SparseTensor((3, 3, 3), {(0, 0, 0): 1})))
     assert not report.passed
     assert report.check("representation").witness is not None
 
 
-def test_adjoint_rep_entries():
-    assert adjoint_rep(LieAlgebra.abelian(("a",))).matrices == (((Q(0),),),)
-    z2 = adjoint_rep(LieAlgebra.abelian(("a", "b")))
-    assert all(all(v == 0 for row in m for v in row) for m in z2.matrices)
-    # ad(e) on sl2: ad(e)f = h, ad(e)h = -2e
-    ade = adjoint_rep(sl2()).matrices[0]
-    assert ade == ((Q(0), Q(0), Q(-2)), (Q(0), Q(0), Q(0)), (Q(0), Q(1), Q(0)))
+def test_verify_rep_witness_convention():
+    # axb acting on a line through e1 only: [e0, e1].v = e1.v = v, while
+    # e0 acts by zero, so the commutator is 0.  The witness is (i, j, a, b)
+    # with a the output and b the input index.
+    report = verify_rep(axb(), SparseTensor((2, 1, 1), {(1, 0, 0): 1}))
+    w = report.check("representation").witness
+    assert (w.indices, w.lhs, w.rhs) == ((0, 1, 0, 0), "1", "0")
+    # on a 2-dim module with e1.v0 = v1 and e1.v1 = 2 v0 both output/input
+    # pairs fail; the first is a = 0, b = 1, the v0 coefficient of e1.v1
+    act = SparseTensor((2, 2, 2), {(1, 0, 1): 1, (1, 1, 0): 2})
+    w = verify_rep(axb(), act).check("representation").witness
+    assert (w.indices, w.lhs, w.rhs) == ((0, 1, 0, 1), "2", "0")
+
+
+def test_verify_rep_checks_action_dims():
+    with pytest.raises(DimensionMismatch):
+        verify_rep(sl2(), SparseTensor.zero((2, 1, 1)))
+    with pytest.raises(DimensionMismatch):
+        verify_rep(sl2(), SparseTensor.zero((3, 1, 2)))
+    with pytest.raises(DimensionMismatch):
+        semidirect(sl2(), SparseTensor.zero((3, 2)))
 
 
 @given(st.integers(0, 60))
 def test_adjoint_rep_iff_jacobi(seed):
     g = random_valid_lie(seed)
-    assert verify_rep(adjoint_rep(g)).passed == verify_lie(g).passed
+    assert verify_rep(g, g.bracket).passed == verify_lie(g).passed
 
 
 def test_cobracket_to_dual_zero():
@@ -200,15 +210,13 @@ def test_bialgebra_duality_symmetry(seed):
 
 def test_semidirect_abelian():
     g = LieAlgebra.abelian(("a", "b"))
-    rep = Representation(g, 1, (((Q(0),),), ((Q(0),),)))
-    total = semidirect(g, rep)
+    total = semidirect(g, SparseTensor.zero((2, 1, 1)))
     assert total.dim == 3 and total.bracket.is_zero()
 
 
 def test_semidirect_scaling():
     g = LieAlgebra.abelian(("e",))
-    rep = Representation(g, 1, (((Q(1),),),))
-    total = semidirect(g, rep, module_labels=("f",))
+    total = semidirect(g, SparseTensor((1, 1, 1), {(0, 0, 0): 1}), module_labels=("f",))
     assert total.bracket.get((0, 1, 1)) == 1
     assert verify_lie(total).passed
 
@@ -216,7 +224,7 @@ def test_semidirect_scaling():
 def test_semidirect_sl2_adjoint_with_core():
     g = sl2()
     core = LieAlgebra(("E", "F", "H"), g.bracket)
-    total = semidirect(g, adjoint_rep(g), core)
+    total = semidirect(g, g.bracket, core)
     assert total.dim == 6
     assert verify_lie(total).passed
     # core-core block carries the core bracket
@@ -226,5 +234,5 @@ def test_semidirect_sl2_adjoint_with_core():
 @given(st.integers(0, 60))
 def test_semidirect_zero_core_is_lie(seed):
     g = random_valid_lie(seed)
-    total = semidirect(g, adjoint_rep(g))
+    total = semidirect(g, g.bracket)
     assert verify_lie(total).passed

@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction as Q
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +13,7 @@ from l2b.catalog import (
 )
 from l2b.documents import build_crossed_module
 from l2b import catalog
-from l2b.exact import DimensionMismatch, SparseTensor, identity_matrix, zero_matrix
+from l2b.exact import DimensionMismatch, SparseTensor
 from l2b.liecore import LieAlgebra, verify_lie
 from l2b.twoterm import (
     CrossedModuleData,
@@ -38,8 +37,7 @@ from l2b.twoterm import (
 
 
 def seeded_cm(seed, modifications=0):
-    fam = ("abelian", "adjoint", "random_basis_change:adjoint")[seed % 3]
-    doc = catalog.gen_document(fam, seed)
+    doc = catalog.gen_document(catalog.CM_FAMILIES[seed % 3], seed)
     rng = random.Random(900001 + seed)
     for _ in range(modifications):
         doc = catalog.perturb_document(doc, rng)
@@ -49,30 +47,39 @@ def seeded_cm(seed, modifications=0):
 # --- two-vector spaces ---------------------------------------------------------
 
 def test_dual_two_vs_zero():
-    t = TwoVectorSpace(2, 1, zero_matrix(2, 1))
+    t = TwoVectorSpace(2, 1, SparseTensor.zero((2, 1)))
     d = dual_two_vs(t)
     assert (d.dim0, d.dim1) == (1, 2)
-    assert all(v == 0 for row in d.partial for v in row)
+    assert d.partial == SparseTensor.zero((1, 2))
 
 
 def test_dual_two_vs_identity():
-    t = TwoVectorSpace(2, 2, identity_matrix(2))
-    assert dual_two_vs(t).partial == identity_matrix(2)
+    ident = SparseTensor((2, 2), {(0, 0): 1, (1, 1): 1})
+    t = TwoVectorSpace(2, 2, ident)
+    assert dual_two_vs(t).partial == ident
 
 
 def test_dual_two_vs_transpose():
-    t = TwoVectorSpace(2, 2, ((Q(1), Q(2)), (Q(0), Q(3))))
-    assert dual_two_vs(t).partial == ((Q(1), Q(0)), (Q(2), Q(3)))
+    t = TwoVectorSpace(2, 2, SparseTensor((2, 2), {(0, 0): 1, (0, 1): 2, (1, 1): 3}))
+    assert dual_two_vs(t).partial == SparseTensor((2, 2), {(0, 0): 1, (1, 0): 2, (1, 1): 3})
 
 
 def test_dual_two_vs_involution():
-    t = TwoVectorSpace(2, 3, ((1, 2, 0), (0, 1, 5)), ("x", "y"), ("u", "v", "w"))
+    partial = SparseTensor((2, 3), {(0, 0): 1, (0, 1): 2, (1, 1): 1, (1, 2): 5})
+    t = TwoVectorSpace(2, 3, partial, ("x", "y"), ("u", "v", "w"))
     assert dual_two_vs(dual_two_vs(t)) == t
+    # a zero side or core keeps the other dimension through both duals
+    for n0, n1 in ((0, 2), (2, 0), (0, 0)):
+        t = TwoVectorSpace(n0, n1, SparseTensor.zero((n0, n1)))
+        assert dual_two_vs(t).partial.dims == (n1, n0)
+        assert dual_two_vs(dual_two_vs(t)) == t
 
 
 def test_partial_shape_validated():
     with pytest.raises(DimensionMismatch):
-        TwoVectorSpace(2, 1, ((0,),))
+        TwoVectorSpace(2, 1, SparseTensor.zero((1, 1)))
+    with pytest.raises(DimensionMismatch):
+        TwoVectorSpace(0, 2, SparseTensor.zero((0, 0)))
 
 
 # --- crossed-module checks -------------------------------------------------------
@@ -96,18 +103,18 @@ def test_verify_cm_isolated_failures():
         ("e", "f", "h"), {(0, 1): {2: 1, 0: 1}, (2, 0): {0: 2}, (2, 1): {1: -2}}
     )
     j = CrossedModuleData(
-        bad_base, TwoVectorSpace(3, 1, zero_matrix(3, 1)), SparseTensor((3, 1, 1))
+        bad_base, TwoVectorSpace(3, 1, SparseTensor.zero((3, 1))), SparseTensor((3, 1, 1))
     )
     r_act = SparseTensor((2, 2, 2), {(0, 0, 1): 1, (1, 1, 0): 1})
     r = CrossedModuleData(
-        LieAlgebra.abelian(("a", "b")), TwoVectorSpace(2, 2, zero_matrix(2, 2)), r_act
+        LieAlgebra.abelian(("a", "b")), TwoVectorSpace(2, 2, SparseTensor.zero((2, 2))), r_act
     )
     a = CrossedModuleData(
-        axb(), TwoVectorSpace(2, 1, ((0,), (1,))), SparseTensor((2, 1, 1))
+        axb(), TwoVectorSpace(2, 1, SparseTensor((2, 1), {(1, 0): 1})), SparseTensor((2, 1, 1))
     )
     b = CrossedModuleData(
         LieAlgebra.abelian(("e",)),
-        TwoVectorSpace(1, 2, ((1, 0),)),
+        TwoVectorSpace(1, 2, SparseTensor((1, 2), {(0, 0): 1})),
         SparseTensor((1, 2, 2), {(0, 1, 1): 1}),
     )
     for cm, failing in ((j, "jacobi"), (r, "representation"), (a, "equivariance"), (b, "skew_action")):
@@ -131,7 +138,7 @@ def test_derived_bracket_adjoint_recovers_bracket(sl2):
 def test_derived_bracket_refuses_skew_failure():
     cm = CrossedModuleData(
         LieAlgebra.abelian(("e",)),
-        TwoVectorSpace(1, 1, ((1,),)),
+        TwoVectorSpace(1, 1, SparseTensor((1, 1), {(0, 0): 1})),
         SparseTensor((1, 1, 1), {(0, 0, 0): 1}),
     )
     with pytest.raises(DerivedBracketError) as err:
@@ -156,7 +163,7 @@ def test_verify_full_abelian():
 def test_gamma_total_scaling():
     g = LieAlgebra.abelian(("e",))
     cm = CrossedModuleData(
-        g, TwoVectorSpace(1, 1, ((0,),), ("e",), ("f",)),
+        g, TwoVectorSpace(1, 1, SparseTensor.zero((1, 1)), ("e",), ("f",)),
         SparseTensor((1, 1, 1), {(0, 0, 0): 1}),
     )
     total = gamma_total(cm)
@@ -208,7 +215,7 @@ def test_derived_structure_theorems(seed):
 def test_weak_data_antisymmetry_validated():
     with pytest.raises(ValueError):
         WeakLie2Data(
-            3, 1, zero_matrix(3, 1), SparseTensor.zero((3, 3, 3)),
+            3, 1, SparseTensor.zero((3, 1)), SparseTensor.zero((3, 3, 3)),
             SparseTensor.zero((3, 1, 1)),
             SparseTensor((3, 3, 3, 1), {(0, 1, 2, 0): 1}),  # missing signed orbit
         )
