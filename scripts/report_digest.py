@@ -101,15 +101,21 @@ GROUPS = {
 }
 
 
+def group_digest(name: str) -> tuple[int, str]:
+    """The number of outputs in a group and the sha256 of all of them."""
+    digest = hashlib.sha256()
+    count = 0
+    for data in GROUPS[name]():
+        digest.update(len(data).to_bytes(8, "big"))
+        digest.update(data)
+        count += 1
+    return count, digest.hexdigest()
+
+
 def main():
-    for name, group in GROUPS.items():
-        digest = hashlib.sha256()
-        count = 0
-        for data in group():
-            digest.update(len(data).to_bytes(8, "big"))
-            digest.update(data)
-            count += 1
-        print(f"{name:8s} {count:4d} {digest.hexdigest()}")
+    for name in GROUPS:
+        count, hexdigest = group_digest(name)
+        print(f"{name:8s} {count:4d} {hexdigest}")
 
 
 if __name__ == "__main__":

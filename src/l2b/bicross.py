@@ -191,16 +191,14 @@ def induced_cobracket(d: Lie2BialgebraData) -> LieCobracket:
     gamma2 = gamma_total(d.cm2)
     total = n0 + n1
 
-    def sigma(r: int) -> int:
-        return n1 + r if r < n0 else r - n0
+    def sigma_inv(s: int) -> int:
+        return s - n1 if s >= n1 else s + n0
 
-    entries = {}
-    for i in range(total):
-        for j in range(total):
-            for k in range(total):
-                v = gamma2.bracket.get((sigma(j), sigma(k), sigma(i)))
-                if v:
-                    entries[(i, j, k)] = v
+    # entry (i, j, k) is the gamma2 entry (sigma(j), sigma(k), sigma(i))
+    entries = {
+        (sigma_inv(c), sigma_inv(a), sigma_inv(b)): v
+        for (a, b, c), v in gamma2.bracket.entries.items()
+    }
     return LieCobracket(total, SparseTensor((total, total, total), entries))
 
 

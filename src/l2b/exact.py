@@ -5,6 +5,14 @@ The only scalar type anywhere in the kernel is `fractions.Fraction`
 structural and every verification check is decidable).  Tensors are
 immutable sparse maps from index tuples to nonzero scalars; two tensors
 are equal iff their dimension tuples and entry maps are equal.
+
+Validation happens at the public constructor: `SparseTensor(dims, entries)`
+checks every index against the dims, wraps every value in `Fraction` and
+drops zeros.  The kernel operations (`contract`, `permute_axes`,
+`SparseTensor.add`, `SparseTensor.scale`) build their results with the
+trusted `SparseTensor._trusted`, because indices taken from valid operands
+are in range and products and sums of `Fraction`s are `Fraction`s; they
+only drop the zeros that cancellation leaves.
 """
 
 from __future__ import annotations
@@ -16,6 +24,8 @@ from fractions import Fraction
 from math import factorial
 
 Rational = Fraction
+
+_ZERO = Fraction(0)
 
 
 class DimensionMismatch(ValueError):
@@ -79,7 +89,11 @@ def koszul_sign(degrees, permutation) -> int:
 
 @dataclass(frozen=True)
 class SparseTensor:
-    """Sparse exact tensor: dims plus a zero-free map index tuple -> Fraction."""
+    """Sparse exact tensor: dims plus a zero-free map index tuple -> Fraction.
+
+    The constructor validates its arguments; results of kernel operations
+    are built by `_trusted`, which skips that work.
+    """
 
     dims: tuple[int, ...]
     entries: dict[tuple[int, ...], Fraction] = field(default_factory=dict)
@@ -106,6 +120,14 @@ class SparseTensor:
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "entries", clean)
 
+    @classmethod
+    def _trusted(cls, dims: tuple[int, ...], entries: dict) -> "SparseTensor":
+        """A tensor from in-range int index tuples to nonzero `Fraction`s, unchecked."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "dims", dims)
+        object.__setattr__(t, "entries", entries)
+        return t
+
     @property
     def rank(self) -> int:
         return len(self.dims)
@@ -115,7 +137,7 @@ class SparseTensor:
         return cls(tuple(dims), {})
 
     def get(self, idx) -> Fraction:
-        return self.entries.get(tuple(idx), Fraction(0))
+        return self.entries.get(tuple(idx), _ZERO)
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -128,15 +150,17 @@ class SparseTensor:
             raise DimensionMismatch(f"{self.dims} vs {other.dims}")
         out = dict(self.entries)
         for idx, val in other.entries.items():
-            out[idx] = out.get(idx, Fraction(0)) + val
-        return SparseTensor(self.dims, out)
+            out[idx] = out.get(idx, _ZERO) + val
+        return SparseTensor._trusted(self.dims, {i: v for i, v in out.items() if v})
 
     def sub(self, other: "SparseTensor") -> "SparseTensor":
         return self.add(other.scale(Fraction(-1)))
 
     def scale(self, c) -> "SparseTensor":
         c = Fraction(c)
-        return SparseTensor(self.dims, {i: c * v for i, v in self.entries.items()})
+        if not c:
+            return SparseTensor._trusted(self.dims, {})
+        return SparseTensor._trusted(self.dims, {i: c * v for i, v in self.entries.items()})
 
 
 def contract(t1: SparseTensor, t2: SparseTensor, pairs) -> SparseTensor:
@@ -173,9 +197,9 @@ def contract(t1: SparseTensor, t2: SparseTensor, pairs) -> SparseTensor:
         f1 = tuple(idx1[ax] for ax in free1)
         for f2, v2 in groups.get(key, ()):
             full = f1 + f2
-            out[full] = out.get(full, Fraction(0)) + v1 * v2
+            out[full] = out.get(full, _ZERO) + v1 * v2
     dims = tuple(t1.dims[ax] for ax in free1) + tuple(t2.dims[ax] for ax in free2)
-    return SparseTensor(dims, out)
+    return SparseTensor._trusted(dims, {i: v for i, v in out.items() if v})
 
 
 def alternate(t: SparseTensor, axes) -> SparseTensor:
@@ -202,7 +226,7 @@ def alternate(t: SparseTensor, axes) -> SparseTensor:
             for pos, src in enumerate(perm):
                 new_idx[axes[pos]] = idx[axes[src]]
             key = tuple(new_idx)
-            out[key] = out.get(key, Fraction(0)) + sign * val * norm
+            out[key] = out.get(key, _ZERO) + sign * val * norm
     return SparseTensor(t.dims, out)
 
 
@@ -215,5 +239,5 @@ def permute_axes(t: SparseTensor, perm) -> SparseTensor:
     out = {}
     for idx, val in t.entries.items():
         out[tuple(idx[p] for p in perm)] = val
-    return SparseTensor(dims, out)
+    return SparseTensor._trusted(dims, out)
 

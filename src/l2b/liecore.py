@@ -208,13 +208,16 @@ def _w2_add(acc: dict, key: tuple[int, int], val: Fraction):
         del acc[(j, k)]
 
 
-def _ad2(g: LieAlgebra, x: int, w2: dict) -> dict:
-    """Extended adjoint action of e_x on a wedge square: [x,u]^v + u^[x,v]."""
+def _ad2(brackets: dict, x: int, w2: dict) -> dict:
+    """Extended adjoint action of e_x on a wedge square: [x,u]^v + u^[x,v].
+
+    ``brackets`` maps ``(i, j)`` to the coefficients of ``[e_i, e_j]``.
+    """
     out: dict = {}
     for (u, v), c in w2.items():
-        for m, cm in g.bracket_coeffs(x, u).items():
+        for m, cm in brackets.get((x, u), {}).items():
             _w2_add(out, (m, v), c * cm)
-        for m, cm in g.bracket_coeffs(x, v).items():
+        for m, cm in brackets.get((x, v), {}).items():
             _w2_add(out, (u, m), c * cm)
     return out
 
@@ -327,14 +330,22 @@ def verify_cocycle(g: LieAlgebra, d: LieCobracket) -> VerificationReport:
         raise DimensionMismatch(f"algebra dim {g.dim} vs cobracket dim {d.dim}")
     primal = verify_lie(g).prefixed("lie.primal.")
     dual = verify_lie(cobracket_to_dual_lie(d)).prefixed("lie.dual.")
+    # the `bracket_coeffs` and `image_of` tables, grouped in one pass each
+    brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
+    for (a, b, k), v in g.bracket.entries.items():
+        brackets.setdefault((a, b), {})[k] = v
+    images: dict[int, dict[tuple[int, int], Fraction]] = {}
+    for (a, j, k), v in d.tensor.entries.items():
+        if j < k:
+            images.setdefault(a, {})[(j, k)] = v
     witness = None
     for i, j in itertools.combinations(range(g.dim), 2):
         lhs: dict = {}
-        for m, cm in g.bracket_coeffs(i, j).items():
-            for key, val in d.image_of(m).items():
+        for m, cm in brackets.get((i, j), {}).items():
+            for key, val in images.get(m, {}).items():
                 _w2_add(lhs, key, cm * val)
-        rhs = _ad2(g, i, d.image_of(j))
-        for key, val in _ad2(g, j, d.image_of(i)).items():
+        rhs = _ad2(brackets, i, images.get(j, {}))
+        for key, val in _ad2(brackets, j, images.get(i, {})).items():
             _w2_add(rhs, key, -val)
         diff = dict(lhs)
         for key, val in rhs.items():

@@ -24,6 +24,13 @@ table ``[g_i, g_j] = dual bracket``, ``[g_i, a_j] = dual action``,
 ``[a_i, a_j] = 0`` with graded skew ``[x,y] = -(-1)^{|x||y|}[y,x]`` and
 Leibniz ``[x, y.z] = [x,y].z + (-1)^{|x||y|} y.[x,z]`` in total degree
 (legitimate because the bracket's total degree -2 is even).
+
+Validation happens at the public constructors: `WeilMonomial` checks that
+its index tuples are sorted and `WeilElement` that every monomial is in
+range, wrapping coefficients in `Fraction` and dropping zeros.  Products,
+sums, scalings, brackets and derivation images are built by the trusted
+`_trusted` constructors, since they combine monomials and `Fraction`
+coefficients of valid operands of the same dims.
 """
 
 from __future__ import annotations
@@ -35,6 +42,9 @@ from fractions import Fraction
 from .exact import SparseTensor, DimensionMismatch, format_rational, perm_parity
 from .liecore import Check, VerificationReport, Witness, combine
 from .twoterm import CrossedModuleData, TwoVectorSpace, WeakLie2Data
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -51,6 +61,14 @@ class WeilMonomial:
             raise ValueError(f"symmetric indices not sorted: {sym}")
         object.__setattr__(self, "ext", ext)
         object.__setattr__(self, "sym", sym)
+
+    @classmethod
+    def _trusted(cls, ext: tuple[int, ...], sym: tuple[int, ...]) -> "WeilMonomial":
+        """A monomial from already sorted int tuples, unchecked."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "ext", ext)
+        object.__setattr__(m, "sym", sym)
+        return m
 
     @property
     def bidegree(self) -> tuple[int, int]:
@@ -76,6 +94,12 @@ ONE = WeilMonomial((), ())
 
 @dataclass(frozen=True)
 class WeilElement:
+    """A zero-free map from monomials to `Fraction` coefficients.
+
+    The constructor validates its arguments; results of the kernel
+    operations are built by `_trusted`, which skips that work.
+    """
+
     dims: tuple[int, int]
     terms: dict[WeilMonomial, Fraction] = field(default_factory=dict)
 
@@ -83,13 +107,23 @@ class WeilElement:
         n0, n1 = self.dims
         clean = {}
         for mono, coeff in self.terms.items():
-            if any(i >= n0 for i in mono.ext) or any(j >= n1 for j in mono.sym):
+            if any(not 0 <= i < n0 for i in mono.ext) or any(
+                not 0 <= j < n1 for j in mono.sym
+            ):
                 raise ValueError(f"monomial {mono.render()} out of range for {self.dims}")
             q = Fraction(coeff)
             if q:
                 clean[mono] = q
         object.__setattr__(self, "dims", (int(n0), int(n1)))
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _trusted(cls, dims: tuple[int, int], terms: dict) -> "WeilElement":
+        """An element from in-range monomials to nonzero `Fraction`s, unchecked."""
+        e = object.__new__(cls)
+        object.__setattr__(e, "dims", dims)
+        object.__setattr__(e, "terms", terms)
+        return e
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -124,13 +158,18 @@ def weil_gamma(dims, j: int) -> WeilElement:
     return WeilElement(tuple(dims), {WeilMonomial((), (j,)): Fraction(1)})
 
 
+def _nonzero(dims, terms: dict) -> WeilElement:
+    """The trusted element of the nonzero ``terms``."""
+    return WeilElement._trusted(dims, {m: c for m, c in terms.items() if c})
+
+
 def weil_add(a: WeilElement, b: WeilElement) -> WeilElement:
     if a.dims != b.dims:
         raise DimensionMismatch(f"{a.dims} vs {b.dims}")
     out = dict(a.terms)
     for mono, coeff in b.terms.items():
-        out[mono] = out.get(mono, Fraction(0)) + coeff
-    return WeilElement(a.dims, out)
+        out[mono] = out.get(mono, _ZERO) + coeff
+    return _nonzero(a.dims, out)
 
 
 def weil_sub(a: WeilElement, b: WeilElement) -> WeilElement:
@@ -139,7 +178,9 @@ def weil_sub(a: WeilElement, b: WeilElement) -> WeilElement:
 
 def weil_scale(c, a: WeilElement) -> WeilElement:
     c = Fraction(c)
-    return WeilElement(a.dims, {m: c * v for m, v in a.terms.items()})
+    if not c:
+        return WeilElement._trusted(a.dims, {})
+    return WeilElement._trusted(a.dims, {m: c * v for m, v in a.terms.items()})
 
 
 def _merge_ext(e1: tuple[int, ...], e2: tuple[int, ...]):
@@ -153,11 +194,22 @@ def _merge_ext(e1: tuple[int, ...], e2: tuple[int, ...]):
 
 def mono_mul(m1: WeilMonomial, m2: WeilMonomial):
     """Product of two monomials: (sign, monomial) or None if it vanishes."""
-    merged = _merge_ext(m1.ext, m2.ext)
-    if merged is None:
-        return None
-    sign, ext = merged
-    return sign, WeilMonomial(ext, tuple(sorted(m1.sym + m2.sym)))
+    if not m2.ext:
+        sign, ext = 1, m1.ext
+    elif not m1.ext:
+        sign, ext = 1, m2.ext
+    else:
+        merged = _merge_ext(m1.ext, m2.ext)
+        if merged is None:
+            return None
+        sign, ext = merged
+    if not m2.sym:
+        sym = m1.sym
+    elif not m1.sym:
+        sym = m2.sym
+    else:
+        sym = tuple(sorted(m1.sym + m2.sym))
+    return sign, WeilMonomial._trusted(ext, sym)
 
 
 def weil_mul(a: WeilElement, b: WeilElement) -> WeilElement:
@@ -170,8 +222,9 @@ def weil_mul(a: WeilElement, b: WeilElement) -> WeilElement:
             if prod is None:
                 continue
             sign, mono = prod
-            out[mono] = out.get(mono, Fraction(0)) + sign * c1 * c2
-    return WeilElement(a.dims, out)
+            c = c1 * c2
+            out[mono] = out.get(mono, _ZERO) + (c if sign > 0 else -c)
+    return _nonzero(a.dims, out)
 
 
 def _generators(dims) -> list[WeilMonomial]:
@@ -245,30 +298,43 @@ class GradedDerivation:
 def apply_derivation(d: GradedDerivation, a: WeilElement) -> WeilElement:
     """Extend the generator images by the graded Leibniz rule.
 
+    The generator at each position of a monomial is replaced by its image,
+    multiplied between the prefix before it and the suffix after it.
     Passing the derivation over a prefix of total degree ``t`` contributes
-    the sign ``(-1)**(deg(d) * t)``.
+    the sign ``(-1)**(deg(d) * t)``; only exterior generators have odd
+    degree, so ``t`` is odd exactly when the exterior part of the prefix
+    has odd length.
     """
     if d.dims != a.dims:
         raise DimensionMismatch(f"{d.dims} vs {a.dims}")
     dodd = d.total_degree % 2
-    out = weil_zero(a.dims)
+    trusted = WeilMonomial._trusted
+    out: dict[WeilMonomial, Fraction] = {}
+
+    def put(coeff: Fraction, prefix: WeilMonomial, img: WeilElement, suffix: WeilMonomial):
+        for im, ic in img.terms.items():
+            left = mono_mul(prefix, im)
+            if left is None:
+                continue
+            right = mono_mul(left[1], suffix)
+            if right is None:
+                continue
+            c = coeff * ic
+            out[right[1]] = out.get(right[1], _ZERO) + (c if left[0] * right[0] > 0 else -c)
+
     for mono, coeff in a.terms.items():
-        gens = [("ext", i) for i in mono.ext] + [("sym", j) for j in mono.sym]
-        prefix_deg = 0
-        for pos, (kind, idx) in enumerate(gens):
-            img = d.image_ext(idx) if kind == "ext" else d.image_sym(idx)
-            if not img.is_zero():
-                sign = -1 if (dodd and prefix_deg % 2) else 1
-                pre_ext = mono.ext[:pos] if kind == "ext" else mono.ext
-                pre_sym = () if kind == "ext" else mono.sym[: pos - len(mono.ext)]
-                suf_ext = mono.ext[pos + 1 :] if kind == "ext" else ()
-                suf_sym = mono.sym if kind == "ext" else mono.sym[pos - len(mono.ext) + 1 :]
-                prefix = WeilElement(a.dims, {WeilMonomial(pre_ext, pre_sym): Fraction(1)})
-                suffix = WeilElement(a.dims, {WeilMonomial(suf_ext, suf_sym): Fraction(1)})
-                term = weil_mul(weil_mul(prefix, img), suffix)
-                out = weil_add(out, weil_scale(sign * coeff, term))
-            prefix_deg += 1 if kind == "ext" else 2
-    return out
+        ext, sym = mono.ext, mono.sym
+        for pos, i in enumerate(ext):
+            img = d.ext_images[i]
+            if img.terms:
+                c = -coeff if (dodd and pos % 2) else coeff
+                put(c, trusted(ext[:pos], ()), img, trusted(ext[pos + 1 :], sym))
+        c = -coeff if (dodd and len(ext) % 2) else coeff
+        for pos, j in enumerate(sym):
+            img = d.sym_images[j]
+            if img.terms:
+                put(c, trusted(ext, sym[:pos]), img, trusted((), sym[pos + 1 :]))
+    return _nonzero(a.dims, out)
 
 
 def derivation_sum(d1: GradedDerivation, d2: GradedDerivation) -> GradedDerivation:
@@ -528,14 +594,16 @@ def build_gerstenhaber(cm2: CrossedModuleData) -> GerstenhaberStructure:
 
 
 def _gen_mono(kind: str, idx: int) -> WeilMonomial:
-    return WeilMonomial((idx,), ()) if kind == "ext" else WeilMonomial((), (idx,))
+    if kind == "ext":
+        return WeilMonomial._trusted((idx,), ())
+    return WeilMonomial._trusted((), (idx,))
 
 
 def _peel(m: WeilMonomial):
     """Split off the first generator in canonical order."""
     if m.ext:
-        return ("ext", m.ext[0]), WeilMonomial(m.ext[1:], m.sym)
-    return ("sym", m.sym[0]), WeilMonomial((), m.sym[1:])
+        return ("ext", m.ext[0]), WeilMonomial._trusted(m.ext[1:], m.sym)
+    return ("sym", m.sym[0]), WeilMonomial._trusted((), m.sym[1:])
 
 
 def _table_bracket(G: GerstenhaberStructure, g1, g2) -> WeilElement:
@@ -543,19 +611,19 @@ def _table_bracket(G: GerstenhaberStructure, g1, g2) -> WeilElement:
     kind2, j = g2
     dims = G.dims
     if kind1 == "ext" and kind2 == "ext":
-        return weil_zero(dims)
+        return WeilElement._trusted(dims, {})
     if kind1 == "sym" and kind2 == "sym":
         terms = {}
         for (a, b, k), v in G.core_bracket.entries.items():
             if a == i and b == j:
-                terms[WeilMonomial((), (k,))] = v
-        return WeilElement(dims, terms)
+                terms[WeilMonomial._trusted((), (k,))] = v
+        return WeilElement._trusted(dims, terms)
     if kind1 == "sym":
         terms = {}
         for (a, b, k), v in G.side_action.entries.items():
             if a == i and b == j:
-                terms[WeilMonomial((k,), ())] = v
-        return WeilElement(dims, terms)
+                terms[WeilMonomial._trusted((k,), ())] = v
+        return WeilElement._trusted(dims, terms)
     # [a_i, g_j] = -(-1)^(1*2) [g_j, a_i] = -[g_j, a_i]
     return weil_scale(-1, _table_bracket(G, g2, g1))
 
@@ -568,7 +636,7 @@ def _mono_bracket(G: GerstenhaberStructure, m1: WeilMonomial, m2: WeilMonomial) 
     k1 = len(m1.ext) + len(m1.sym)
     k2 = len(m2.ext) + len(m2.sym)
     if k1 == 0 or k2 == 0:
-        result = weil_zero(G.dims)
+        result = WeilElement._trusted(G.dims, {})
     elif k1 == 1 and k2 == 1:
         result = _table_bracket(
             G,
@@ -578,21 +646,18 @@ def _mono_bracket(G: GerstenhaberStructure, m1: WeilMonomial, m2: WeilMonomial) 
     elif k1 > 1:
         # [g.m', b] = g.[m', b] + (-1)^(|m'||b|) [g, b].m'
         g, rest = _peel(m1)
-        g_elt = WeilElement(G.dims, {_gen_mono(*g): Fraction(1)})
-        rest_elt = WeilElement(G.dims, {rest: Fraction(1)})
-        first = weil_mul(g_elt, _mono_bracket(G, rest, m2))
+        g_mono = _gen_mono(*g)
+        first = weil_mul(_mono_elt(G, g_mono), _mono_bracket(G, rest, m2))
         sign = -1 if (rest.total_degree * m2.total_degree) % 2 else 1
-        second = weil_mul(_mono_bracket(G, _gen_mono(*g), m2), rest_elt)
+        second = weil_mul(_mono_bracket(G, g_mono, m2), _mono_elt(G, rest))
         result = weil_add(first, weil_scale(sign, second))
     else:
         # [x, h.w'] = [x,h].w' + (-1)^(|x||h|) h.[x, w']
         h, rest2 = _peel(m2)
         h_mono = _gen_mono(*h)
-        h_elt = WeilElement(G.dims, {h_mono: Fraction(1)})
-        rest2_elt = WeilElement(G.dims, {rest2: Fraction(1)})
-        first = weil_mul(_mono_bracket(G, m1, h_mono), rest2_elt)
+        first = weil_mul(_mono_bracket(G, m1, h_mono), _mono_elt(G, rest2))
         sign = -1 if (m1.total_degree * h_mono.total_degree) % 2 else 1
-        second = weil_mul(h_elt, _mono_bracket(G, m1, rest2))
+        second = weil_mul(_mono_elt(G, h_mono), _mono_bracket(G, m1, rest2))
         result = weil_add(first, weil_scale(sign, second))
     G._cache[key] = result
     return result
@@ -602,15 +667,18 @@ def gerst_bracket(G: GerstenhaberStructure, a: WeilElement, b: WeilElement) -> W
     """Bilinear recursive Leibniz evaluation of the bracket on two elements."""
     if a.dims != G.dims or b.dims != G.dims:
         raise DimensionMismatch(f"{a.dims}/{b.dims} vs structure dims {G.dims}")
-    out = weil_zero(G.dims)
+    out: dict[WeilMonomial, Fraction] = {}
     for m1, c1 in a.terms.items():
         for m2, c2 in b.terms.items():
-            out = weil_add(out, weil_scale(c1 * c2, _mono_bracket(G, m1, m2)))
-    return out
+            c = c1 * c2
+            for mono, v in _mono_bracket(G, m1, m2).terms.items():
+                out[mono] = out.get(mono, _ZERO) + c * v
+    return _nonzero(G.dims, out)
 
 
 def _mono_elt(G: GerstenhaberStructure, m: WeilMonomial) -> WeilElement:
-    return WeilElement(G.dims, {m: Fraction(1)})
+    """The element ``1 * m`` for a monomial ``m`` in range for ``G.dims``."""
+    return WeilElement._trusted(G.dims, {m: _ONE})
 
 
 def check_gerst_axioms(G: GerstenhaberStructure) -> VerificationReport:

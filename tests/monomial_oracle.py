@@ -6,6 +6,10 @@ generators.  Here every monomial pair and triple up to a total-degree bound
 is enumerated, and the first failing sorted tuple gives the witness, so at
 any bound of at least 4 (every generator triple included) the reports must
 equal the generator-level ones, witnesses included.
+
+It also holds element-level oracles for `l2b.weil.apply_derivation` and
+`l2b.weil.gerst_bracket`, which compute the same values the long way,
+through element products and sums.
 """
 
 import itertools
@@ -16,13 +20,51 @@ from l2b.weil import (
     GradedDerivation,
     WeilElement,
     WeilMonomial,
+    _mono_bracket,
     apply_derivation,
     gerst_bracket,
     weil_add,
     weil_mul,
     weil_scale,
     weil_sub,
+    weil_zero,
 )
+
+
+def apply_derivation_by_products(d: GradedDerivation, a: WeilElement) -> WeilElement:
+    """`apply_derivation` as ``prefix * image * suffix`` element products.
+
+    Passing the derivation over a prefix of total degree ``t`` contributes
+    the sign ``(-1)**(deg(d) * t)``.
+    """
+    dodd = d.total_degree % 2
+    out = weil_zero(a.dims)
+    for mono, coeff in a.terms.items():
+        gens = [("ext", i) for i in mono.ext] + [("sym", j) for j in mono.sym]
+        prefix_deg = 0
+        for pos, (kind, idx) in enumerate(gens):
+            img = d.image_ext(idx) if kind == "ext" else d.image_sym(idx)
+            if not img.is_zero():
+                sign = -1 if (dodd and prefix_deg % 2) else 1
+                pre_ext = mono.ext[:pos] if kind == "ext" else mono.ext
+                pre_sym = () if kind == "ext" else mono.sym[: pos - len(mono.ext)]
+                suf_ext = mono.ext[pos + 1 :] if kind == "ext" else ()
+                suf_sym = mono.sym if kind == "ext" else mono.sym[pos - len(mono.ext) + 1 :]
+                prefix = WeilElement(a.dims, {WeilMonomial(pre_ext, pre_sym): 1})
+                suffix = WeilElement(a.dims, {WeilMonomial(suf_ext, suf_sym): 1})
+                term = weil_mul(weil_mul(prefix, img), suffix)
+                out = weil_add(out, weil_scale(sign * coeff, term))
+            prefix_deg += 1 if kind == "ext" else 2
+    return out
+
+
+def gerst_bracket_by_sums(G: GerstenhaberStructure, a: WeilElement, b: WeilElement) -> WeilElement:
+    """`gerst_bracket` as a sum of scaled monomial brackets."""
+    out = weil_zero(G.dims)
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            out = weil_add(out, weil_scale(c1 * c2, _mono_bracket(G, m1, m2)))
+    return out
 
 
 def enumerate_monomials(dims, degree_bound: int):

@@ -181,6 +181,17 @@ def test_verify_deeply_nested_input_exit_two(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("index", [[0, 0, 7], [0, -1, 2]])
+def test_verify_out_of_range_index_exit_two(tmp_path, capsys, index):
+    obj = json.loads(serialize_document(catalog.get("sl2").document))
+    obj["blocks"]["bracket"].append([index, "1"])
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_verify_unwritable_out_exit_two(doc_file, tmp_path, capsys):
     target = tmp_path / "missing" / "x.json"
     code, out, err = run_cli(capsys, "verify", doc_file("sl2"), "--out", str(target))

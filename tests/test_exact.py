@@ -60,8 +60,44 @@ def test_tensor_canonical_zero_free():
 def test_tensor_rejects_out_of_range():
     with pytest.raises(ValueError):
         SparseTensor((2,), {(2,): 1})
+    with pytest.raises(ValueError):
+        SparseTensor((2, 2), {(0, -1): 1})
     with pytest.raises(DimensionMismatch):
         SparseTensor((2,), {(0, 0): 1})
+
+
+def test_tensor_wraps_integer_values():
+    t = SparseTensor((2,), {(1,): 3})
+    assert type(t.entries[(1,)]) is Q and type(t.get((0,))) is Q
+
+
+def assert_revalidates(t: SparseTensor):
+    assert t == SparseTensor(t.dims, dict(t.entries))
+    assert all(type(d) is int for d in t.dims)
+    for idx, v in t.entries.items():
+        assert all(type(i) is int for i in idx)
+        assert type(v) is Q and v != 0
+
+
+# small integer values, so that sums and contractions cancel often
+small_ints = st.sampled_from((Q(-1), Q(1), Q(2)))
+
+
+@given(
+    small_tensor((2, 3), 6, small_ints),
+    small_tensor((2, 3), 6, small_ints),
+    small_tensor((3, 2, 2), 6, small_ints),
+    st.sampled_from((0, 1, -1, Q(1, 2))),
+)
+def test_kernel_results_revalidate(t1, t2, t3, c):
+    assert_revalidates(t1.add(t2))
+    assert_revalidates(t1.add(t1.scale(-1)))
+    assert_revalidates(t1.sub(t2))
+    assert_revalidates(t1.scale(c))
+    assert_revalidates(contract(t1, t3, [(1, 0)]))
+    assert_revalidates(contract(t3, t3, [(1, 2), (2, 1)]))
+    assert_revalidates(contract(t1, t1, [(0, 0), (1, 1)]))
+    assert_revalidates(permute_axes(t3, (2, 0, 1)))
 
 
 def test_contract_identity_action():

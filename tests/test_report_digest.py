@@ -1,0 +1,33 @@
+"""Pin the report bytes of the catalog and of its dualizations.
+
+`scripts/report_digest.py` hashes groups of kernel outputs; a change that
+moves any verdict, witness or report byte of these groups fails here.  A
+change that means to alter report bytes updates the pinned digests and
+says which reports changed.  The `gen` and `edits` groups take several
+seconds and are compared by running the script on both trees.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "report_digest.py"
+
+PINNED = {
+    "catalog": (34, "fa5123ca9fba1d147bf5607a23bdcb7be772581fd64b407905fb6f2bded1c945"),
+    "dualize": (72, "7ebfd1633d6502c122ccd49b29ccdfd7568170b0a8a06a350abf1f027d6473a2"),
+}
+
+
+@pytest.fixture(scope="module")
+def report_digest():
+    spec = importlib.util.spec_from_file_location("report_digest", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("group", sorted(PINNED))
+def test_report_digest_pinned(report_digest, group):
+    assert report_digest.group_digest(group) == PINNED[group]

@@ -45,9 +45,11 @@ from l2b.weil import (
 
 from conftest import nonzero_rationals
 from monomial_oracle import (
+    apply_derivation_by_products,
     check_derivation_of_bracket_bounded,
     check_gerst_axioms_bounded,
     enumerate_monomials,
+    gerst_bracket_by_sums,
 )
 
 
@@ -419,9 +421,10 @@ def test_derivation_generator_pairs_imply_monomial_pairs(seed):
 
 
 @st.composite
-def tables_and_odd_derivations(draw):
-    """A random skew bracket table (often failing Jacobi) and a random odd
-    derivation of total degree -1 or 1 on the same small Weil algebra."""
+def tables_and_derivations(draw, degrees=(-1, 1)):
+    """A random skew bracket table (often failing Jacobi) and a random
+    derivation of a total degree drawn from ``degrees`` on the same small
+    Weil algebra."""
     n1 = draw(st.integers(1, 3))
     n0 = draw(st.integers(0, 4 - n1))
     dims = (n0, n1)
@@ -442,7 +445,7 @@ def tables_and_odd_derivations(draw):
         )
     G = GerstenhaberStructure(dims, SparseTensor((n1, n1, n1), core), SparseTensor((n1, n0, n0), side))
 
-    degree = draw(st.sampled_from((-1, 1)))
+    degree = draw(st.sampled_from(degrees))
     monos = enumerate_monomials(dims, 2 + degree)
 
     def images(gen_degree, count):
@@ -457,7 +460,7 @@ def tables_and_odd_derivations(draw):
 
 
 @settings(max_examples=80, deadline=None)
-@given(tables_and_odd_derivations())
+@given(tables_and_derivations())
 def test_generator_checks_equal_bounded_oracle(case):
     G, d = case
     assert check_gerst_axioms(G).checks == check_gerst_axioms_bounded(G, 4).checks
@@ -465,6 +468,75 @@ def test_generator_checks_equal_bounded_oracle(case):
         check_derivation_of_bracket(d, G).checks
         == check_derivation_of_bracket_bounded(d, G, 4).checks
     )
+
+
+def weil_elements(dims, coeffs=nonzero_rationals):
+    """Elements with a few terms of total degree at most 4."""
+    terms = st.dictionaries(st.sampled_from(enumerate_monomials(dims, 4)), coeffs, max_size=4)
+    return terms.map(lambda t: WeilElement(dims, t))
+
+
+@settings(max_examples=60, deadline=None)
+@given(tables_and_derivations(degrees=(-1, 0, 1, 2)), st.data())
+def test_derivation_and_bracket_equal_element_oracle(case, data):
+    G, d = case
+    x = data.draw(weil_elements(G.dims))
+    y = data.draw(weil_elements(G.dims))
+    assert apply_derivation(d, x) == apply_derivation_by_products(d, x)
+    assert gerst_bracket(G, x, y) == gerst_bracket_by_sums(G, x, y)
+    assert gerst_bracket(G, apply_derivation(d, x), y) == gerst_bracket_by_sums(
+        G, apply_derivation_by_products(d, x), y
+    )
+
+
+def test_apply_derivation_sign_past_odd_exterior_prefix():
+    # d(g0) = a1 with deg d = -1: d(a0 g0) = d(a0) g0 - a0 d(g0) = -a0 a1
+    dims = (2, 1)
+    d = GradedDerivation(
+        dims, None, (weil_zero(dims),) * 2, (weil_alpha(dims, 1),), total_degree=-1
+    )
+    a0g0 = elt(dims, (WeilMonomial((0,), (0,)), 1))
+    expected = elt(dims, (WeilMonomial((0, 1), ()), -1))
+    assert apply_derivation(d, a0g0) == expected
+    assert apply_derivation_by_products(d, a0g0) == expected
+
+
+def assert_revalidates(e: WeilElement):
+    assert e == WeilElement(e.dims, dict(e.terms))
+    for mono, coeff in e.terms.items():
+        assert type(coeff) is Q and coeff != 0
+        assert mono == WeilMonomial(mono.ext, mono.sym)
+
+
+# small integer coefficients, so that sums and products cancel often
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([(0, 1), (1, 1), (2, 1), (2, 2), (3, 1)]).flatmap(
+        lambda dims: st.tuples(
+            *[weil_elements(dims, st.sampled_from((Q(-1), Q(1), Q(2))))] * 2
+        )
+    ),
+    st.sampled_from((0, 1, -1, Q(1, 2))),
+)
+def test_kernel_results_revalidate(pair, c):
+    a, b = pair
+    assert_revalidates(weil_add(a, b))
+    assert_revalidates(weil_add(a, weil_scale(-1, a)))
+    assert_revalidates(weil_mul(a, b))
+    assert_revalidates(weil_scale(c, a))
+    assert_revalidates(weil_sub(a, b))
+
+
+def test_constructors_validate():
+    for ext, sym in (((1, 0), ()), ((0, 0), ()), ((), (1, 0))):
+        with pytest.raises(ValueError):
+            WeilMonomial(ext, sym)
+    for mono in (WeilMonomial((2,), ()), WeilMonomial((), (1,)), WeilMonomial((-1,), ())):
+        with pytest.raises(ValueError):
+            WeilElement((2, 1), {mono: 1})
+    e = WeilElement((2, 1), {WeilMonomial((0,), ()): 2, WeilMonomial((1,), ()): 0})
+    assert e.terms == {WeilMonomial((0,), ()): Q(2)}
+    assert type(e.terms[WeilMonomial((0,), ())]) is Q
 
 
 # --- weak two-term data -------------------------------------------------------------
