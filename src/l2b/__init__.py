@@ -57,9 +57,8 @@ from .bicross import (
     MatchedPairData,
     abelian_dual_pair,
     bicrossed_sum,
+    contragredient,
     cross_check,
-    dual_action_core,
-    dual_action_side,
     verify_l2b_def,
     verify_l2b_matched,
     verify_l2b_weil,

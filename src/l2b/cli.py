@@ -127,9 +127,9 @@ def main(argv=None) -> int:
     try:
         return handlers[args.command](args)
     except (ValueError, catalog.RetryExhaustion) as e:
-        # DocumentError, UnsupportedMethod, DegenerateCoreError, dimension and
-        # construction-invariant failures are all ValueError subclasses: every
-        # one of them is an input problem, exit code 2
+        # DocumentError, UnsupportedMethod, dimension and construction-invariant
+        # failures are all ValueError subclasses: every one of them is an input
+        # problem, exit code 2
         sys.stderr.write(f"error: {e}\n")
         return 2
     except OSError as e:

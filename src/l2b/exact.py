@@ -20,8 +20,10 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from fractions import Fraction
 from math import factorial
+from operator import itemgetter
 
 Rational = Fraction
 
@@ -228,6 +230,33 @@ def alternate(t: SparseTensor, axes) -> SparseTensor:
             key = tuple(new_idx)
             out[key] = out.get(key, _ZERO) + sign * val * norm
     return SparseTensor(t.dims, out)
+
+
+@lru_cache(maxsize=64)
+def _axis_moves(rank: int, axes: tuple[int, ...]):
+    """(index map, is odd) for each non-identity permutation of ``axes``."""
+    moves = []
+    for perm in list(itertools.permutations(range(len(axes))))[1:]:
+        full = list(range(rank))
+        for pos, src in enumerate(perm):
+            full[axes[pos]] = axes[src]
+        moves.append((itemgetter(*full), perm_parity(perm) < 0))
+    return tuple(moves)
+
+
+def asymmetric_entries(t: SparseTensor, axes):
+    """Yield, in entry order, the indices at which ``t`` is not antisymmetric.
+
+    An entry fails when some permutation of the listed axes does not carry
+    its index to an entry equal to its value times the permutation's sign.
+    """
+    moves = _axis_moves(t.rank, tuple(axes))
+    get = t.entries.get
+    for idx, val in t.entries.items():
+        for move, odd in moves:
+            if get(move(idx), _ZERO) != (-val if odd else val):
+                yield idx
+                break
 
 
 def permute_axes(t: SparseTensor, perm) -> SparseTensor:

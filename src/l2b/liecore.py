@@ -27,6 +27,7 @@ from fractions import Fraction
 from .exact import (
     DimensionMismatch,
     SparseTensor,
+    asymmetric_entries,
     contract,
     format_rational,
     permute_axes,
@@ -84,6 +85,15 @@ def combine(*reports: VerificationReport) -> VerificationReport:
     return VerificationReport(checks, metadata)
 
 
+def _first_mismatch(lhs: dict, rhs: dict):
+    """The lexicographically first key at which two coefficient maps differ, or None."""
+    if lhs == rhs:
+        return None
+    zero = Fraction(0)
+    keys = lhs.keys() | rhs.keys()
+    return min((k for k in keys if lhs.get(k, zero) != rhs.get(k, zero)), default=None)
+
+
 def _vec_render(coeffs: dict[int, Fraction], labels) -> str:
     if not coeffs:
         return "0"
@@ -109,11 +119,8 @@ class LieAlgebra:
             raise DimensionMismatch(
                 f"bracket dims {self.bracket.dims} do not match dimension {n}"
             )
-        for (i, j, k), v in self.bracket.entries.items():
-            if self.bracket.get((j, i, k)) != -v:
-                raise ValueError(
-                    f"bracket tensor not antisymmetric at {(i, j, k)}"
-                )
+        if (bad := next(asymmetric_entries(self.bracket, (0, 1)), None)) is not None:
+            raise ValueError(f"bracket tensor not antisymmetric at {bad}")
 
     @property
     def dim(self) -> int:
@@ -140,14 +147,6 @@ class LieAlgebra:
                 entries[(j, i, k)] = entries.get((j, i, k), Fraction(0)) - c
         return cls(labels, SparseTensor((n, n, n), entries))
 
-    def bracket_coeffs(self, i: int, j: int) -> dict[int, Fraction]:
-        """Coefficients of [e_i, e_j] in the basis."""
-        out = {}
-        for (a, b, k), v in self.bracket.entries.items():
-            if a == i and b == j:
-                out[k] = v
-        return out
-
 
 @dataclass(frozen=True)
 class LieCobracket:
@@ -160,11 +159,8 @@ class LieCobracket:
             raise DimensionMismatch(
                 f"cobracket dims {self.tensor.dims} do not match dimension {n}"
             )
-        for (i, j, k), v in self.tensor.entries.items():
-            if self.tensor.get((i, k, j)) != -v:
-                raise ValueError(
-                    f"cobracket tensor not antisymmetric at {(i, j, k)}"
-                )
+        if (bad := next(asymmetric_entries(self.tensor, (1, 2)), None)) is not None:
+            raise ValueError(f"cobracket tensor not antisymmetric at {bad}")
 
     @classmethod
     def zero(cls, n: int) -> "LieCobracket":
@@ -182,14 +178,6 @@ class LieCobracket:
                 entries[(i, j, k)] = entries.get((i, j, k), Fraction(0)) + c
                 entries[(i, k, j)] = entries.get((i, k, j), Fraction(0)) - c
         return cls(n, SparseTensor((n, n, n), entries))
-
-    def image_of(self, i: int) -> dict[tuple[int, int], Fraction]:
-        """delta(e_i) as a map (j, k) -> coeff with j < k."""
-        out = {}
-        for (a, j, k), v in self.tensor.entries.items():
-            if a == i and j < k:
-                out[(j, k)] = v
-        return out
 
 
 # --- wedge-square helpers (internal) -----------------------------------------
@@ -293,10 +281,9 @@ def verify_rep(g: LieAlgebra, action: SparseTensor) -> VerificationReport:
             comm[(i, j, a, b)] = comm.get((i, j, a, b), zero) + v
         elif j < i:
             comm[(j, i, a, b)] = comm.get((j, i, a, b), zero) - v
-    failing = [k for k in lhs.keys() | comm.keys() if lhs.get(k, zero) != comm.get(k, zero)]
+    idx = _first_mismatch(lhs, comm)
     witness = None
-    if failing:
-        idx = min(failing)
+    if idx is not None:
         witness = Witness(
             idx,
             format_rational(lhs.get(idx, zero)),
@@ -330,7 +317,7 @@ def verify_cocycle(g: LieAlgebra, d: LieCobracket) -> VerificationReport:
         raise DimensionMismatch(f"algebra dim {g.dim} vs cobracket dim {d.dim}")
     primal = verify_lie(g).prefixed("lie.primal.")
     dual = verify_lie(cobracket_to_dual_lie(d)).prefixed("lie.dual.")
-    # the `bracket_coeffs` and `image_of` tables, grouped in one pass each
+    # the coefficients of [e_a, e_b] and of delta(e_a), grouped in one pass each
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
     for (a, b, k), v in g.bracket.entries.items():
         brackets.setdefault((a, b), {})[k] = v

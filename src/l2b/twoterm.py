@@ -16,16 +16,14 @@ are first-class values.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .exact import (
     DimensionMismatch,
     SparseTensor,
+    asymmetric_entries,
     contract,
     format_rational,
-    perm_parity,
     permute_axes,
 )
 from .liecore import (
@@ -37,6 +35,7 @@ from .liecore import (
     semidirect,
     verify_lie,
     verify_rep,
+    _first_mismatch,
     _vec_render,
 )
 
@@ -108,33 +107,20 @@ class CrossedModuleData:
         return self.tvs.dim1
 
 
-def _act(cm: CrossedModuleData, i: int, vec: dict[int, Fraction]) -> dict[int, Fraction]:
-    """Apply e_i to a g1 vector given by coefficients."""
-    out: dict[int, Fraction] = {}
-    for j, c in vec.items():
-        for (a, b, k), v in cm.action.entries.items():
-            if a == i and b == j:
-                out[k] = out.get(k, Fraction(0)) + c * v
-    return {k: v for k, v in out.items() if v}
+def _vector_witness(lhs: SparseTensor, rhs: SparseTensor, labels) -> Witness | None:
+    """Both vectors at the lexicographically first index where they differ.
 
+    The last axis of both tensors indexes the basis; the others index the vectors.
+    """
+    idx = _first_mismatch(lhs.entries, rhs.entries)
+    if idx is None:
+        return None
+    at = idx[:-1]
 
-def _partial_columns(cm: CrossedModuleData) -> list[dict[int, Fraction]]:
-    """``partial(f_b)`` as g0 coefficients, for each core basis vector ``f_b``."""
-    cols: list[dict[int, Fraction]] = [{} for _ in range(cm.dim1)]
-    for (a, b), v in cm.tvs.partial.entries.items():
-        cols[b][a] = v
-    return cols
+    def vector(t: SparseTensor) -> dict:
+        return {k[-1]: v for k, v in t.entries.items() if k[:-1] == at}
 
-
-def _partial_coeffs(
-    cols: list[dict[int, Fraction]], vec: dict[int, Fraction]
-) -> dict[int, Fraction]:
-    """partial applied to a g1 vector, as g0 coefficients."""
-    out: dict[int, Fraction] = {}
-    for b, c in vec.items():
-        for a, v in cols[b].items():
-            out[a] = out.get(a, Fraction(0)) + c * v
-    return {k: v for k, v in out.items() if v}
+    return Witness(at, _vec_render(vector(lhs), labels), _vec_render(vector(rhs), labels))
 
 
 def derived_bracket_tensor(cm: CrossedModuleData) -> SparseTensor:
@@ -154,37 +140,26 @@ def verify_cm(cm: CrossedModuleData) -> VerificationReport:
     ``partial(e_i . f_j) = [e_i, partial(f_j)]``; ``skew_action``:
     ``partial(f_i).f_j = -partial(f_j).f_i``.
     """
-    n0, n1 = cm.dim0, cm.dim1
-    cols = _partial_columns(cm)
-
-    eq_witness = None
-    for i in range(n0):
-        for j in range(n1):
-            lhs = _partial_coeffs(cols, _act(cm, i, {j: Fraction(1)}))
-            rhs: dict[int, Fraction] = {}
-            for k, p in cols[j].items():
-                for a, c in cm.base.bracket_coeffs(i, k).items():
-                    rhs[a] = rhs.get(a, Fraction(0)) + p * c
-            rhs = {k: v for k, v in rhs.items() if v}
-            if lhs != rhs and eq_witness is None:
-                eq_witness = Witness(
-                    (i, j),
-                    _vec_render(lhs, cm.base.labels),
-                    _vec_render(rhs, cm.base.labels),
-                )
-
-    skew_witness = None
+    partial, bracket = cm.tvs.partial, cm.base.bracket
+    # entry (i, j, a): the coefficient of e_a in partial(e_i . f_j) and in
+    # [e_i, partial(f_j)]
+    eq_witness = _vector_witness(
+        contract(cm.action, partial, [(2, 1)]),
+        permute_axes(contract(partial, bracket, [(0, 1)]), (1, 0, 2)),
+        cm.base.labels,
+    )
+    # the first (i, j, k) with i <= j where the pairing is not antisymmetric
     dtens = derived_bracket_tensor(cm)
-    for i in range(n1):
-        for j in range(i, n1):
-            for k in range(n1):
-                s = dtens.get((i, j, k)) + dtens.get((j, i, k))
-                if s != 0 and skew_witness is None:
-                    skew_witness = Witness(
-                        (i, j, k),
-                        format_rational(dtens.get((i, j, k))),
-                        format_rational(-dtens.get((j, i, k))),
-                    )
+    skew = min(
+        ((min(i, j), max(i, j), k) for i, j, k in asymmetric_entries(dtens, (0, 1))),
+        default=None,
+    )
+    skew_witness = None
+    if skew is not None:
+        i, j, k = skew
+        skew_witness = Witness(
+            skew, format_rational(dtens.get(skew)), format_rational(-dtens.get((j, i, k)))
+        )
 
     return VerificationReport(
         (
@@ -203,12 +178,11 @@ def derived_bracket(cm: CrossedModuleData) -> LieAlgebra:
     since the result would not be antisymmetric.
     """
     dtens = derived_bracket_tensor(cm)
-    for (i, j, k), v in dtens.entries.items():
-        if dtens.get((j, i, k)) != -v:
-            raise DerivedBracketError(
-                f"skew_action fails at {(i, j, k)}: the pairing "
-                "partial(f_i).f_j is not antisymmetric"
-            )
+    if (bad := next(asymmetric_entries(dtens, (0, 1)), None)) is not None:
+        raise DerivedBracketError(
+            f"skew_action fails at {bad}: the pairing "
+            "partial(f_i).f_j is not antisymmetric"
+        )
     return LieAlgebra(cm.tvs.labels1, dtens)
 
 
@@ -227,52 +201,35 @@ def verify_full_crossed_module(
         )
     base = verify_cm(cm)
     dtens = derived_bracket_tensor(cm)
-    diff = core_bracket.bracket.sub(dtens)
+    idx = _first_mismatch(core_bracket.bracket.entries, dtens.entries)
     cb_witness = None
-    if not diff.is_zero():
-        idx = min(diff.entries)
+    if idx is not None:
         cb_witness = Witness(
             idx,
             format_rational(core_bracket.bracket.get(idx)),
             format_rational(dtens.get(idx)),
         )
 
-    n1 = cm.dim1
-    cols = _partial_columns(cm)
-    morph_witness = None
-    for i, j in itertools.combinations(range(n1), 2):
-        lhs = _partial_coeffs(cols, core_bracket.bracket_coeffs(i, j))
-        rhs: dict[int, Fraction] = {}
-        for a, ca in cols[i].items():
-            for b, cb in cols[j].items():
-                for k, c in cm.base.bracket_coeffs(a, b).items():
-                    rhs[k] = rhs.get(k, Fraction(0)) + ca * cb * c
-        rhs = {k: v for k, v in rhs.items() if v}
-        if lhs != rhs and morph_witness is None:
-            morph_witness = Witness(
-                (i, j),
-                _vec_render(lhs, cm.base.labels),
-                _vec_render(rhs, cm.base.labels),
-            )
-
-    der_witness = None
-    for i in range(cm.dim0):
-        for a, b in itertools.combinations_with_replacement(range(n1), 2):
-            lhs = _act(cm, i, core_bracket.bracket_coeffs(a, b))
-            rhs: dict[int, Fraction] = {}
-            for k, c in _act(cm, i, {a: Fraction(1)}).items():
-                for m, d in core_bracket.bracket_coeffs(k, b).items():
-                    rhs[m] = rhs.get(m, Fraction(0)) + c * d
-            for k, c in _act(cm, i, {b: Fraction(1)}).items():
-                for m, d in core_bracket.bracket_coeffs(a, k).items():
-                    rhs[m] = rhs.get(m, Fraction(0)) + c * d
-            rhs = {k: v for k, v in rhs.items() if v}
-            if lhs != rhs and der_witness is None:
-                der_witness = Witness(
-                    (i, a, b),
-                    _vec_render(lhs, cm.tvs.labels1),
-                    _vec_render(rhs, cm.tvs.labels1),
-                )
+    partial, bracket, action = cm.tvs.partial, cm.base.bracket, cm.action
+    core = core_bracket.bracket
+    # each side below is antisymmetric in its two core indices (so zero where
+    # they are equal), and the first difference has them increasing
+    # entry (i, j, a): the coefficient of e_a in partial([f_i, f_j]) and in
+    # [partial(f_i), partial(f_j)]
+    morph_witness = _vector_witness(
+        contract(core, partial, [(2, 1)]),
+        contract(partial, contract(partial, bracket, [(0, 1)]), [(0, 1)]),
+        cm.base.labels,
+    )
+    # entry (i, a, b, m): the coefficient of f_m in e_i . [f_a, f_b] and in
+    # [e_i . f_a, f_b] + [f_a, e_i . f_b]
+    der_witness = _vector_witness(
+        permute_axes(contract(core, action, [(2, 1)]), (2, 0, 1, 3)),
+        contract(action, core, [(2, 0)]).add(
+            permute_axes(contract(action, core, [(2, 1)]), (0, 2, 1, 3))
+        ),
+        cm.tvs.labels1,
+    )
 
     return combine(
         base,
@@ -330,17 +287,9 @@ class WeakLie2Data:
             raise DimensionMismatch(f"action dims {self.action.dims}")
         if self.jacobiator.dims != (n0, n0, n0, n1):
             raise DimensionMismatch(f"jacobiator dims {self.jacobiator.dims}")
-        for (i, j, k), v in self.bracket0.entries.items():
-            if self.bracket0.get((j, i, k)) != -v:
-                raise ValueError(f"bracket0 not antisymmetric at {(i, j, k)}")
-        for (i, j, k, b), v in self.jacobiator.entries.items():
-            for perm in itertools.permutations((0, 1, 2)):
-                src = (i, j, k)
-                tgt = tuple(src[p_] for p_ in perm) + (b,)
-                if self.jacobiator.get(tgt) != perm_parity(perm) * v:
-                    raise ValueError(
-                        f"jacobiator not antisymmetric at {(i, j, k, b)}"
-                    )
+        for name, axes in (("bracket0", (0, 1)), ("jacobiator", (0, 1, 2))):
+            if (bad := next(asymmetric_entries(getattr(self, name), axes), None)) is not None:
+                raise ValueError(f"{name} not antisymmetric at {bad}")
         l0 = self.labels0 or tuple(f"e{i}" for i in range(n0))
         l1 = self.labels1 or tuple(f"f{i}" for i in range(n1))
         object.__setattr__(self, "labels0", tuple(l0))

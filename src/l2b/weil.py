@@ -39,9 +39,9 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exact import SparseTensor, DimensionMismatch, format_rational, perm_parity
+from .exact import SparseTensor, DimensionMismatch, asymmetric_entries, format_rational
 from .liecore import Check, VerificationReport, Witness, combine
-from .twoterm import CrossedModuleData, TwoVectorSpace, WeakLie2Data
+from .twoterm import CrossedModuleData, WeakLie2Data
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -288,12 +288,6 @@ class GradedDerivation:
                                 "image total degree inconsistent with derivation degree"
                             )
 
-    def image_ext(self, i: int) -> WeilElement:
-        return self.ext_images[i]
-
-    def image_sym(self, j: int) -> WeilElement:
-        return self.sym_images[j]
-
 
 def apply_derivation(d: GradedDerivation, a: WeilElement) -> WeilElement:
     """Extend the generator images by the graded Leibniz rule.
@@ -357,13 +351,12 @@ def graded_commutator(d1: GradedDerivation, d2: GradedDerivation) -> GradedDeriv
     if d1.dims != d2.dims:
         raise DimensionMismatch(f"{d1.dims} vs {d2.dims}")
     sign = -1 if (d1.total_degree * d2.total_degree) % 2 else 1
-    n0, n1 = d1.dims
 
     def comm_on(img2: WeilElement, img1: WeilElement) -> WeilElement:
         return weil_sub(apply_derivation(d1, img2), weil_scale(sign, apply_derivation(d2, img1)))
 
-    ext = tuple(comm_on(d2.image_ext(i), d1.image_ext(i)) for i in range(n0))
-    sym = tuple(comm_on(d2.image_sym(j), d1.image_sym(j)) for j in range(n1))
+    ext = tuple(map(comm_on, d2.ext_images, d1.ext_images))
+    sym = tuple(map(comm_on, d2.sym_images, d1.sym_images))
     if d1.bidegree is not None and d2.bidegree is not None:
         bid = (d1.bidegree[0] + d2.bidegree[0], d1.bidegree[1] + d2.bidegree[1])
         return GradedDerivation(d1.dims, bid, ext, sym)
@@ -392,12 +385,11 @@ def check_zero_on_generators(d: GradedDerivation, prefix: str) -> VerificationRe
 
 def _square(d: GradedDerivation) -> GradedDerivation:
     """``d o d`` on the generators; for odd ``d`` it is the derivation ``[d, d] / 2``."""
-    n0, n1 = d.dims
     return GradedDerivation(
         d.dims,
         None,
-        tuple(apply_derivation(d, d.image_ext(i)) for i in range(n0)),
-        tuple(apply_derivation(d, d.image_sym(j)) for j in range(n1)),
+        tuple(apply_derivation(d, img) for img in d.ext_images),
+        tuple(apply_derivation(d, img) for img in d.sym_images),
         total_degree=2 * d.total_degree,
     )
 
@@ -412,21 +404,18 @@ def check_square_zero(d: GradedDerivation) -> VerificationReport:
 # --- the three differentials --------------------------------------------------
 
 
-def build_delta_v(t: TwoVectorSpace) -> GradedDerivation:
-    """The bidegree (0,1) differential extending the transpose of the structure map."""
-    dims = (t.dim0, t.dim1)
-    rows: list[dict[WeilMonomial, Fraction]] = [{} for _ in range(t.dim0)]
-    for (a, b), v in t.partial.items_sorted():
+def build_delta_v(partial: SparseTensor) -> GradedDerivation:
+    """The bidegree (0,1) differential extending the transpose of a structure map.
+
+    ``partial`` stores ``(a, b) -> coefficient of e_a in partial(f_b)``.
+    """
+    dims = partial.dims
+    rows: list[dict[WeilMonomial, Fraction]] = [{} for _ in range(dims[0])]
+    for (a, b), v in partial.items_sorted():
         rows[a][WeilMonomial((), (b,))] = v
     ext = [WeilElement(dims, terms) for terms in rows]
-    sym = tuple(weil_zero(dims) for _ in range(t.dim1))
+    sym = tuple(weil_zero(dims) for _ in range(dims[1]))
     return GradedDerivation(dims, (0, 1), tuple(ext), sym)
-
-
-def _check_bracket_antisym(bracket0: SparseTensor):
-    for (i, j, k), v in bracket0.entries.items():
-        if bracket0.get((j, i, k)) != -v:
-            raise ValueError(f"bracket tensor not antisymmetric at {(i, j, k)}")
 
 
 def build_delta_h(bracket0: SparseTensor, action: SparseTensor) -> GradedDerivation:
@@ -443,24 +432,19 @@ def build_delta_h(bracket0: SparseTensor, action: SparseTensor) -> GradedDerivat
         raise DimensionMismatch(
             f"action dims {action.dims}, expected {(n0, n1, n1)}"
         )
-    _check_bracket_antisym(bracket0)
+    if (bad := next(asymmetric_entries(bracket0, (0, 1)), None)) is not None:
+        raise ValueError(f"bracket tensor not antisymmetric at {bad}")
     dims = (n0, n1)
-    ext = []
-    for l in range(n0):
-        terms: dict[WeilMonomial, Fraction] = {}
-        for (p, q, k), v in bracket0.entries.items():
-            if k == l and p < q:
-                terms[WeilMonomial((p, q), ())] = -v
-        ext.append(WeilElement(dims, terms))
-    sym = []
-    for b in range(n1):
-        terms = {}
-        for (i, j, k), v in action.entries.items():
-            if k == b:
-                mono = WeilMonomial((i,), (j,))
-                terms[mono] = terms.get(mono, Fraction(0)) - v
-        sym.append(WeilElement(dims, terms))
-    return GradedDerivation(dims, (1, 0), tuple(ext), tuple(sym))
+    ext: list[dict[WeilMonomial, Fraction]] = [{} for _ in range(n0)]
+    for (p, q, k), v in bracket0.entries.items():
+        if p < q:
+            ext[k][WeilMonomial((p, q), ())] = -v
+    sym: list[dict[WeilMonomial, Fraction]] = [{} for _ in range(n1)]
+    for (i, j, k), v in action.entries.items():
+        sym[k][WeilMonomial((i,), (j,))] = -v
+    ext_images = tuple(WeilElement(dims, terms) for terms in ext)
+    sym_images = tuple(WeilElement(dims, terms) for terms in sym)
+    return GradedDerivation(dims, (1, 0), ext_images, sym_images)
 
 
 def build_delta_j(l3: SparseTensor) -> GradedDerivation:
@@ -469,84 +453,76 @@ def build_delta_j(l3: SparseTensor) -> GradedDerivation:
     n1 = l3.dims[3]
     if l3.dims != (n0, n0, n0, n1):
         raise DimensionMismatch(f"jacobiator dims {l3.dims}")
-    for (i, j, k, b), v in l3.entries.items():
-        for perm in itertools.permutations((0, 1, 2)):
-            src = (i, j, k)
-            tgt = tuple(src[p] for p in perm) + (b,)
-            if l3.get(tgt) != perm_parity(perm) * v:
-                raise ValueError(f"jacobiator not antisymmetric at {(i, j, k, b)}")
+    if (bad := next(asymmetric_entries(l3, (0, 1, 2)), None)) is not None:
+        raise ValueError(f"jacobiator not antisymmetric at {bad}")
     dims = (n0, n1)
     ext = tuple(weil_zero(dims) for _ in range(n0))
-    sym = []
-    for b in range(n1):
-        terms = {}
-        for (i, j, k, c), v in l3.entries.items():
-            if c == b and i < j < k:
-                terms[WeilMonomial((i, j, k), ())] = -v
-        sym.append(WeilElement(dims, terms))
-    return GradedDerivation(dims, (2, -1), ext, tuple(sym))
+    sym: list[dict[WeilMonomial, Fraction]] = [{} for _ in range(n1)]
+    for (i, j, k, b), v in l3.entries.items():
+        if i < j < k:
+            sym[b][WeilMonomial((i, j, k), ())] = -v
+    return GradedDerivation(dims, (2, -1), ext, tuple(WeilElement(dims, t) for t in sym))
 
 
-def build_delta_h_from_cm(cm: CrossedModuleData) -> GradedDerivation:
-    return build_delta_h(cm.base.bracket, cm.action)
+def square_components(*ds: GradedDerivation) -> dict[tuple[int, int], GradedDerivation]:
+    """The square of a sum of odd homogeneous derivations on generators, by bidegree.
+
+    Each ``d_i^2`` and ``[d_i, d_j]`` (``i < j``) adds to the component of
+    its bidegree; for ``delta_v + delta_h + delta_J`` these are (0,2),
+    (1,1), (2,0) = [delta_v, delta_J] + delta_h^2, (3,-1) and (4,-2).
+    """
+    square: dict[tuple[int, int], GradedDerivation] = {}
+    for i, d1 in enumerate(ds):
+        for j, d2 in enumerate(ds[i:], i):
+            term = _square(d1) if i == j else graded_commutator(d1, d2)
+            bid = (d1.bidegree[0] + d2.bidegree[0], d1.bidegree[1] + d2.bidegree[1])
+            square[bid] = derivation_sum(square[bid], term) if bid in square else term
+    return square
 
 
-def build_delta_v_from_cm(cm: CrossedModuleData) -> GradedDerivation:
-    return build_delta_v(cm.tvs)
+def check_cm_square(dv: GradedDerivation, dh: GradedDerivation) -> VerificationReport:
+    """The crossed-module checks, read from the square of ``delta_v + delta_h``.
 
-
-def verify_cm_via_weil(cm: CrossedModuleData) -> VerificationReport:
-    """The differential-calculus characterization of the crossed-module checks.
-
-    Checks that ``delta_h`` and ``delta_v`` square to zero and that their
-    graded commutator vanishes.  Componentwise this is equivalent to
+    Its components (2,0) = delta_h^2, (0,2) = delta_v^2 and (1,1), each
+    checked per generator family.  Componentwise this is equivalent to
     `twoterm.verify_cm`: Jacobi is ``delta_h.square_zero.side``, the
     representation property is ``delta_h.square_zero.core``, equivariance
     is ``commute.side`` and the skew pairing condition is ``commute.core``.
     """
-    dh = build_delta_h_from_cm(cm)
-    dv = build_delta_v_from_cm(cm)
+    square = square_components(dv, dh)
     return combine(
-        check_square_zero(dh).prefixed("delta_h."),
-        check_square_zero(dv).prefixed("delta_v."),
-        check_zero_on_generators(graded_commutator(dh, dv), "commute"),
+        check_zero_on_generators(square[(2, 0)], "delta_h.square_zero"),
+        check_zero_on_generators(square[(0, 2)], "delta_v.square_zero"),
+        check_zero_on_generators(square[(1, 1)], "commute"),
+    )
+
+
+def verify_cm_via_weil(cm: CrossedModuleData) -> VerificationReport:
+    """The differential-calculus characterization of the crossed-module checks."""
+    return check_cm_square(
+        build_delta_v(cm.tvs.partial), build_delta_h(cm.base.bracket, cm.action)
     )
 
 
 def verify_weak_lie2(w: WeakLie2Data) -> VerificationReport:
     """Square-zero test for the total differential of two-term homotopy data.
 
-    The square of ``delta_v + delta_h + delta_J`` splits into bidegree
-    components, each reported separately: (0,2) = delta_v^2,
-    (1,1) = [delta_h, delta_v], (2,0) = delta_h^2 + [delta_v, delta_J],
-    (3,-1) = [delta_h, delta_J], (4,-2) = delta_J^2.  With a vanishing
-    Jacobiator this agrees with `twoterm.verify_cm` on the same data.
+    Each bidegree component of `square_components` is one check, which
+    fails with its first failing generator.  With a vanishing Jacobiator
+    this agrees with `twoterm.verify_cm` on the same data.
     """
-    dv = build_delta_v(
-        TwoVectorSpace(w.dim0, w.dim1, w.partial, w.labels0, w.labels1)
+    square = square_components(
+        build_delta_v(w.partial),
+        build_delta_h(w.bracket0, w.action),
+        build_delta_j(w.jacobiator),
     )
-    dh = build_delta_h(w.bracket0, w.action)
-    dj = build_delta_j(w.jacobiator)
-    components = (
-        ("(0,2)", _square(dv)),
-        ("(1,1)", graded_commutator(dh, dv)),
-        ("(2,0)", derivation_sum(_square(dh), graded_commutator(dv, dj))),
-        ("(3,-1)", graded_commutator(dh, dj)),
-        ("(4,-2)", _square(dj)),
-    )
-    reports = []
-    for tag, comp in components:
-        rep = check_zero_on_generators(comp, f"square{tag}")
-        merged_witness = None
-        for c in rep.checks:
-            if not c.passed and merged_witness is None:
-                merged_witness = c.witness
-        reports.append(
-            VerificationReport(
-                (Check(f"square{tag}", rep.passed, merged_witness),)
-            )
-        )
-    return combine(*reports)
+    checks = []
+    for (p, q), comp in sorted(square.items()):
+        cond = f"square({p},{q})"
+        rep = check_zero_on_generators(comp, cond)
+        witness = next((c.witness for c in rep.checks if not c.passed), None)
+        checks.append(Check(cond, rep.passed, witness))
+    return VerificationReport(tuple(checks))
 
 
 # --- the bidegree (-1,-1) bracket ----------------------------------------------
@@ -578,7 +554,8 @@ class GerstenhaberStructure:
             raise DimensionMismatch(
                 f"side action dims {self.side_action.dims}, expected {(n1, n0, n0)}"
             )
-        _check_bracket_antisym(self.core_bracket)
+        if (bad := next(asymmetric_entries(self.core_bracket, (0, 1)), None)) is not None:
+            raise ValueError(f"bracket tensor not antisymmetric at {bad}")
 
 
 def build_gerstenhaber(cm2: CrossedModuleData) -> GerstenhaberStructure:

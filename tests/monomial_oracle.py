@@ -43,7 +43,7 @@ def apply_derivation_by_products(d: GradedDerivation, a: WeilElement) -> WeilEle
         gens = [("ext", i) for i in mono.ext] + [("sym", j) for j in mono.sym]
         prefix_deg = 0
         for pos, (kind, idx) in enumerate(gens):
-            img = d.image_ext(idx) if kind == "ext" else d.image_sym(idx)
+            img = d.ext_images[idx] if kind == "ext" else d.sym_images[idx]
             if not img.is_zero():
                 sign = -1 if (dodd and prefix_deg % 2) else 1
                 pre_ext = mono.ext[:pos] if kind == "ext" else mono.ext

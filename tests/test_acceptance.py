@@ -200,8 +200,6 @@ def test_criterion_5_abelian_dual_closure(cm_population, l2b_population):
         ]
         checked = 0
         for cm in candidates:
-            if cm.dim1 == 0:
-                continue
             key = serialize_document(doc_from_crossed_module(cm))
             if key in seen:
                 continue

@@ -247,10 +247,8 @@ def test_zero_dimensional_sides_and_cores(kind, n0, n1, tmp_path, capsys):
     methods = ("auto", "def", "matched", "weil", "all") if kind == "lie2_bialgebra" else ("auto",)
     for method in methods:
         code, out, err = run_cli(capsys, "verify", str(path), "--method", method)
-        expected = 2 if method == "weil" and n1 == 0 else 0
-        assert code == expected, (method, err)
-        if code == 0:
-            assert json.loads(out)["verdict"] == "pass"
+        assert code == 0, (method, err)
+        assert json.loads(out)["verdict"] == "pass"
 
     once = tmp_path / "once.json"
     code, _, err = run_cli(capsys, "dualize", str(path), "--which", "two_vs", "--out", str(once))

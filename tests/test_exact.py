@@ -10,10 +10,12 @@ from l2b.exact import (
     MalformedPermutation,
     SparseTensor,
     alternate,
+    asymmetric_entries,
     contract,
     format_rational,
     koszul_sign,
     parse_rational,
+    perm_parity,
     permute_axes,
 )
 from conftest import rationals, nonzero_rationals, small_tensor
@@ -230,3 +232,45 @@ def test_matrix_products_as_tensors():
     empty = SparseTensor.zero((0, 2))
     assert permute_axes(empty, (1, 0)).dims == (2, 0)
     assert contract(empty, m, [(1, 0)]).dims == (0, 2)
+
+
+# --- the antisymmetry finder ------------------------------------------------------
+
+@st.composite
+def nearly_antisymmetric(draw, dims, axes):
+    """Signed orbits of a few entries under the permutations of ``axes``,
+    with some orbit members omitted or of the wrong sign."""
+    entries = {}
+    for _ in range(draw(st.integers(1, 3))):
+        base = draw(st.tuples(*(st.integers(0, d - 1) for d in dims)))
+        v = draw(nonzero_rationals)
+        for perm in itertools.permutations(range(len(axes))):
+            idx = list(base)
+            for pos, src in enumerate(perm):
+                idx[axes[pos]] = base[axes[src]]
+            fault = draw(st.sampled_from((None, None, None, "omit", "flip")))
+            if fault != "omit":
+                entries[tuple(idx)] = perm_parity(perm) * v * (-1 if fault == "flip" else 1)
+    return SparseTensor(dims, entries)
+
+
+def asymmetric_by_permutations(t, axes):
+    """Entries, in entry order, that some permutation of ``axes`` does not map
+    to their value times its sign."""
+    bad = []
+    for idx, v in t.entries.items():
+        for perm in itertools.permutations(range(len(axes))):
+            tgt = list(idx)
+            for pos, src in enumerate(perm):
+                tgt[axes[pos]] = idx[axes[src]]
+            if t.get(tgt) != perm_parity(perm) * v:
+                bad.append(idx)
+                break
+    return bad
+
+
+@pytest.mark.parametrize("dims,axes", [((3, 3, 3, 2), (0, 1, 2)), ((2, 3, 3), (1, 2))])
+@given(data=st.data())
+def test_asymmetric_entries_equal_permutation_oracle(dims, axes, data):
+    t = data.draw(nearly_antisymmetric(dims, axes))
+    assert list(asymmetric_entries(t, axes)) == asymmetric_by_permutations(t, axes)

@@ -31,11 +31,14 @@ def random_valid_lie(seed):
 def brute_force_jacobi(g):
     """Independent oracle: expand [[x,y],z] cyclically on all basis triples."""
     n = g.dim
+    coeffs = {}  # (x, y) -> the coefficients of [e_x, e_y]
+    for (x, y, k), v in g.bracket.entries.items():
+        coeffs.setdefault((x, y), {})[k] = v
     for i, j, k in itertools.combinations(range(n), 3):
         acc = {}
         for (x, y, z) in ((i, j, k), (j, k, i), (k, i, j)):
-            for m, c1 in g.bracket_coeffs(x, y).items():
-                for l, c2 in g.bracket_coeffs(m, z).items():
+            for m, c1 in coeffs.get((x, y), {}).items():
+                for l, c2 in coeffs.get((m, z), {}).items():
                     acc[l] = acc.get(l, Q(0)) + c1 * c2
         if any(v != 0 for v in acc.values()):
             return False

@@ -1,4 +1,5 @@
 import random
+from collections import defaultdict
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +34,12 @@ from l2b.twoterm import (
     gamma_total,
     verify_cm,
     verify_full_crossed_module,
+)
+
+from crossed_module_oracle import (
+    random_candidate,
+    verify_cm_by_loops,
+    verify_full_crossed_module_by_loops,
 )
 
 
@@ -210,6 +217,29 @@ def test_derived_structure_theorems(seed):
     assert verify_full_crossed_module(cm, db).passed
     assert verify_lie(gamma_total(cm)).passed
     assert verify_lie(g_action_algebroid(cm)).passed
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**6))
+def test_checks_equal_loop_oracle(seed):
+    cm, core = random_candidate(random.Random(seed))
+    assert verify_cm(cm).checks == verify_cm_by_loops(cm).checks
+    assert (
+        verify_full_crossed_module(cm, core).checks
+        == verify_full_crossed_module_by_loops(cm, core).checks
+    )
+
+
+def test_loop_oracle_candidates_pass_and_fail_every_check():
+    outcomes = defaultdict(set)
+    for seed in range(300):
+        cm, core = random_candidate(random.Random(seed))
+        report = verify_full_crossed_module(cm, core)
+        assert report.checks == verify_full_crossed_module_by_loops(cm, core).checks
+        for check in report.checks:
+            outcomes[check.cond].add(check.passed)
+    assert len(outcomes) == 7
+    assert all(seen == {True, False} for seen in outcomes.values()), dict(outcomes)
 
 
 def test_weak_data_antisymmetry_validated():

@@ -19,10 +19,8 @@ from l2b.weil import (
     WeilMonomial,
     apply_derivation,
     build_delta_h,
-    build_delta_h_from_cm,
     build_delta_j,
     build_delta_v,
-    build_delta_v_from_cm,
     build_gerstenhaber,
     check_derivation_of_bracket,
     check_gerst_axioms,
@@ -44,6 +42,7 @@ from l2b.weil import (
 )
 
 from conftest import nonzero_rationals
+from crossed_module_oracle import random_candidate
 from monomial_oracle import (
     apply_derivation_by_products,
     check_derivation_of_bracket_bounded,
@@ -60,6 +59,10 @@ def seeded_cm(seed, modifications=0):
     for _ in range(modifications):
         doc = catalog.perturb_document(doc, rng)
     return build_crossed_module(doc)
+
+
+def delta_h_and_v(cm):
+    return build_delta_h(cm.base.bracket, cm.action), build_delta_v(cm.tvs.partial)
 
 
 def mono_strategy(dims, max_deg=4):
@@ -110,14 +113,12 @@ def test_mul_associative_graded_commutative(m1, m2, m3):
 # --- the differentials -----------------------------------------------------------
 
 def test_delta_v_zero_map():
-    t = TwoVectorSpace(2, 1, SparseTensor.zero((2, 1)))
-    dv = build_delta_v(t)
+    dv = build_delta_v(SparseTensor.zero((2, 1)))
     assert all(img.is_zero() for img in dv.ext_images + dv.sym_images)
 
 
 def test_delta_v_identity_map():
-    t = TwoVectorSpace(1, 1, SparseTensor((1, 1), {(0, 0): 1}))
-    dv = build_delta_v(t)
+    dv = build_delta_v(SparseTensor((1, 1), {(0, 0): 1}))
     assert dv.ext_images[0] == weil_gamma((1, 1), 0)
     assert dv.sym_images[0].is_zero()
 
@@ -125,8 +126,7 @@ def test_delta_v_identity_map():
 def test_delta_v_leibniz_on_wedge():
     # with the identity structure map on dims (2,2):
     # delta_v(a0 a1) = g0 a1 - a0 g1
-    t = TwoVectorSpace(2, 2, SparseTensor((2, 2), {(0, 0): 1, (1, 1): 1}))
-    dv = build_delta_v(t)
+    dv = build_delta_v(SparseTensor((2, 2), {(0, 0): 1, (1, 1): 1}))
     dims = (2, 2)
     a0a1 = elt(dims, (WeilMonomial((0, 1), ()), 1))
     expected = weil_sub(
@@ -172,15 +172,14 @@ def test_delta_j_leibniz_on_gamma_square():
 
 def test_apply_derivation_on_constant_and_generator():
     cm = adjoint_cm(sl2())
-    dh = build_delta_h_from_cm(cm)
+    dh = build_delta_h(cm.base.bracket, cm.action)
     assert apply_derivation(dh, weil_one((3, 3))).is_zero()
     assert apply_derivation(dh, weil_alpha((3, 3), 1)) == dh.ext_images[1]
 
 
 def test_apply_derivation_delta_v_gamma_alpha():
     # identity structure map, dims (1,1): delta_v(g0 a0) = g0 g0
-    t = TwoVectorSpace(1, 1, SparseTensor((1, 1), {(0, 0): 1}))
-    dv = build_delta_v(t)
+    dv = build_delta_v(SparseTensor((1, 1), {(0, 0): 1}))
     ga = elt((1, 1), (WeilMonomial((0,), (0,)), 1))
     assert apply_derivation(dv, ga) == elt((1, 1), (WeilMonomial((), (0, 0)), 1))
 
@@ -194,7 +193,7 @@ def test_apply_derivation_leibniz_product_rule(m1, m2):
     monos2 = enumerate_monomials(dims, 3)
     m1 = monos2[m1.sort_key()[0] % len(monos2)] if m1 not in monos2 else m1
     m2 = monos2[m2.sort_key()[0] % len(monos2)] if m2 not in monos2 else m2
-    dh = build_delta_h_from_cm(cm)
+    dh = build_delta_h(cm.base.bracket, cm.action)
     e1 = WeilElement(dims, {m1: Q(1)})
     e2 = WeilElement(dims, {m2: Q(1)})
     lhs = apply_derivation(dh, weil_mul(e1, e2))
@@ -208,7 +207,7 @@ def test_apply_derivation_leibniz_product_rule(m1, m2):
 
 def test_commutator_of_odd_with_itself_is_twice_square():
     cm = adjoint_cm(sl2())
-    dv = build_delta_v_from_cm(cm)
+    dv = build_delta_v(cm.tvs.partial)
     comm = graded_commutator(dv, dv)
     for i in range(3):
         sq = apply_derivation(dv, dv.ext_images[i])
@@ -217,13 +216,13 @@ def test_commutator_of_odd_with_itself_is_twice_square():
 
 def test_commutator_delta_h_delta_v_adjoint_vanishes():
     cm = adjoint_cm(sl2())
-    comm = graded_commutator(build_delta_h_from_cm(cm), build_delta_v_from_cm(cm))
+    comm = graded_commutator(*delta_h_and_v(cm))
     assert check_zero_on_generators(comm, "commute").passed
 
 
 def test_square_zero_delta_v_any_partial():
-    t = TwoVectorSpace(2, 2, SparseTensor((2, 2), {(0, 0): 1, (0, 1): 2, (1, 0): 3, (1, 1): 4}))
-    assert check_square_zero(build_delta_v(t)).passed
+    partial = SparseTensor((2, 2), {(0, 0): 1, (0, 1): 2, (1, 0): 3, (1, 1): 4})
+    assert check_square_zero(build_delta_v(partial)).passed
 
 
 def test_square_zero_delta_h_sl2_and_broken():
@@ -247,7 +246,7 @@ def test_square_zero_non_representation_fails_on_core():
 
 def test_square_zero_rejects_even():
     cm = adjoint_cm(sl2())
-    dv = build_delta_v_from_cm(cm)
+    dv = build_delta_v(cm.tvs.partial)
     with pytest.raises(ValueError):
         check_square_zero(graded_commutator(dv, dv))
 
@@ -273,6 +272,26 @@ def test_e1_equivalence_seeded(seed):
         assert direct.check(cond).passed == weil.check(wcond).passed, (cond, seed)
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10**6))
+def test_weak_square_components_are_the_cm_checks(seed):
+    # the strict path reads three components of the same square, with a
+    # zero Jacobiator, that the weak path merges into one check each
+    cm, _ = random_candidate(random.Random(seed))
+    weak = verify_weak_lie2(WeakLie2Data.from_cm(cm))
+    strict = verify_cm_via_weil(cm)
+    for tag, prefix in (
+        ("(0,2)", "delta_v.square_zero"),
+        ("(1,1)", "commute"),
+        ("(2,0)", "delta_h.square_zero"),
+    ):
+        side, core = strict.check(prefix + ".side"), strict.check(prefix + ".core")
+        merged = weak.check(f"square{tag}")
+        assert merged.passed == (side.passed and core.passed), (tag, seed)
+        assert merged.witness == (core.witness if side.passed else side.witness)
+    assert weak.check("square(3,-1)").passed and weak.check("square(4,-2)").passed
+
+
 def test_e1_commutator_component_shapes():
     # failing equivariance shows up on side generators with one exterior and
     # one symmetric factor; failing skew pairing shows up on core generators
@@ -280,7 +299,7 @@ def test_e1_commutator_component_shapes():
     a = CrossedModuleData(
         axb(), TwoVectorSpace(2, 1, SparseTensor((2, 1), {(1, 0): 1})), SparseTensor((2, 1, 1))
     )
-    comm = graded_commutator(build_delta_h_from_cm(a), build_delta_v_from_cm(a))
+    comm = graded_commutator(*delta_h_and_v(a))
     bad_side = [img for img in comm.ext_images if not img.is_zero()]
     assert bad_side and all(
         (len(m.ext), len(m.sym)) == (1, 1) for img in bad_side for m in img.terms
@@ -290,7 +309,7 @@ def test_e1_commutator_component_shapes():
         TwoVectorSpace(1, 2, SparseTensor((1, 2), {(0, 0): 1})),
         SparseTensor((1, 2, 2), {(0, 1, 1): 1}),
     )
-    comm = graded_commutator(build_delta_h_from_cm(b), build_delta_v_from_cm(b))
+    comm = graded_commutator(*delta_h_and_v(b))
     assert all(img.is_zero() for img in comm.ext_images)
     bad_core = [img for img in comm.sym_images if not img.is_zero()]
     assert bad_core and all(
@@ -381,11 +400,11 @@ def test_gerst_bracket_bidegree(m1, m2):
 
 def test_derivation_of_bracket_trivial_cases():
     cm = axb_action_cm()
-    d = derivation_sum(build_delta_h_from_cm(cm), build_delta_v_from_cm(cm))
+    d = derivation_sum(*delta_h_and_v(cm))
     zero_G = GerstenhaberStructure((2, 1), SparseTensor.zero((1, 1, 1)), SparseTensor.zero((1, 2, 2)))
     assert check_derivation_of_bracket(d, zero_G).passed
     # the zero derivation is compatible with any bracket table
-    zero_d = build_delta_v(TwoVectorSpace(1, 1, SparseTensor.zero((1, 1))))
+    zero_d = build_delta_v(SparseTensor.zero((1, 1)))
     assert check_derivation_of_bracket(zero_d, _scaling_gerst(3)).passed
 
 
@@ -396,9 +415,7 @@ def test_derivation_of_bracket_inconsistent_table_fails():
 
     good = trace_pair(1, 0, 0, -1)
     bad = trace_pair(1, 0, 0, 1)
-    d = derivation_sum(
-        build_delta_h_from_cm(good.cm1), build_delta_v_from_cm(good.cm1)
-    )
+    d = derivation_sum(*delta_h_and_v(good.cm1))
     assert check_derivation_of_bracket(d, build_gerstenhaber(good.cm2)).passed
     report = check_derivation_of_bracket(d, build_gerstenhaber(bad.cm2))
     assert not report.passed
@@ -413,9 +430,7 @@ def test_derivation_generator_pairs_imply_monomial_pairs(seed):
     fam = ("scaling", "abelian_dual")[seed % 2]
     doc = catalog.gen_document(fam, seed)
     d2b = build_lie2_bialgebra(doc)
-    d = derivation_sum(
-        build_delta_h_from_cm(d2b.cm1), build_delta_v_from_cm(d2b.cm1)
-    )
+    d = derivation_sum(*delta_h_and_v(d2b.cm1))
     report = check_derivation_of_bracket(d, build_gerstenhaber(d2b.cm2))
     assert report.check("generator_pairs").passed == report.check("monomial_pairs").passed
 
