@@ -165,6 +165,20 @@ class SparseTensor:
         return SparseTensor._trusted(self.dims, {i: c * v for i, v in self.entries.items()})
 
 
+def _index_getter(axes):
+    """``idx -> tuple(idx[ax] for ax in axes)``.
+
+    `itemgetter` of one axis returns the bare item and needs at least one
+    axis, so those two cases get their own getters.
+    """
+    if len(axes) > 1:
+        return itemgetter(*axes)
+    if axes:
+        (ax,) = axes
+        return lambda idx: (idx[ax],)
+    return lambda idx: ()
+
+
 def contract(t1: SparseTensor, t2: SparseTensor, pairs) -> SparseTensor:
     """Contract paired axes of two tensors.
 
@@ -187,20 +201,20 @@ def contract(t1: SparseTensor, t2: SparseTensor, pairs) -> SparseTensor:
             )
     free1 = [ax for ax in range(t1.rank) if ax not in a_axes]
     free2 = [ax for ax in range(t2.rank) if ax not in b_axes]
+    dims = tuple(t1.dims[ax] for ax in free1) + tuple(t2.dims[ax] for ax in free2)
+    if not (t1.entries and t2.entries):
+        return SparseTensor._trusted(dims, {})
+    key2, rest2 = _index_getter(b_axes), _index_getter(free2)
     groups: dict[tuple[int, ...], list] = {}
     for idx2, v2 in t2.entries.items():
-        key = tuple(idx2[pairs[k][1]] for k in range(len(pairs)))
-        groups.setdefault(key, []).append(
-            (tuple(idx2[ax] for ax in free2), v2)
-        )
+        groups.setdefault(key2(idx2), []).append((rest2(idx2), v2))
+    key1, rest1 = _index_getter(a_axes), _index_getter(free1)
     out: dict[tuple[int, ...], Fraction] = {}
     for idx1, v1 in t1.entries.items():
-        key = tuple(idx1[pairs[k][0]] for k in range(len(pairs)))
-        f1 = tuple(idx1[ax] for ax in free1)
-        for f2, v2 in groups.get(key, ()):
+        f1 = rest1(idx1)
+        for f2, v2 in groups.get(key1(idx1), ()):
             full = f1 + f2
             out[full] = out.get(full, _ZERO) + v1 * v2
-    dims = tuple(t1.dims[ax] for ax in free1) + tuple(t2.dims[ax] for ax in free2)
     return SparseTensor._trusted(dims, {i: v for i, v in out.items() if v})
 
 

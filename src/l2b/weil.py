@@ -23,7 +23,10 @@ The bidegree (-1,-1) bracket induced by dual crossed-module data uses the
 table ``[g_i, g_j] = dual bracket``, ``[g_i, a_j] = dual action``,
 ``[a_i, a_j] = 0`` with graded skew ``[x,y] = -(-1)^{|x||y|}[y,x]`` and
 Leibniz ``[x, y.z] = [x,y].z + (-1)^{|x||y|} y.[x,z]`` in total degree
-(legitimate because the bracket's total degree -2 is even).
+(legitimate because the bracket's total degree -2 is even).  Being a
+biderivation, it is known by the derivations ``ad_x = [x, -]`` of the
+generators, whose images are the table's entries (Kosmann-Schwarzbach,
+*Derived brackets*); every bracket is an `apply_derivation` of one of them.
 
 Validation happens at the public constructors: `WeilMonomial` checks that
 its index tuples are sorted and `WeilElement` that every monomial is in
@@ -536,13 +539,14 @@ class GerstenhaberStructure:
     antisymmetric), ``side_action`` stores ``[g_i, a_j]`` (side-generator
     valued); ``[a_i, a_j] = 0`` is forced since its bidegree would have a
     negative symmetric component.  The antisymmetry is checked here, so the
-    bracket is graded skew, which the generator-level checks rely on.
+    table is graded skew.  The bracket is the biderivation extending the
+    table: ``[x, -]`` for a generator ``x`` is the derivation ``ad_x`` whose
+    generator images are the table's entries (`_adjoints`).
     """
 
     dims: tuple[int, int]
     core_bracket: SparseTensor  # (i, j, k): coefficient of g_k in [g_i, g_j]
     side_action: SparseTensor  # (i, j, k): coefficient of a_k in [g_i, a_j]
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         n0, n1 = self.dims
@@ -570,157 +574,139 @@ def build_gerstenhaber(cm2: CrossedModuleData) -> GerstenhaberStructure:
     return GerstenhaberStructure((n0, n1), cm2.base.bracket, cm2.action)
 
 
-def _gen_mono(kind: str, idx: int) -> WeilMonomial:
-    if kind == "ext":
-        return WeilMonomial._trusted((idx,), ())
-    return WeilMonomial._trusted((), (idx,))
+def _adjoints(G: GerstenhaberStructure) -> list[GradedDerivation]:
+    """``ad_x = [x, -]`` for each generator ``x``, in `_generators` order.
+
+    Read off the table in one pass over its entries:
+    ``ad_{g_i}(a_j) = sum_k side_action[i, j, k] a_k``,
+    ``ad_{g_i}(g_j) = sum_k core_bracket[i, j, k] g_k``, ``ad_{a_i}(a_j) = 0``
+    and, by graded skew, ``ad_{a_j}(g_i) = -ad_{g_i}(a_j)``.  ``ad_{a_i}`` has
+    bidegree (0,-1) and ``ad_{g_i}`` bidegree (0,0).
+    """
+    n0, n1 = dims = G.dims
+    trusted = WeilMonomial._trusted
+    rows = [[{} for _ in range(n0 + n1)] for _ in range(n0 + n1)]  # rows[p][q]: [x_p, x_q]
+    for (i, j, k), v in G.side_action.entries.items():
+        rows[n0 + i][j][trusted((k,), ())] = v
+        rows[j][n0 + i][trusted((k,), ())] = -v
+    for (i, j, k), v in G.core_bracket.entries.items():
+        rows[n0 + i][n0 + j][trusted((), (k,))] = v
+    elements = [tuple(WeilElement._trusted(dims, terms) for terms in row) for row in rows]
+    return [
+        GradedDerivation(dims, (0, -1) if p < n0 else (0, 0), row[:n0], row[n0:])
+        for p, row in enumerate(elements)
+    ]
 
 
-def _peel(m: WeilMonomial):
-    """Split off the first generator in canonical order."""
-    if m.ext:
-        return ("ext", m.ext[0]), WeilMonomial._trusted(m.ext[1:], m.sym)
-    return ("sym", m.sym[0]), WeilMonomial._trusted((), m.sym[1:])
+def _swap_sign(deg_a: int, deg_b: int) -> int:
+    """The sign of ``[a, b] = sign * [b, a]``, by graded skew."""
+    return 1 if (deg_a * deg_b) % 2 else -1
 
 
-def _table_bracket(G: GerstenhaberStructure, g1, g2) -> WeilElement:
-    kind1, i = g1
-    kind2, j = g2
-    dims = G.dims
-    if kind1 == "ext" and kind2 == "ext":
-        return WeilElement._trusted(dims, {})
-    if kind1 == "sym" and kind2 == "sym":
-        terms = {}
-        for (a, b, k), v in G.core_bracket.entries.items():
-            if a == i and b == j:
-                terms[WeilMonomial._trusted((), (k,))] = v
-        return WeilElement._trusted(dims, terms)
-    if kind1 == "sym":
-        terms = {}
-        for (a, b, k), v in G.side_action.entries.items():
-            if a == i and b == j:
-                terms[WeilMonomial._trusted((k,), ())] = v
-        return WeilElement._trusted(dims, terms)
-    # [a_i, g_j] = -(-1)^(1*2) [g_j, a_i] = -[g_j, a_i]
-    return weil_scale(-1, _table_bracket(G, g2, g1))
-
-
-def _mono_bracket(G: GerstenhaberStructure, m1: WeilMonomial, m2: WeilMonomial) -> WeilElement:
-    key = (m1, m2)
-    cached = G._cache.get(key)
-    if cached is not None:
-        return cached
-    k1 = len(m1.ext) + len(m1.sym)
-    k2 = len(m2.ext) + len(m2.sym)
-    if k1 == 0 or k2 == 0:
-        result = WeilElement._trusted(G.dims, {})
-    elif k1 == 1 and k2 == 1:
-        result = _table_bracket(
-            G,
-            ("ext", m1.ext[0]) if m1.ext else ("sym", m1.sym[0]),
-            ("ext", m2.ext[0]) if m2.ext else ("sym", m2.sym[0]),
-        )
-    elif k1 > 1:
-        # [g.m', b] = g.[m', b] + (-1)^(|m'||b|) [g, b].m'
-        g, rest = _peel(m1)
-        g_mono = _gen_mono(*g)
-        first = weil_mul(_mono_elt(G, g_mono), _mono_bracket(G, rest, m2))
-        sign = -1 if (rest.total_degree * m2.total_degree) % 2 else 1
-        second = weil_mul(_mono_bracket(G, g_mono, m2), _mono_elt(G, rest))
-        result = weil_add(first, weil_scale(sign, second))
-    else:
-        # [x, h.w'] = [x,h].w' + (-1)^(|x||h|) h.[x, w']
-        h, rest2 = _peel(m2)
-        h_mono = _gen_mono(*h)
-        first = weil_mul(_mono_bracket(G, m1, h_mono), _mono_elt(G, rest2))
-        sign = -1 if (m1.total_degree * h_mono.total_degree) % 2 else 1
-        second = weil_mul(_mono_elt(G, h_mono), _mono_bracket(G, m1, rest2))
-        result = weil_add(first, weil_scale(sign, second))
-    G._cache[key] = result
-    return result
+def _signed_sum(dims, *parts: tuple[int, WeilElement]) -> WeilElement:
+    """``sum sign * element`` over ``(sign, element)`` pairs with signs +-1."""
+    out: dict[WeilMonomial, Fraction] = {}
+    for sign, e in parts:
+        for mono, coeff in e.terms.items():
+            out[mono] = out.get(mono, _ZERO) + (coeff if sign > 0 else -coeff)
+    return _nonzero(dims, out)
 
 
 def gerst_bracket(G: GerstenhaberStructure, a: WeilElement, b: WeilElement) -> WeilElement:
-    """Bilinear recursive Leibniz evaluation of the bracket on two elements."""
+    """The bracket of two elements, as a derivation applied to ``b``.
+
+    For ``a`` of total degree ``t``, ``[a, -]`` is the derivation of degree
+    ``t - 2`` whose image of a generator ``y`` is
+    ``[a, y] = -(-1)^(t|y|) ad_y(a)``; an ``a`` of several total degrees is
+    split by degree.
+    """
     if a.dims != G.dims or b.dims != G.dims:
         raise DimensionMismatch(f"{a.dims}/{b.dims} vs structure dims {G.dims}")
-    out: dict[WeilMonomial, Fraction] = {}
-    for m1, c1 in a.terms.items():
-        for m2, c2 in b.terms.items():
-            c = c1 * c2
-            for mono, v in _mono_bracket(G, m1, m2).terms.items():
-                out[mono] = out.get(mono, _ZERO) + c * v
-    return _nonzero(G.dims, out)
-
-
-def _mono_elt(G: GerstenhaberStructure, m: WeilMonomial) -> WeilElement:
-    """The element ``1 * m`` for a monomial ``m`` in range for ``G.dims``."""
-    return WeilElement._trusted(G.dims, {m: _ONE})
+    ads = _adjoints(G)
+    degrees = [m.total_degree for m in _generators(G.dims)]
+    n0 = G.dims[0]
+    parts: dict[int, dict[WeilMonomial, Fraction]] = {}
+    for mono, coeff in a.terms.items():
+        parts.setdefault(mono.total_degree, {})[mono] = coeff
+    brackets = []
+    for t, terms in parts.items():
+        part = WeilElement._trusted(G.dims, terms)
+        images = [
+            weil_scale(_swap_sign(t, deg), apply_derivation(ad, part))
+            for ad, deg in zip(ads, degrees)
+        ]
+        ad_part = GradedDerivation(
+            G.dims, None, tuple(images[:n0]), tuple(images[n0:]), total_degree=t - 2
+        )
+        brackets.append((1, apply_derivation(ad_part, b)))
+    return _signed_sum(G.dims, *brackets)
 
 
 def check_gerst_axioms(G: GerstenhaberStructure) -> VerificationReport:
     """Graded skew-symmetry, Jacobi and Leibniz, decided on generators.
 
-    The bracket is the Leibniz extension of the generator table, so it is
-    a biderivation by construction, and it is skew because the table is
-    (see `GerstenhaberStructure`); skew and Leibniz are checked on
-    generators all the same.  The Jacobiator of a skew biderivation is a
-    graded-antisymmetric triderivation, so it vanishes on all monomials iff
-    it vanishes on sorted generator triples.  Generators sort before every
-    product, and a failing tuple with a product in it stays failing, up to
-    order, when the product is replaced by a suitable one of its factors,
-    which sorts earlier; so the first failing sorted generator tuple is
-    also the first failing sorted monomial tuple.
+    Every bracket is an image of one of the derivations ``ad_x``
+    (`_adjoints`): ``[x, y]`` is read off ``ad_x``, and ``[e, z]`` for an
+    element ``e`` is ``-(-1)^(|e||z|) ad_z(e)``.  So the bracket is a
+    biderivation by construction, and it is skew because the table is (see
+    `GerstenhaberStructure`); skew and Leibniz (``ad_x(y.z)`` against the
+    product rule) are checked on generators all the same.  The Jacobiator
+    ``ad_x(ad_y z) - [ad_x y, z] -+ ad_y(ad_x z)`` of a skew biderivation
+    is a graded-antisymmetric triderivation, so it vanishes on all
+    monomials iff it vanishes on sorted generator triples.  Generators sort
+    before every product, and a failing tuple with a product in it stays
+    failing, up to order, when the product is replaced by a suitable one of
+    its factors, which sorts earlier; so the first failing sorted generator
+    tuple is also the first failing sorted monomial tuple.
     """
     gens = _generators(G.dims)
+    deg = [m.total_degree for m in gens]
+    ads = _adjoints(G)
+    br = [ad.ext_images + ad.sym_images for ad in ads]  # br[p][q] = [x_p, x_q]
+    idx = range(len(gens))
+
+    def at(*ps) -> str:
+        return ", ".join(gens[p].render() for p in ps)
 
     skew_witness = None
-    for m1, m2 in itertools.combinations_with_replacement(gens, 2):
-        lhs = _mono_bracket(G, m1, m2)
-        sign = -1 if (m1.total_degree * m2.total_degree) % 2 else 1
-        rhs = weil_scale(-sign, _mono_bracket(G, m2, m1))
+    for p, q in itertools.combinations_with_replacement(idx, 2):
+        lhs = br[p][q]
+        rhs = weil_scale(_swap_sign(deg[p], deg[q]), br[q][p])
         if lhs != rhs:
-            skew_witness = Witness(
-                (), lhs.render(), rhs.render(), at=f"({m1.render()}, {m2.render()})"
-            )
+            skew_witness = Witness((), lhs.render(), rhs.render(), at=f"({at(p, q)})")
             break
 
     jacobi_witness = None
-    for m1, m2, m3 in itertools.combinations_with_replacement(gens, 3):
-        lhs = gerst_bracket(G, _mono_elt(G, m1), _mono_bracket(G, m2, m3))
-        rhs = gerst_bracket(G, _mono_bracket(G, m1, m2), _mono_elt(G, m3))
-        sign = -1 if (m1.total_degree * m2.total_degree) % 2 else 1
-        rhs = weil_add(
-            rhs,
-            weil_scale(sign, gerst_bracket(G, _mono_elt(G, m2), _mono_bracket(G, m1, m3))),
+    for p, q, r in itertools.combinations_with_replacement(idx, 3):
+        if not (br[q][r].terms or br[p][q].terms or br[p][r].terms):
+            continue  # both sides are zero
+        lhs = apply_derivation(ads[p], br[q][r])
+        rhs = _signed_sum(
+            G.dims,
+            (_swap_sign(deg[p] + deg[q], deg[r]), apply_derivation(ads[r], br[p][q])),
+            (-_swap_sign(deg[p], deg[q]), apply_derivation(ads[q], br[p][r])),
         )
         if lhs != rhs:
-            jacobi_witness = Witness(
-                (),
-                lhs.render(),
-                rhs.render(),
-                at=f"({m1.render()}, {m2.render()}, {m3.render()})",
-            )
+            jacobi_witness = Witness((), lhs.render(), rhs.render(), at=f"({at(p, q, r)})")
             break
 
     leibniz_witness = None
-    for m1, (m2, m3) in itertools.product(
-        gens, itertools.combinations_with_replacement(gens, 2)
-    ):
-        prod = weil_mul(_mono_elt(G, m2), _mono_elt(G, m3))
-        lhs = gerst_bracket(G, _mono_elt(G, m1), prod)
-        rhs = weil_mul(_mono_bracket(G, m1, m2), _mono_elt(G, m3))
-        sign = -1 if (m1.total_degree * m2.total_degree) % 2 else 1
-        rhs = weil_add(
-            rhs, weil_scale(sign, weil_mul(_mono_elt(G, m2), _mono_bracket(G, m1, m3)))
+    elts = [WeilElement._trusted(G.dims, {m: _ONE}) for m in gens]
+    products = [
+        (q, r, weil_mul(elts[q], elts[r]))
+        for q, r in itertools.combinations_with_replacement(idx, 2)
+    ]
+    for p, (q, r, prod) in itertools.product(idx, products):
+        if not (br[p][q].terms or br[p][r].terms):
+            continue  # ad_p vanishes on both factors, so both sides are zero
+        lhs = apply_derivation(ads[p], prod)
+        rhs = _signed_sum(
+            G.dims,
+            (1, weil_mul(br[p][q], elts[r])),
+            (-_swap_sign(deg[p], deg[q]), weil_mul(elts[q], br[p][r])),
         )
         if lhs != rhs:
-            leibniz_witness = Witness(
-                (),
-                lhs.render(),
-                rhs.render(),
-                at=f"({m1.render()}; {m2.render()}, {m3.render()})",
-            )
+            leibniz_witness = Witness((), lhs.render(), rhs.render(), at=f"({at(p)}; {at(q, r)})")
             break
 
     return VerificationReport(
@@ -737,10 +723,12 @@ def check_derivation_of_bracket(
 ) -> VerificationReport:
     """Check d[x,y] = [d x, y] + (-1)^|x| [x, d y], decided on generators.
 
-    The defect is a biderivation (``[d, ad_x] - ad_{dx}`` in each argument),
-    so it vanishes on all monomials iff it vanishes on generator pairs, and
-    it is graded-skew because the bracket is.  ``generator_pairs`` reports
-    the first failing ordered generator pair, ``monomial_pairs`` the first
+    On generators the defect is ``d(ad_x y) - [d x, y] - (-1)^|x| ad_x(d y)``
+    with ``[d x, y] = -(-1)^(|dx||y|) ad_y(d x)`` (`_adjoints`).  The defect
+    is a biderivation (``[d, ad_x] - ad_{dx}`` in each argument), so it
+    vanishes on all monomials iff it vanishes on generator pairs, and it is
+    graded-skew because the bracket is.  ``generator_pairs`` reports the
+    first failing ordered generator pair, ``monomial_pairs`` the first
     failing sorted one, which is also the first failing sorted monomial pair
     (the argument of `check_gerst_axioms`).
     """
@@ -748,17 +736,21 @@ def check_derivation_of_bracket(
         raise ValueError("derivation compatibility check requires an odd derivation")
     if d.dims != G.dims:
         raise DimensionMismatch(f"{d.dims} vs {G.dims}")
-
-    def defect(m1: WeilMonomial, m2: WeilMonomial) -> WeilElement:
-        e1, e2 = _mono_elt(G, m1), _mono_elt(G, m2)
-        lhs = apply_derivation(d, _mono_bracket(G, m1, m2))
-        rhs = gerst_bracket(G, apply_derivation(d, e1), e2)
-        sign = -1 if m1.total_degree % 2 else 1
-        rhs = weil_add(rhs, weil_scale(sign, gerst_bracket(G, e1, apply_derivation(d, e2))))
-        return weil_sub(lhs, rhs)
-
     gens = _generators(G.dims)
-    defects = {pair: defect(*pair) for pair in itertools.product(gens, gens)}
+    deg = [m.total_degree for m in gens]
+    ads = _adjoints(G)
+    br = [ad.ext_images + ad.sym_images for ad in ads]  # br[p][q] = [x_p, x_q]
+    ad_d = [[apply_derivation(ad, dy) for dy in d.ext_images + d.sym_images] for ad in ads]
+    idx = range(len(gens))
+    defects = {  # d[x_p, x_q] - [d x_p, x_q] - (-1)^|x_p| [x_p, d x_q]
+        (gens[p], gens[q]): _signed_sum(
+            G.dims,
+            (1, apply_derivation(d, br[p][q])),
+            (-_swap_sign(deg[p] + 1, deg[q]), ad_d[q][p]),
+            (1 if deg[p] % 2 else -1, ad_d[p][q]),
+        )
+        for p, q in itertools.product(idx, idx)
+    }
 
     def first_failing(pairs) -> Witness | None:
         for m1, m2 in pairs:

@@ -1,11 +1,14 @@
-"""Degree-bounded monomial checks of the bidegree (-1,-1) bracket.
+"""Monomial checks of the bidegree (-1,-1) bracket, on a recursive bracket.
 
 A test oracle for `l2b.weil.check_gerst_axioms` and
 `l2b.weil.check_derivation_of_bracket`, which decide the same conditions on
-generators.  Here every monomial pair and triple up to a total-degree bound
-is enumerated, and the first failing sorted tuple gives the witness, so at
-any bound of at least 4 (every generator triple included) the reports must
-equal the generator-level ones, witnesses included.
+generators through the derivations ``ad_x``.  Here the bracket is
+`MonomialBracket`, a memoized Leibniz recursion on monomials that shares no
+code with the kernel's bracket.  The checks run over a list of monomials
+and the first failing sorted tuple gives the witness: over the generators
+they are the generator-level checks, and over every monomial up to a
+total-degree bound of at least 4 (every generator triple included) the
+reports must equal the generator-level ones, witnesses included.
 
 It also holds element-level oracles for `l2b.weil.apply_derivation` and
 `l2b.weil.gerst_bracket`, which compute the same values the long way,
@@ -20,15 +23,16 @@ from l2b.weil import (
     GradedDerivation,
     WeilElement,
     WeilMonomial,
-    _mono_bracket,
     apply_derivation,
-    gerst_bracket,
+    build_gerstenhaber,
     weil_add,
     weil_mul,
     weil_scale,
     weil_sub,
     weil_zero,
 )
+
+from crossed_module_oracle import _VALUES, random_candidate
 
 
 def apply_derivation_by_products(d: GradedDerivation, a: WeilElement) -> WeilElement:
@@ -58,13 +62,92 @@ def apply_derivation_by_products(d: GradedDerivation, a: WeilElement) -> WeilEle
     return out
 
 
+class MonomialBracket:
+    """The bracket of a table by recursive Leibniz expansion, memoized.
+
+    One generator is peeled off a monomial at a time: ``[g.m', b] =
+    g.[m', b] + (-1)^(|m'||b|) [g, b].m'`` on the left, then ``[x, h.w'] =
+    [x,h].w' + (-1)^(|x||h|) h.[x, w']`` on the right, down to a table
+    entry, which is looked up by scanning the table.
+    """
+
+    def __init__(self, G: GerstenhaberStructure):
+        self.G = G
+        self.cache: dict = {}
+
+    def _elt(self, m: WeilMonomial) -> WeilElement:
+        return WeilElement(self.G.dims, {m: 1})
+
+    def table(self, g1, g2) -> WeilElement:
+        """``[g1, g2]`` for generators given as ``(kind, index)``."""
+        (kind1, i), (kind2, j) = g1, g2
+        G = self.G
+        if kind1 == "ext" and kind2 == "ext":
+            return weil_zero(G.dims)
+        if kind1 == "sym" and kind2 == "sym":
+            return WeilElement(
+                G.dims,
+                {WeilMonomial((), (k,)): v for (a, b, k), v in G.core_bracket.entries.items()
+                 if (a, b) == (i, j)},
+            )
+        if kind1 == "sym":
+            return WeilElement(
+                G.dims,
+                {WeilMonomial((k,), ()): v for (a, b, k), v in G.side_action.entries.items()
+                 if (a, b) == (i, j)},
+            )
+        # [a_i, g_j] = -(-1)^(1*2) [g_j, a_i] = -[g_j, a_i]
+        return weil_scale(-1, self.table(g2, g1))
+
+    def mono(self, m1: WeilMonomial, m2: WeilMonomial) -> WeilElement:
+        key = (m1, m2)
+        if key in self.cache:
+            return self.cache[key]
+        k1 = len(m1.ext) + len(m1.sym)
+        k2 = len(m2.ext) + len(m2.sym)
+        if k1 == 0 or k2 == 0:
+            result = weil_zero(self.G.dims)
+        elif k1 == 1 and k2 == 1:
+            result = self.table(_peel(m1)[0], _peel(m2)[0])
+        elif k1 > 1:
+            g, rest = _peel(m1)
+            g_mono = _gen_mono(*g)
+            first = weil_mul(self._elt(g_mono), self.mono(rest, m2))
+            sign = -1 if (rest.total_degree * m2.total_degree) % 2 else 1
+            second = weil_mul(self.mono(g_mono, m2), self._elt(rest))
+            result = weil_add(first, weil_scale(sign, second))
+        else:
+            h, rest2 = _peel(m2)
+            h_mono = _gen_mono(*h)
+            first = weil_mul(self.mono(m1, h_mono), self._elt(rest2))
+            sign = -1 if (m1.total_degree * h_mono.total_degree) % 2 else 1
+            second = weil_mul(self._elt(h_mono), self.mono(m1, rest2))
+            result = weil_add(first, weil_scale(sign, second))
+        self.cache[key] = result
+        return result
+
+    def bracket(self, a: WeilElement, b: WeilElement) -> WeilElement:
+        out = weil_zero(self.G.dims)
+        for m1, c1 in a.terms.items():
+            for m2, c2 in b.terms.items():
+                out = weil_add(out, weil_scale(c1 * c2, self.mono(m1, m2)))
+        return out
+
+
+def _gen_mono(kind: str, idx: int) -> WeilMonomial:
+    return WeilMonomial((idx,), ()) if kind == "ext" else WeilMonomial((), (idx,))
+
+
+def _peel(m: WeilMonomial):
+    """Split off the first generator in canonical order."""
+    if m.ext:
+        return ("ext", m.ext[0]), WeilMonomial(m.ext[1:], m.sym)
+    return ("sym", m.sym[0]), WeilMonomial((), m.sym[1:])
+
+
 def gerst_bracket_by_sums(G: GerstenhaberStructure, a: WeilElement, b: WeilElement) -> WeilElement:
-    """`gerst_bracket` as a sum of scaled monomial brackets."""
-    out = weil_zero(G.dims)
-    for m1, c1 in a.terms.items():
-        for m2, c2 in b.terms.items():
-            out = weil_add(out, weil_scale(c1 * c2, _mono_bracket(G, m1, m2)))
-    return out
+    """`gerst_bracket` as a sum of scaled recursive monomial brackets."""
+    return MonomialBracket(G).bracket(a, b)
 
 
 def enumerate_monomials(dims, degree_bound: int):
@@ -80,23 +163,30 @@ def enumerate_monomials(dims, degree_bound: int):
     return out
 
 
+def generators(dims):
+    """The generators ``a0..a{n0-1}, g0..g{n1-1}``, in monomial sort order."""
+    n0, n1 = dims
+    return [WeilMonomial((i,), ()) for i in range(n0)] + [
+        WeilMonomial((), (j,)) for j in range(n1)
+    ]
+
+
 def _elt(G: GerstenhaberStructure, m: WeilMonomial) -> WeilElement:
     return WeilElement(G.dims, {m: 1})
 
 
-def _bracket(G: GerstenhaberStructure, m1: WeilMonomial, m2: WeilMonomial) -> WeilElement:
-    return gerst_bracket(G, _elt(G, m1), _elt(G, m2))
+def gerst_axioms_over(G: GerstenhaberStructure, monos, degree_bound: int) -> VerificationReport:
+    """Graded skew-symmetry, Jacobi and Leibniz on sorted tuples of ``monos``.
 
-
-def check_gerst_axioms_bounded(G: GerstenhaberStructure, degree_bound: int) -> VerificationReport:
-    """Graded skew-symmetry, Jacobi and Leibniz on monomials up to a degree bound."""
-    monos = enumerate_monomials(G.dims, degree_bound)
+    Leibniz takes the products of total degree at most ``degree_bound``.
+    """
+    B = MonomialBracket(G)
 
     skew_witness = None
     for m1, m2 in itertools.combinations_with_replacement(monos, 2):
-        lhs = _bracket(G, m1, m2)
+        lhs = B.mono(m1, m2)
         sign = -1 if (m1.total_degree * m2.total_degree) % 2 else 1
-        rhs = weil_scale(-sign, _bracket(G, m2, m1))
+        rhs = weil_scale(-sign, B.mono(m2, m1))
         if lhs != rhs and skew_witness is None:
             skew_witness = Witness(
                 (), lhs.render(), rhs.render(), at=f"({m1.render()}, {m2.render()})"
@@ -104,10 +194,10 @@ def check_gerst_axioms_bounded(G: GerstenhaberStructure, degree_bound: int) -> V
 
     jacobi_witness = None
     for m1, m2, m3 in itertools.combinations_with_replacement(monos, 3):
-        lhs = gerst_bracket(G, _elt(G, m1), _bracket(G, m2, m3))
-        rhs = gerst_bracket(G, _bracket(G, m1, m2), _elt(G, m3))
+        lhs = B.bracket(_elt(G, m1), B.mono(m2, m3))
+        rhs = B.bracket(B.mono(m1, m2), _elt(G, m3))
         sign = -1 if (m1.total_degree * m2.total_degree) % 2 else 1
-        rhs = weil_add(rhs, weil_scale(sign, gerst_bracket(G, _elt(G, m2), _bracket(G, m1, m3))))
+        rhs = weil_add(rhs, weil_scale(sign, B.bracket(_elt(G, m2), B.mono(m1, m3))))
         if lhs != rhs and jacobi_witness is None:
             jacobi_witness = Witness(
                 (),
@@ -122,10 +212,10 @@ def check_gerst_axioms_bounded(G: GerstenhaberStructure, degree_bound: int) -> V
             if m2.total_degree + m3.total_degree > degree_bound:
                 continue
             prod = weil_mul(_elt(G, m2), _elt(G, m3))
-            lhs = gerst_bracket(G, _elt(G, m1), prod)
-            rhs = weil_mul(_bracket(G, m1, m2), _elt(G, m3))
+            lhs = B.bracket(_elt(G, m1), prod)
+            rhs = weil_mul(B.mono(m1, m2), _elt(G, m3))
             sign = -1 if (m1.total_degree * m2.total_degree) % 2 else 1
-            rhs = weil_add(rhs, weil_scale(sign, weil_mul(_elt(G, m2), _bracket(G, m1, m3))))
+            rhs = weil_add(rhs, weil_scale(sign, weil_mul(_elt(G, m2), B.mono(m1, m3))))
             if lhs != rhs and leibniz_witness is None:
                 leibniz_witness = Witness(
                     (),
@@ -143,23 +233,31 @@ def check_gerst_axioms_bounded(G: GerstenhaberStructure, degree_bound: int) -> V
     )
 
 
-def check_derivation_of_bracket_bounded(
-    d: GradedDerivation, G: GerstenhaberStructure, degree_bound: int
+def check_gerst_axioms_bounded(G: GerstenhaberStructure, degree_bound: int) -> VerificationReport:
+    """The axioms on every monomial up to a total-degree bound."""
+    return gerst_axioms_over(G, enumerate_monomials(G.dims, degree_bound), degree_bound)
+
+
+def check_gerst_axioms_on_generators(G: GerstenhaberStructure) -> VerificationReport:
+    """The axioms on generator tuples, as `l2b.weil.check_gerst_axioms` decides them."""
+    return gerst_axioms_over(G, generators(G.dims), 4)
+
+
+def derivation_of_bracket_over(
+    d: GradedDerivation, G: GerstenhaberStructure, monos
 ) -> VerificationReport:
-    """d[x,y] = [d x, y] + (-1)^|x| [x, d y] on generator and monomial pairs."""
+    """d[x,y] = [d x, y] + (-1)^|x| [x, d y] on generator pairs and on sorted pairs of ``monos``."""
+    B = MonomialBracket(G)
 
     def defect(m1: WeilMonomial, m2: WeilMonomial) -> WeilElement:
         e1, e2 = _elt(G, m1), _elt(G, m2)
-        lhs = apply_derivation(d, _bracket(G, m1, m2))
-        rhs = gerst_bracket(G, apply_derivation(d, e1), e2)
+        lhs = apply_derivation(d, B.mono(m1, m2))
+        rhs = B.bracket(apply_derivation(d, e1), e2)
         sign = -1 if m1.total_degree % 2 else 1
-        rhs = weil_add(rhs, weil_scale(sign, gerst_bracket(G, e1, apply_derivation(d, e2))))
+        rhs = weil_add(rhs, weil_scale(sign, B.bracket(e1, apply_derivation(d, e2))))
         return weil_sub(lhs, rhs)
 
-    n0, n1 = G.dims
-    gens = [WeilMonomial((i,), ()) for i in range(n0)] + [
-        WeilMonomial((), (j,)) for j in range(n1)
-    ]
+    gens = generators(G.dims)
     gen_witness = None
     for m1, m2 in itertools.product(gens, gens):
         dft = defect(m1, m2)
@@ -167,7 +265,6 @@ def check_derivation_of_bracket_bounded(
             gen_witness = Witness((), dft.render(), "0", at=f"({m1.render()}, {m2.render()})")
 
     mono_witness = None
-    monos = enumerate_monomials(G.dims, degree_bound)
     for m1, m2 in itertools.combinations_with_replacement(monos, 2):
         dft = defect(m1, m2)
         if not dft.is_zero() and mono_witness is None:
@@ -179,3 +276,54 @@ def check_derivation_of_bracket_bounded(
             Check("monomial_pairs", mono_witness is None, mono_witness),
         )
     )
+
+
+def check_derivation_of_bracket_bounded(
+    d: GradedDerivation, G: GerstenhaberStructure, degree_bound: int
+) -> VerificationReport:
+    """The derivation property on every monomial pair up to a total-degree bound."""
+    return derivation_of_bracket_over(d, G, enumerate_monomials(G.dims, degree_bound))
+
+
+def check_derivation_of_bracket_on_generators(
+    d: GradedDerivation, G: GerstenhaberStructure
+) -> VerificationReport:
+    """The derivation property on generator pairs, as
+    `l2b.weil.check_derivation_of_bracket` decides it."""
+    return derivation_of_bracket_over(d, G, generators(G.dims))
+
+
+def random_table_and_derivation(rng):
+    """A bracket table with dims 0-3 and an odd derivation on its algebra.
+
+    The table is `build_gerstenhaber` of a candidate of
+    `crossed_module_oracle.random_candidate`: half are a Lie algebra acting
+    on itself, with an entry perturbed now and then, the rest random
+    antisymmetric tables, so Jacobi both holds and fails.  The derivation
+    has total degree -1 or 1 and is zero, ``ad_{a_i}`` of the table by
+    `MonomialBracket` (a derivation of the bracket whenever Jacobi holds), or
+    random images.
+    """
+    cm, _ = random_candidate(rng)
+    G = build_gerstenhaber(cm)
+    dims = n0, n1 = G.dims
+    kind = rng.choice(("zero", "ad", "random", "random"))
+    if kind == "ad" and n0:
+        i = rng.randrange(n0)
+        ext = tuple(weil_zero(dims) for _ in range(n0))
+        sym = tuple(MonomialBracket(G).table(("ext", i), ("sym", j)) for j in range(n1))
+        return G, GradedDerivation(dims, None, ext, sym, total_degree=-1)
+    degree = rng.choice((-1, 1))
+    monos = enumerate_monomials(dims, 2 + degree)
+
+    def image(gen_degree: int) -> WeilElement:
+        of_degree = [m for m in monos if m.total_degree == gen_degree + degree]
+        if kind == "zero" or not of_degree:
+            return weil_zero(dims)
+        return WeilElement(
+            dims, {rng.choice(of_degree): rng.choice(_VALUES) for _ in range(rng.randrange(3))}
+        )
+
+    ext = tuple(image(1) for _ in range(n0))
+    sym = tuple(image(2) for _ in range(n1))
+    return G, GradedDerivation(dims, None, ext, sym, total_degree=degree)

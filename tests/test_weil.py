@@ -10,7 +10,7 @@ from l2b.catalog import adjoint_cm, axb, axb_action_cm, sl2, weak_l3_example
 from l2b.documents import build_crossed_module
 from l2b import catalog
 from l2b.exact import SparseTensor
-from l2b.liecore import LieAlgebra
+from l2b.liecore import Check, LieAlgebra, Witness
 from l2b.twoterm import CrossedModuleData, TwoVectorSpace, WeakLie2Data, verify_cm
 from l2b.weil import (
     GerstenhaberStructure,
@@ -46,9 +46,12 @@ from crossed_module_oracle import random_candidate
 from monomial_oracle import (
     apply_derivation_by_products,
     check_derivation_of_bracket_bounded,
+    check_derivation_of_bracket_on_generators,
     check_gerst_axioms_bounded,
+    check_gerst_axioms_on_generators,
     enumerate_monomials,
     gerst_bracket_by_sums,
+    random_table_and_derivation,
 )
 
 
@@ -501,6 +504,78 @@ def test_derivation_and_bracket_equal_element_oracle(case, data):
     assert gerst_bracket(G, x, y) == gerst_bracket_by_sums(G, x, y)
     assert gerst_bracket(G, apply_derivation(d, x), y) == gerst_bracket_by_sums(
         G, apply_derivation_by_products(d, x), y
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32), st.data())
+def test_checks_and_bracket_equal_recursive_oracle(seed, data):
+    G, d = random_table_and_derivation(random.Random(seed))
+    assert check_gerst_axioms(G).checks == check_gerst_axioms_on_generators(G).checks
+    assert (
+        check_derivation_of_bracket(d, G).checks
+        == check_derivation_of_bracket_on_generators(d, G).checks
+    )
+    x = data.draw(weil_elements(G.dims))
+    y = data.draw(weil_elements(G.dims))
+    assert gerst_bracket(G, x, y) == gerst_bracket_by_sums(G, x, y)
+
+
+def test_recursive_oracle_cases_reach_both_verdicts():
+    verdicts = set()
+    for seed in range(200):
+        G, d = random_table_and_derivation(random.Random(seed))
+        axioms = check_gerst_axioms(G)
+        derivation = check_derivation_of_bracket(d, G)
+        assert axioms.checks == check_gerst_axioms_on_generators(G).checks
+        assert derivation.checks == check_derivation_of_bracket_on_generators(d, G).checks
+        verdicts.add(("jacobi", axioms.check("jacobi").passed))
+        verdicts.update((c.cond, c.passed) for c in derivation.checks)
+    conds = ("jacobi", "generator_pairs", "monomial_pairs")
+    assert verdicts == {(cond, passed) for cond in conds for passed in (True, False)}
+
+
+def test_gerst_jacobi_witness_at_representation_defect():
+    # the axb core [g0, g1] = g1 with [g1, a0] = a0, [g0, a0] = 0 is not a
+    # representation, so Jacobi first fails at a triple (a, g, g)
+    G = GerstenhaberStructure(
+        (1, 2),
+        SparseTensor((2, 2, 2), {(0, 1, 1): 1, (1, 0, 1): -1}),
+        SparseTensor((2, 1, 1), {(1, 0, 0): 1}),
+    )
+    report = check_gerst_axioms(G)
+    assert report.checks == (
+        Check("skew", True, None),
+        Check("jacobi", False, Witness((), "(-1)*a0", "0", at="(a0, g0, g1)")),
+        Check("leibniz", True, None),
+    )
+
+
+def test_gerst_jacobi_witness_at_core_triple():
+    # a core bracket failing Jacobi, acting by zero: every (a, g, g) triple
+    # passes and the first failure is a core triple
+    G = GerstenhaberStructure(
+        (1, 3),
+        SparseTensor((3, 3, 3), {(0, 1, 2): 1, (1, 0, 2): -1, (0, 2, 0): 1, (2, 0, 0): -1}),
+        SparseTensor((3, 1, 1)),
+    )
+    report = check_gerst_axioms(G)
+    assert report.checks == (
+        Check("skew", True, None),
+        Check("jacobi", False, Witness((), "0", "(-1)*g2", at="(g0, g1, g2)")),
+        Check("leibniz", True, None),
+    )
+
+
+def test_derivation_witness_trace_one_table():
+    from l2b.catalog import trace_pair
+
+    d = derivation_sum(*delta_h_and_v(trace_pair(1, 0, 0, -1).cm1))
+    report = check_derivation_of_bracket(d, build_gerstenhaber(trace_pair(1, 0, 0, 1).cm2))
+    witness = Witness((), "(-2)*a0*a1", "0", at="(a1, g0)")
+    assert report.checks == (
+        Check("generator_pairs", False, witness),
+        Check("monomial_pairs", False, witness),
     )
 
 
