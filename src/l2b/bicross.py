@@ -20,9 +20,7 @@ of the instance; `cross_check` reports it as such.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-
-from .exact import DimensionMismatch, SparseTensor, permute_axes
+from .exact import DimensionMismatch, Rational, SparseTensor, permute_axes
 from .liecore import (
     Check,
     LieAlgebra,
@@ -119,11 +117,11 @@ def bicrossed_sum(mp: MatchedPairData) -> LieAlgebra:
     """
     nh, nk = mp.h.dim, mp.k.dim
     total = nh + nk
-    entries: dict[tuple[int, int, int], Fraction] = {}
+    entries: dict[tuple[int, int, int], Rational] = {}
 
     def put(i, j, k, v):
         if v:
-            entries[(i, j, k)] = entries.get((i, j, k), Fraction(0)) + v
+            entries[(i, j, k)] = entries.get((i, j, k), 0) + v
 
     for (i, j, k), v in mp.h.bracket.entries.items():
         put(i, j, k, v)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import __version__
 from .bicross import (
@@ -24,7 +23,7 @@ from .bicross import (
     verify_l2b_weil,
     verify_matched_pair,
 )
-from .exact import SparseTensor, format_rational, parse_rational
+from .exact import Rational, SparseTensor, format_rational, parse_rational
 from .liecore import (
     LieAlgebra,
     LieCobracket,
@@ -125,7 +124,7 @@ class StructureDocument:
     kind: str
     name: str
     spaces: dict[str, SpaceDecl]
-    blocks: dict[str, tuple[tuple[tuple[int, ...], Fraction], ...]] = field(
+    blocks: dict[str, tuple[tuple[tuple[int, ...], Rational], ...]] = field(
         default_factory=dict
     )
 

@@ -1,18 +1,24 @@
 """Exact rational scalars and sparse multilinear tensors.
 
-The only scalar type anywhere in the kernel is `fractions.Fraction`
-(always stored in lowest terms with positive denominator, so equality is
-structural and every verification check is decidable).  Tensors are
-immutable sparse maps from index tuples to nonzero scalars; two tensors
-are equal iff their dimension tuples and entry maps are equal.
+A scalar is an exact rational (`Rational`): an `int` when it is integral
+and a `fractions.Fraction` (lowest terms, positive denominator) otherwise.
+`rational` makes that conversion where values enter the kernel.  Sums,
+differences and products of ints and Fractions are again exact, and they
+compare and hash by value (``2 == Fraction(2)``), so equality stays
+structural and every verification check stays decidable; a kernel result
+may hold an integral product of Fractions as a `Fraction`.  The kernel
+never divides scalars, so integer structure constants stay `int`s and
+skip the cost of `Fraction` arithmetic.  Tensors are immutable sparse maps
+from index tuples to nonzero scalars; two tensors are equal iff their
+dimension tuples and entry maps are equal.
 
 Validation happens at the public constructor: `SparseTensor(dims, entries)`
-checks every index against the dims, wraps every value in `Fraction` and
-drops zeros.  The kernel operations (`contract`, `permute_axes`,
+checks every index against the dims, converts every value with `rational`
+and drops zeros.  The kernel operations (`contract`, `permute_axes`,
 `SparseTensor.add`, `SparseTensor.scale`) build their results with the
 trusted `SparseTensor._trusted`, because indices taken from valid operands
-are in range and products and sums of `Fraction`s are `Fraction`s; they
-only drop the zeros that cancellation leaves.
+are in range and products and sums of exact rationals are exact; they only
+drop the zeros that cancellation leaves.
 """
 
 from __future__ import annotations
@@ -25,9 +31,9 @@ from fractions import Fraction
 from math import factorial
 from operator import itemgetter
 
-Rational = Fraction
+Rational = int | Fraction
 
-_ZERO = Fraction(0)
+_ZERO = 0
 
 
 class DimensionMismatch(ValueError):
@@ -41,17 +47,28 @@ class MalformedPermutation(ValueError):
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse "p" or "p/q" (q > 0) into a canonical Fraction."""
+def rational(value) -> Rational:
+    """``value`` as an exact rational: an `int` when integral, else a `Fraction`.
+
+    Takes whatever `Fraction` takes; a `bool` becomes the int 0 or 1.
+    """
+    if type(value) is int:
+        return value
+    q = Fraction(value)
+    return q.numerator if q.denominator == 1 else q
+
+
+def parse_rational(text: str) -> Rational:
+    """Parse "p" or "p/q" (q > 0) into a canonical exact rational."""
     if not isinstance(text, str) or not _RATIONAL_RE.match(text.strip()):
         raise ValueError(f"bad rational literal {text!r}: expected 'p' or 'p/q'")
     s = text.strip()
     if "/" in s and s.split("/")[1].lstrip("0") == "":
         raise ValueError(f"bad rational literal {text!r}: zero denominator")
-    return Fraction(s)
+    return rational(s)
 
 
-def format_rational(q: Fraction) -> str:
+def format_rational(q: Rational) -> str:
     """Canonical string form: "p/q" for non-integers, plain "p" otherwise."""
     return str(Fraction(q))
 
@@ -91,20 +108,20 @@ def koszul_sign(degrees, permutation) -> int:
 
 @dataclass(frozen=True)
 class SparseTensor:
-    """Sparse exact tensor: dims plus a zero-free map index tuple -> Fraction.
+    """Sparse exact tensor: dims plus a zero-free map index tuple -> rational.
 
     The constructor validates its arguments; results of kernel operations
     are built by `_trusted`, which skips that work.
     """
 
     dims: tuple[int, ...]
-    entries: dict[tuple[int, ...], Fraction] = field(default_factory=dict)
+    entries: dict[tuple[int, ...], Rational] = field(default_factory=dict)
 
     def __post_init__(self):
         dims = tuple(int(d) for d in self.dims)
         if any(d < 0 for d in dims):
             raise ValueError(f"negative dimension in {dims}")
-        clean: dict[tuple[int, ...], Fraction] = {}
+        clean: dict[tuple[int, ...], Rational] = {}
         for idx, val in self.entries.items():
             idx = tuple(int(i) for i in idx)
             if len(idx) != len(dims):
@@ -116,7 +133,7 @@ class SparseTensor:
                     raise ValueError(
                         f"index {idx} out of bounds on axis {ax} (dim {d})"
                     )
-            q = Fraction(val)
+            q = rational(val)
             if q:
                 clean[idx] = q
         object.__setattr__(self, "dims", dims)
@@ -124,7 +141,7 @@ class SparseTensor:
 
     @classmethod
     def _trusted(cls, dims: tuple[int, ...], entries: dict) -> "SparseTensor":
-        """A tensor from in-range int index tuples to nonzero `Fraction`s, unchecked."""
+        """A tensor from in-range int index tuples to nonzero rationals, unchecked."""
         t = object.__new__(cls)
         object.__setattr__(t, "dims", dims)
         object.__setattr__(t, "entries", entries)
@@ -138,7 +155,7 @@ class SparseTensor:
     def zero(cls, dims) -> "SparseTensor":
         return cls(tuple(dims), {})
 
-    def get(self, idx) -> Fraction:
+    def get(self, idx) -> Rational:
         return self.entries.get(tuple(idx), _ZERO)
 
     def is_zero(self) -> bool:
@@ -156,10 +173,10 @@ class SparseTensor:
         return SparseTensor._trusted(self.dims, {i: v for i, v in out.items() if v})
 
     def sub(self, other: "SparseTensor") -> "SparseTensor":
-        return self.add(other.scale(Fraction(-1)))
+        return self.add(other.scale(-1))
 
     def scale(self, c) -> "SparseTensor":
-        c = Fraction(c)
+        c = rational(c)
         if not c:
             return SparseTensor._trusted(self.dims, {})
         return SparseTensor._trusted(self.dims, {i: c * v for i, v in self.entries.items()})
@@ -209,7 +226,7 @@ def contract(t1: SparseTensor, t2: SparseTensor, pairs) -> SparseTensor:
     for idx2, v2 in t2.entries.items():
         groups.setdefault(key2(idx2), []).append((rest2(idx2), v2))
     key1, rest1 = _index_getter(a_axes), _index_getter(free1)
-    out: dict[tuple[int, ...], Fraction] = {}
+    out: dict[tuple[int, ...], Rational] = {}
     for idx1, v1 in t1.entries.items():
         f1 = rest1(idx1)
         for f2, v2 in groups.get(key1(idx1), ()):
@@ -234,7 +251,7 @@ def alternate(t: SparseTensor, axes) -> SparseTensor:
         )
     k = len(axes)
     norm = Fraction(1, factorial(k))
-    out: dict[tuple[int, ...], Fraction] = {}
+    out: dict[tuple[int, ...], Rational] = {}
     for idx, val in t.entries.items():
         for perm in itertools.permutations(range(k)):
             sign = perm_parity(perm)

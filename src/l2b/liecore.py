@@ -26,11 +26,13 @@ from fractions import Fraction
 
 from .exact import (
     DimensionMismatch,
+    Rational,
     SparseTensor,
     asymmetric_entries,
     contract,
     format_rational,
     permute_axes,
+    rational,
 )
 
 # --- verification reports ---------------------------------------------------
@@ -89,12 +91,11 @@ def _first_mismatch(lhs: dict, rhs: dict):
     """The lexicographically first key at which two coefficient maps differ, or None."""
     if lhs == rhs:
         return None
-    zero = Fraction(0)
     keys = lhs.keys() | rhs.keys()
-    return min((k for k in keys if lhs.get(k, zero) != rhs.get(k, zero)), default=None)
+    return min((k for k in keys if lhs.get(k, 0) != rhs.get(k, 0)), default=None)
 
 
-def _vec_render(coeffs: dict[int, Fraction], labels) -> str:
+def _vec_render(coeffs: dict[int, Rational], labels) -> str:
     if not coeffs:
         return "0"
     parts = []
@@ -137,14 +138,14 @@ class LieAlgebra:
         """Build from ``{(i, j): {k: coeff}}`` for i < j; the mirror is filled in."""
         labels = tuple(labels)
         n = len(labels)
-        entries: dict[tuple[int, int, int], Fraction] = {}
+        entries: dict[tuple[int, int, int], Rational] = {}
         for (i, j), row in table.items():
             if i == j:
                 raise ValueError(f"diagonal bracket entry ({i},{i})")
             for k, c in row.items():
-                c = Fraction(c)
-                entries[(i, j, k)] = entries.get((i, j, k), Fraction(0)) + c
-                entries[(j, i, k)] = entries.get((j, i, k), Fraction(0)) - c
+                c = rational(c)
+                entries[(i, j, k)] = entries.get((i, j, k), 0) + c
+                entries[(j, i, k)] = entries.get((j, i, k), 0) - c
         return cls(labels, SparseTensor((n, n, n), entries))
 
 
@@ -169,21 +170,21 @@ class LieCobracket:
     @classmethod
     def from_table(cls, n: int, table) -> "LieCobracket":
         """Build from ``{i: {(j, k): coeff}}`` for j < k; the mirror is filled in."""
-        entries: dict[tuple[int, int, int], Fraction] = {}
+        entries: dict[tuple[int, int, int], Rational] = {}
         for i, row in table.items():
             for (j, k), c in row.items():
                 if j == k:
                     raise ValueError(f"diagonal wedge entry ({j},{j})")
-                c = Fraction(c)
-                entries[(i, j, k)] = entries.get((i, j, k), Fraction(0)) + c
-                entries[(i, k, j)] = entries.get((i, k, j), Fraction(0)) - c
+                c = rational(c)
+                entries[(i, j, k)] = entries.get((i, j, k), 0) + c
+                entries[(i, k, j)] = entries.get((i, k, j), 0) - c
         return cls(n, SparseTensor((n, n, n), entries))
 
 
 # --- wedge-square helpers (internal) -----------------------------------------
 
 
-def _w2_add(acc: dict, key: tuple[int, int], val: Fraction):
+def _w2_add(acc: dict, key: tuple[int, int], val: Rational):
     if val == 0:
         return
     j, k = key
@@ -191,7 +192,7 @@ def _w2_add(acc: dict, key: tuple[int, int], val: Fraction):
         return
     if j > k:
         j, k, val = k, j, -val
-    acc[(j, k)] = acc.get((j, k), Fraction(0)) + val
+    acc[(j, k)] = acc.get((j, k), 0) + val
     if acc[(j, k)] == 0:
         del acc[(j, k)]
 
@@ -274,20 +275,19 @@ def verify_rep(g: LieAlgebra, action: SparseTensor) -> VerificationReport:
     }
     # ... and in e_i.(e_j.v_b) - e_j.(e_i.v_b); entry (j, b, i, a) of the
     # contraction is the coefficient of v_a in e_i.(e_j.v_b)
-    zero = Fraction(0)
-    comm: dict[tuple[int, int, int, int], Fraction] = {}
+    comm: dict[tuple[int, int, int, int], Rational] = {}
     for (j, b, i, a), v in contract(action, action, [(2, 1)]).entries.items():
         if i < j:
-            comm[(i, j, a, b)] = comm.get((i, j, a, b), zero) + v
+            comm[(i, j, a, b)] = comm.get((i, j, a, b), 0) + v
         elif j < i:
-            comm[(j, i, a, b)] = comm.get((j, i, a, b), zero) - v
+            comm[(j, i, a, b)] = comm.get((j, i, a, b), 0) - v
     idx = _first_mismatch(lhs, comm)
     witness = None
     if idx is not None:
         witness = Witness(
             idx,
-            format_rational(lhs.get(idx, zero)),
-            format_rational(comm.get(idx, zero)),
+            format_rational(lhs.get(idx, 0)),
+            format_rational(comm.get(idx, 0)),
         )
     return VerificationReport((Check("representation", witness is None, witness),))
 
@@ -318,10 +318,10 @@ def verify_cocycle(g: LieAlgebra, d: LieCobracket) -> VerificationReport:
     primal = verify_lie(g).prefixed("lie.primal.")
     dual = verify_lie(cobracket_to_dual_lie(d)).prefixed("lie.dual.")
     # the coefficients of [e_a, e_b] and of delta(e_a), grouped in one pass each
-    brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
+    brackets: dict[tuple[int, int], dict[int, Rational]] = {}
     for (a, b, k), v in g.bracket.entries.items():
         brackets.setdefault((a, b), {})[k] = v
-    images: dict[int, dict[tuple[int, int], Fraction]] = {}
+    images: dict[int, dict[tuple[int, int], Rational]] = {}
     for (a, j, k), v in d.tensor.entries.items():
         if j < k:
             images.setdefault(a, {})[(j, k)] = v
@@ -369,7 +369,7 @@ def semidirect(
         else:
             module_labels = tuple(f"v{a}" for a in range(m))
     total = n + m
-    entries: dict[tuple[int, int, int], Fraction] = dict(g.bracket.entries)
+    entries: dict[tuple[int, int, int], Rational] = dict(g.bracket.entries)
     for (i, a, b), v in action.items_sorted():
         entries[(i, n + a, n + b)] = v
         entries[(n + a, i, n + b)] = -v

@@ -30,9 +30,10 @@ generators, whose images are the table's entries (Kosmann-Schwarzbach,
 
 Validation happens at the public constructors: `WeilMonomial` checks that
 its index tuples are sorted and `WeilElement` that every monomial is in
-range, wrapping coefficients in `Fraction` and dropping zeros.  Products,
-sums, scalings, brackets and derivation images are built by the trusted
-`_trusted` constructors, since they combine monomials and `Fraction`
+range, converting coefficients with `exact.rational` (an `int` when
+integral, else a `Fraction`) and dropping zeros.  Products, sums,
+scalings, brackets and derivation images are built by the trusted
+`_trusted` constructors, since they combine monomials and exact rational
 coefficients of valid operands of the same dims.
 """
 
@@ -40,14 +41,20 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .exact import SparseTensor, DimensionMismatch, asymmetric_entries, format_rational
+from .exact import (
+    DimensionMismatch,
+    Rational,
+    SparseTensor,
+    asymmetric_entries,
+    format_rational,
+    rational,
+)
 from .liecore import Check, VerificationReport, Witness, combine
 from .twoterm import CrossedModuleData, WeakLie2Data
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+_ZERO = 0
+_ONE = 1
 
 
 @dataclass(frozen=True)
@@ -97,14 +104,14 @@ ONE = WeilMonomial((), ())
 
 @dataclass(frozen=True)
 class WeilElement:
-    """A zero-free map from monomials to `Fraction` coefficients.
+    """A zero-free map from monomials to exact rational coefficients.
 
     The constructor validates its arguments; results of the kernel
     operations are built by `_trusted`, which skips that work.
     """
 
     dims: tuple[int, int]
-    terms: dict[WeilMonomial, Fraction] = field(default_factory=dict)
+    terms: dict[WeilMonomial, Rational] = field(default_factory=dict)
 
     def __post_init__(self):
         n0, n1 = self.dims
@@ -114,7 +121,7 @@ class WeilElement:
                 not 0 <= j < n1 for j in mono.sym
             ):
                 raise ValueError(f"monomial {mono.render()} out of range for {self.dims}")
-            q = Fraction(coeff)
+            q = rational(coeff)
             if q:
                 clean[mono] = q
         object.__setattr__(self, "dims", (int(n0), int(n1)))
@@ -122,7 +129,7 @@ class WeilElement:
 
     @classmethod
     def _trusted(cls, dims: tuple[int, int], terms: dict) -> "WeilElement":
-        """An element from in-range monomials to nonzero `Fraction`s, unchecked."""
+        """An element from in-range monomials to nonzero rationals, unchecked."""
         e = object.__new__(cls)
         object.__setattr__(e, "dims", dims)
         object.__setattr__(e, "terms", terms)
@@ -150,15 +157,15 @@ def weil_zero(dims) -> WeilElement:
 
 
 def weil_one(dims) -> WeilElement:
-    return WeilElement(tuple(dims), {ONE: Fraction(1)})
+    return WeilElement(tuple(dims), {ONE: _ONE})
 
 
 def weil_alpha(dims, i: int) -> WeilElement:
-    return WeilElement(tuple(dims), {WeilMonomial((i,), ()): Fraction(1)})
+    return WeilElement(tuple(dims), {WeilMonomial((i,), ()): _ONE})
 
 
 def weil_gamma(dims, j: int) -> WeilElement:
-    return WeilElement(tuple(dims), {WeilMonomial((), (j,)): Fraction(1)})
+    return WeilElement(tuple(dims), {WeilMonomial((), (j,)): _ONE})
 
 
 def _nonzero(dims, terms: dict) -> WeilElement:
@@ -176,11 +183,11 @@ def weil_add(a: WeilElement, b: WeilElement) -> WeilElement:
 
 
 def weil_sub(a: WeilElement, b: WeilElement) -> WeilElement:
-    return weil_add(a, weil_scale(Fraction(-1), b))
+    return weil_add(a, weil_scale(-1, b))
 
 
 def weil_scale(c, a: WeilElement) -> WeilElement:
-    c = Fraction(c)
+    c = rational(c)
     if not c:
         return WeilElement._trusted(a.dims, {})
     return WeilElement._trusted(a.dims, {m: c * v for m, v in a.terms.items()})
@@ -218,7 +225,7 @@ def mono_mul(m1: WeilMonomial, m2: WeilMonomial):
 def weil_mul(a: WeilElement, b: WeilElement) -> WeilElement:
     if a.dims != b.dims:
         raise DimensionMismatch(f"{a.dims} vs {b.dims}")
-    out: dict[WeilMonomial, Fraction] = {}
+    out: dict[WeilMonomial, Rational] = {}
     for m1, c1 in a.terms.items():
         for m2, c2 in b.terms.items():
             prod = mono_mul(m1, m2)
@@ -306,9 +313,9 @@ def apply_derivation(d: GradedDerivation, a: WeilElement) -> WeilElement:
         raise DimensionMismatch(f"{d.dims} vs {a.dims}")
     dodd = d.total_degree % 2
     trusted = WeilMonomial._trusted
-    out: dict[WeilMonomial, Fraction] = {}
+    out: dict[WeilMonomial, Rational] = {}
 
-    def put(coeff: Fraction, prefix: WeilMonomial, img: WeilElement, suffix: WeilMonomial):
+    def put(coeff: Rational, prefix: WeilMonomial, img: WeilElement, suffix: WeilMonomial):
         for im, ic in img.terms.items():
             left = mono_mul(prefix, im)
             if left is None:
@@ -413,7 +420,7 @@ def build_delta_v(partial: SparseTensor) -> GradedDerivation:
     ``partial`` stores ``(a, b) -> coefficient of e_a in partial(f_b)``.
     """
     dims = partial.dims
-    rows: list[dict[WeilMonomial, Fraction]] = [{} for _ in range(dims[0])]
+    rows: list[dict[WeilMonomial, Rational]] = [{} for _ in range(dims[0])]
     for (a, b), v in partial.items_sorted():
         rows[a][WeilMonomial((), (b,))] = v
     ext = [WeilElement(dims, terms) for terms in rows]
@@ -438,11 +445,11 @@ def build_delta_h(bracket0: SparseTensor, action: SparseTensor) -> GradedDerivat
     if (bad := next(asymmetric_entries(bracket0, (0, 1)), None)) is not None:
         raise ValueError(f"bracket tensor not antisymmetric at {bad}")
     dims = (n0, n1)
-    ext: list[dict[WeilMonomial, Fraction]] = [{} for _ in range(n0)]
+    ext: list[dict[WeilMonomial, Rational]] = [{} for _ in range(n0)]
     for (p, q, k), v in bracket0.entries.items():
         if p < q:
             ext[k][WeilMonomial((p, q), ())] = -v
-    sym: list[dict[WeilMonomial, Fraction]] = [{} for _ in range(n1)]
+    sym: list[dict[WeilMonomial, Rational]] = [{} for _ in range(n1)]
     for (i, j, k), v in action.entries.items():
         sym[k][WeilMonomial((i,), (j,))] = -v
     ext_images = tuple(WeilElement(dims, terms) for terms in ext)
@@ -460,7 +467,7 @@ def build_delta_j(l3: SparseTensor) -> GradedDerivation:
         raise ValueError(f"jacobiator not antisymmetric at {bad}")
     dims = (n0, n1)
     ext = tuple(weil_zero(dims) for _ in range(n0))
-    sym: list[dict[WeilMonomial, Fraction]] = [{} for _ in range(n1)]
+    sym: list[dict[WeilMonomial, Rational]] = [{} for _ in range(n1)]
     for (i, j, k, b), v in l3.entries.items():
         if i < j < k:
             sym[b][WeilMonomial((i, j, k), ())] = -v
@@ -605,7 +612,7 @@ def _swap_sign(deg_a: int, deg_b: int) -> int:
 
 def _signed_sum(dims, *parts: tuple[int, WeilElement]) -> WeilElement:
     """``sum sign * element`` over ``(sign, element)`` pairs with signs +-1."""
-    out: dict[WeilMonomial, Fraction] = {}
+    out: dict[WeilMonomial, Rational] = {}
     for sign, e in parts:
         for mono, coeff in e.terms.items():
             out[mono] = out.get(mono, _ZERO) + (coeff if sign > 0 else -coeff)
@@ -625,7 +632,7 @@ def gerst_bracket(G: GerstenhaberStructure, a: WeilElement, b: WeilElement) -> W
     ads = _adjoints(G)
     degrees = [m.total_degree for m in _generators(G.dims)]
     n0 = G.dims[0]
-    parts: dict[int, dict[WeilMonomial, Fraction]] = {}
+    parts: dict[int, dict[WeilMonomial, Rational]] = {}
     for mono, coeff in a.terms.items():
         parts.setdefault(mono.total_degree, {})[mono] = coeff
     brackets = []

@@ -18,7 +18,13 @@ from l2b.exact import (
     perm_parity,
     permute_axes,
 )
-from conftest import rationals, nonzero_rationals, small_tensor
+from conftest import (
+    assert_canonical,
+    assert_exact,
+    nonzero_rationals,
+    rationals,
+    small_tensor,
+)
 
 
 # --- rationals ---------------------------------------------------------------
@@ -69,27 +75,40 @@ def test_tensor_rejects_out_of_range():
 
 
 def test_tensor_wraps_integer_values():
-    t = SparseTensor((2,), {(1,): 3})
-    assert type(t.entries[(1,)]) is Q and type(t.get((0,))) is Q
+    # integral values are stored as int, the others as Fraction; bools,
+    # floats and integral Fractions are converted, zeros of any type dropped
+    given_values = (3, Q(6, 2), True, 2.0, Q(3, 2), 0.5, Q(0), False, 0.0)
+    t = SparseTensor((len(given_values),), {(i,): v for i, v in enumerate(given_values)})
+    assert t.entries == {(0,): 3, (1,): 3, (2,): 1, (3,): 2, (4,): Q(3, 2), (5,): Q(1, 2)}
+    for v in t.entries.values():
+        assert_canonical(v)
+    assert type(t.get((6,))) is int and t.get((6,)) == 0
+    for c in (Q(4, 2), True, 2.0):
+        assert type(t.scale(c).entries[(0,)]) is int
 
 
 def assert_revalidates(t: SparseTensor):
-    assert t == SparseTensor(t.dims, dict(t.entries))
+    """Kernel results are exact and equal their re-validated copies, which
+    store every value canonically."""
+    copy = SparseTensor(t.dims, dict(t.entries))
+    assert t == copy
     assert all(type(d) is int for d in t.dims)
     for idx, v in t.entries.items():
         assert all(type(i) is int for i in idx)
-        assert type(v) is Q and v != 0
+        assert_exact(v)
+        assert_canonical(copy.entries[idx])
 
 
-# small integer values, so that sums and contractions cancel often
-small_ints = st.sampled_from((Q(-1), Q(1), Q(2)))
+# small values, so that sums and contractions cancel often; halves make
+# integral products of Fractions
+small_values = st.sampled_from((-1, 1, 2, Q(1, 2), Q(-3, 2)))
 
 
 @given(
-    small_tensor((2, 3), 6, small_ints),
-    small_tensor((2, 3), 6, small_ints),
-    small_tensor((3, 2, 2), 6, small_ints),
-    st.sampled_from((0, 1, -1, Q(1, 2))),
+    small_tensor((2, 3), 6, small_values),
+    small_tensor((2, 3), 6, small_values),
+    small_tensor((3, 2, 2), 6, small_values),
+    st.sampled_from((0, 1, -1, Q(1, 2), Q(4, 2), True)),
 )
 def test_kernel_results_revalidate(t1, t2, t3, c):
     assert_revalidates(t1.add(t2))

@@ -41,7 +41,7 @@ from l2b.weil import (
     weil_zero,
 )
 
-from conftest import nonzero_rationals
+from conftest import assert_canonical, assert_exact, nonzero_rationals
 from crossed_module_oracle import random_candidate
 from monomial_oracle import (
     apply_derivation_by_products,
@@ -592,21 +592,26 @@ def test_apply_derivation_sign_past_odd_exterior_prefix():
 
 
 def assert_revalidates(e: WeilElement):
-    assert e == WeilElement(e.dims, dict(e.terms))
+    """Kernel results are exact and equal their re-validated copies, which
+    store every coefficient canonically."""
+    copy = WeilElement(e.dims, dict(e.terms))
+    assert e == copy
     for mono, coeff in e.terms.items():
-        assert type(coeff) is Q and coeff != 0
+        assert_exact(coeff)
+        assert_canonical(copy.terms[mono])
         assert mono == WeilMonomial(mono.ext, mono.sym)
 
 
-# small integer coefficients, so that sums and products cancel often
+# small coefficients, so that sums and products cancel often; halves make
+# integral products of Fractions
 @settings(max_examples=100, deadline=None)
 @given(
     st.sampled_from([(0, 1), (1, 1), (2, 1), (2, 2), (3, 1)]).flatmap(
         lambda dims: st.tuples(
-            *[weil_elements(dims, st.sampled_from((Q(-1), Q(1), Q(2))))] * 2
+            *[weil_elements(dims, st.sampled_from((-1, 1, 2, Q(1, 2), Q(-3, 2))))] * 2
         )
     ),
-    st.sampled_from((0, 1, -1, Q(1, 2))),
+    st.sampled_from((0, 1, -1, Q(1, 2), Q(4, 2), True)),
 )
 def test_kernel_results_revalidate(pair, c):
     a, b = pair
@@ -624,9 +629,17 @@ def test_constructors_validate():
     for mono in (WeilMonomial((2,), ()), WeilMonomial((), (1,)), WeilMonomial((-1,), ())):
         with pytest.raises(ValueError):
             WeilElement((2, 1), {mono: 1})
-    e = WeilElement((2, 1), {WeilMonomial((0,), ()): 2, WeilMonomial((1,), ()): 0})
-    assert e.terms == {WeilMonomial((0,), ()): Q(2)}
-    assert type(e.terms[WeilMonomial((0,), ())]) is Q
+    a0, a1, g0 = WeilMonomial((0,), ()), WeilMonomial((1,), ()), WeilMonomial((), (0,))
+    e = WeilElement((2, 1), {a0: Q(4, 2), a1: Q(0), g0: Q(-3, 2)})
+    assert e.terms == {a0: 2, g0: Q(-3, 2)}
+    assert type(e.terms[a0]) is int
+    for given_value, stored in ((True, 1), (2.0, 2), (0.5, Q(1, 2)), (False, None)):
+        terms = WeilElement((2, 1), {a0: given_value}).terms
+        assert terms == ({a0: stored} if stored is not None else {})
+        for coeff in terms.values():
+            assert_canonical(coeff)
+    for c in (Q(4, 2), True, 2.0):
+        assert type(weil_scale(c, e).terms[a0]) is int
 
 
 # --- weak two-term data -------------------------------------------------------------
