@@ -9,7 +9,10 @@ Groups:
   perturbed, with the ``auto`` report of each document;
 * ``edits``: seeded ``perturb_document`` edits of the plain generated
   documents, with their ``auto`` reports;
-* ``dualize``: every dualization of every catalog entry.
+* ``dualize``: every dualization of every catalog entry;
+* ``bench``: every operation of both benchmark workloads (`bench/workloads.py`),
+  seeds 1-3, as its document bytes and its report under the operation's
+  method.
 
 An error is hashed as its type and message, so a change in which inputs
 are refused also changes the digest.  Only long-standing API is used, so
@@ -20,10 +23,13 @@ the same file runs against an older tree:
 
 import hashlib
 import random
+import sys
+from pathlib import Path
 
 from l2b import catalog
 from l2b.documents import (
     dualize_document,
+    parse_document,
     run_verifier,
     serialize_document,
     serialize_report,
@@ -36,6 +42,8 @@ FAMILIES = tuple(catalog.FAMILIES) + tuple(
 SEEDS = range(20)
 EDITS = 2
 DUALIZATIONS = ("two_vs", "dvb_vertical", "dvb_horizontal", "flip")
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+BENCH_SEEDS = (1, 2, 3)
 
 
 def _output(fn, *args) -> bytes:
@@ -93,11 +101,25 @@ def dualize_group():
             )
 
 
+def bench_group():
+    if str(BENCH) not in sys.path:
+        sys.path.insert(0, str(BENCH))  # workloads imports its sibling, the oracle
+    import workloads
+
+    for name in workloads.WORKLOADS:
+        for seed in BENCH_SEEDS:
+            for op in workloads.BUILDERS[name](workloads.PLANNERS[name](seed)):
+                yield op.data + _output(
+                    lambda: _report(parse_document(op.data), op.method)
+                )
+
+
 GROUPS = {
     "catalog": catalog_group,
     "gen": gen_group,
     "edits": edits_group,
     "dualize": dualize_group,
+    "bench": bench_group,
 }
 
 

@@ -2,16 +2,16 @@
 
 __version__ = "0.1.0"
 
-from .exact import Rational, SparseTensor, alternate, contract, koszul_sign
+from .exact import Rational, SparseTensor, contract
 from .liecore import (
     Check,
     LieAlgebra,
     LieCobracket,
     VerificationReport,
     Witness,
+    bicrossed_sum,
     bracket_to_dual_cobracket,
     cobracket_to_dual_lie,
-    semidirect,
     verify_cocycle,
     verify_lie,
     verify_rep,
@@ -56,7 +56,6 @@ from .bicross import (
     Lie2BialgebraData,
     MatchedPairData,
     abelian_dual_pair,
-    bicrossed_sum,
     contragredient,
     cross_check,
     verify_l2b_def,

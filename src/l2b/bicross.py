@@ -20,12 +20,13 @@ of the instance; `cross_check` reports it as such.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from .exact import DimensionMismatch, Rational, SparseTensor, permute_axes
+from .exact import DimensionMismatch, SparseTensor, permute_axes
 from .liecore import (
     Check,
     LieAlgebra,
     LieCobracket,
     VerificationReport,
+    bicrossed_sum,
     combine,
     verify_cocycle,
     verify_lie,
@@ -109,35 +110,6 @@ def contragredient(action: SparseTensor) -> SparseTensor:
     return permute_axes(action, (0, 2, 1)).scale(-1)
 
 
-def bicrossed_sum(mp: MatchedPairData) -> LieAlgebra:
-    """Bracket on h (+) k from the mutual actions.
-
-    ``[(x,xi),(y,eta)] = ([x,y] + xi>y - eta>x, [xi,eta] + x>eta - y>xi)``;
-    antisymmetric by construction, Jacobi not asserted.
-    """
-    nh, nk = mp.h.dim, mp.k.dim
-    total = nh + nk
-    entries: dict[tuple[int, int, int], Rational] = {}
-
-    def put(i, j, k, v):
-        if v:
-            entries[(i, j, k)] = entries.get((i, j, k), 0) + v
-
-    for (i, j, k), v in mp.h.bracket.entries.items():
-        put(i, j, k, v)
-    for (i, j, k), v in mp.k.bracket.entries.items():
-        put(nh + i, nh + j, nh + k, v)
-    # [x_i, k_a]: h-part -(k_a > x_i), k-part +(x_i > k_a)
-    for (a, j, k), v in mp.act_k_on_h.entries.items():
-        put(j, nh + a, k, -v)
-        put(nh + a, j, k, v)
-    for (i, b, k), v in mp.act_h_on_k.entries.items():
-        put(i, nh + b, nh + k, v)
-        put(nh + b, i, nh + k, -v)
-    labels = mp.h.labels + mp.k.labels
-    return LieAlgebra(labels, SparseTensor((total, total, total), entries))
-
-
 def verify_matched_pair(mp: MatchedPairData) -> VerificationReport:
     """Both factors are Lie, both actions are representations, and the
     bicrossed-sum bracket satisfies Jacobi (the matched-pair criterion)."""
@@ -146,7 +118,9 @@ def verify_matched_pair(mp: MatchedPairData) -> VerificationReport:
         verify_lie(mp.k).prefixed("k."),
         verify_rep(mp.h, mp.act_h_on_k).prefixed("h_on_k."),
         verify_rep(mp.k, mp.act_k_on_h).prefixed("k_on_h."),
-        verify_lie(bicrossed_sum(mp)).prefixed("bicrossed."),
+        verify_lie(bicrossed_sum(mp.h, mp.k, mp.act_h_on_k, mp.act_k_on_h)).prefixed(
+            "bicrossed."
+        ),
     )
 
 

@@ -28,7 +28,6 @@ import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 from fractions import Fraction
-from math import factorial
 from operator import itemgetter
 
 Rational = int | Fraction
@@ -82,28 +81,6 @@ def perm_parity(perm) -> int:
             if perm[i] > perm[j]:
                 sign = -sign
     return sign
-
-
-def koszul_sign(degrees, permutation) -> int:
-    """Sign picked up when reordering homogeneous elements by a permutation.
-
-    `degrees[i]` is the total degree of the i-th element of the original
-    word; `permutation[k]` is the original position of the element placed
-    k-th in the reordered word.  Transposing elements of degrees p and q
-    contributes (-1)**(p*q).
-    """
-    n = len(degrees)
-    perm = list(permutation)
-    if sorted(perm) != list(range(n)):
-        raise MalformedPermutation(
-            f"{permutation!r} is not a bijection of range({n})"
-        )
-    exponent = 0
-    for k in range(n):
-        for l in range(k + 1, n):
-            if perm[k] > perm[l]:
-                exponent += degrees[perm[k]] * degrees[perm[l]]
-    return -1 if exponent % 2 else 1
 
 
 @dataclass(frozen=True)
@@ -233,34 +210,6 @@ def contract(t1: SparseTensor, t2: SparseTensor, pairs) -> SparseTensor:
             full = f1 + f2
             out[full] = out.get(full, _ZERO) + v1 * v2
     return SparseTensor._trusted(dims, {i: v for i, v in out.items() if v})
-
-
-def alternate(t: SparseTensor, axes) -> SparseTensor:
-    """Full antisymmetrization over the listed axes, with 1/k! normalization."""
-    axes = [int(a) for a in axes]
-    if len(set(axes)) != len(axes):
-        raise DimensionMismatch(f"repeated axis in {axes}")
-    for a in axes:
-        if not 0 <= a < t.rank:
-            raise DimensionMismatch(f"axis {a} out of range for rank {t.rank}")
-    dims = {t.dims[a] for a in axes}
-    if len(dims) > 1:
-        raise DimensionMismatch(
-            f"alternated axes {axes} have unequal dimensions "
-            f"{[t.dims[a] for a in axes]}"
-        )
-    k = len(axes)
-    norm = Fraction(1, factorial(k))
-    out: dict[tuple[int, ...], Rational] = {}
-    for idx, val in t.entries.items():
-        for perm in itertools.permutations(range(k)):
-            sign = perm_parity(perm)
-            new_idx = list(idx)
-            for pos, src in enumerate(perm):
-                new_idx[axes[pos]] = idx[axes[src]]
-            key = tuple(new_idx)
-            out[key] = out.get(key, _ZERO) + sign * val * norm
-    return SparseTensor(t.dims, out)
 
 
 @lru_cache(maxsize=64)

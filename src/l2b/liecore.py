@@ -16,6 +16,13 @@ Index conventions:
 The 1-cocycle convention is ``delta([x,y]) = x.delta(y) - y.delta(x)``
 with ``x`` acting on wedge squares by the extended adjoint action
 ``x.(u^v) = [x,u]^v + u^[x,v]``.
+
+The ``cocycle`` and ``representation`` checks compare two coefficient maps
+keyed ``(i, j, a, b)`` with ``i < j``: the pair of generators ``e_i, e_j``,
+then the output basis element -- ``e_a ^ e_b`` with ``a < b`` in the
+cocycle check, the coefficient of ``v_a`` in the image of the input ``v_b``
+in the representation check.  The lexicographically first key at which
+the maps differ is the witness.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from .exact import (
     DimensionMismatch,
@@ -95,13 +103,48 @@ def _first_mismatch(lhs: dict, rhs: dict):
     return min((k for k in keys if lhs.get(k, 0) != rhs.get(k, 0)), default=None)
 
 
-def _vec_render(coeffs: dict[int, Rational], labels) -> str:
-    if not coeffs:
-        return "0"
-    parts = []
-    for i in sorted(coeffs):
-        parts.append(f"({format_rational(coeffs[i])})*{labels[i]}")
-    return " + ".join(parts)
+def _mismatch_witness(lhs: dict, rhs: dict, labels, k: int = 1) -> Witness | None:
+    """Both sides at the lexicographically first key where they differ, or None.
+
+    The last ``k`` axes of a key index the basis and the others the vector,
+    which is rendered as ``(c)*x`` terms for ``k = 1`` and as ``(c)*x^y``
+    wedge terms for ``k = 2``.
+    """
+    idx = _first_mismatch(lhs, rhs)
+    if idx is None:
+        return None
+    at = idx[:-k]
+
+    def render(coeffs: dict) -> str:
+        terms = sorted((key[-k:], v) for key, v in coeffs.items() if key[:-k] == at)
+        return " + ".join(
+            f"({format_rational(v)})*" + "^".join(labels[b] for b in basis)
+            for basis, v in terms
+        ) or "0"
+
+    return Witness(at, render(lhs), render(rhs))
+
+
+def _signed_fold(t: SparseTensor, perm, pairs) -> dict:
+    """The entries of ``t`` reindexed by ``perm``, summed onto sorted pairs.
+
+    Key axis ``k`` is axis ``perm[k]`` of ``t``.  For each listed pair of
+    key axes the two indices are put in increasing order, and each swap
+    flips the sign of the value; a key with an equal pair is dropped.
+    """
+    reindex = itemgetter(*perm)
+    out: dict = {}
+    for idx, v in t.entries.items():
+        key = list(reindex(idx))
+        for p, q in pairs:
+            if key[p] == key[q]:
+                break
+            if key[p] > key[q]:
+                key[p], key[q], v = key[q], key[p], -v
+        else:
+            key = tuple(key)
+            out[key] = out.get(key, 0) + v
+    return {key: v for key, v in out.items() if v}
 
 
 # --- core types --------------------------------------------------------------
@@ -181,45 +224,6 @@ class LieCobracket:
         return cls(n, SparseTensor((n, n, n), entries))
 
 
-# --- wedge-square helpers (internal) -----------------------------------------
-
-
-def _w2_add(acc: dict, key: tuple[int, int], val: Rational):
-    if val == 0:
-        return
-    j, k = key
-    if j == k:
-        return
-    if j > k:
-        j, k, val = k, j, -val
-    acc[(j, k)] = acc.get((j, k), 0) + val
-    if acc[(j, k)] == 0:
-        del acc[(j, k)]
-
-
-def _ad2(brackets: dict, x: int, w2: dict) -> dict:
-    """Extended adjoint action of e_x on a wedge square: [x,u]^v + u^[x,v].
-
-    ``brackets`` maps ``(i, j)`` to the coefficients of ``[e_i, e_j]``.
-    """
-    out: dict = {}
-    for (u, v), c in w2.items():
-        for m, cm in brackets.get((x, u), {}).items():
-            _w2_add(out, (m, v), c * cm)
-        for m, cm in brackets.get((x, v), {}).items():
-            _w2_add(out, (u, m), c * cm)
-    return out
-
-
-def _w2_render(w2: dict, labels) -> str:
-    if not w2:
-        return "0"
-    parts = []
-    for (j, k) in sorted(w2):
-        parts.append(f"({format_rational(w2[(j, k)])})*{labels[j]}^{labels[k]}")
-    return " + ".join(parts)
-
-
 # --- operations ---------------------------------------------------------------
 
 
@@ -246,16 +250,6 @@ def verify_lie(g: LieAlgebra) -> VerificationReport:
     return VerificationReport((Check("jacobi", witness is None, witness),))
 
 
-def _check_action_dims(g: LieAlgebra, action: SparseTensor) -> int:
-    """The module dimension of an action tensor of ``g``, checked."""
-    m = action.dims[1] if action.rank == 3 else 0
-    if action.dims != (g.dim, m, m):
-        raise DimensionMismatch(
-            f"action dims {action.dims}, expected {(g.dim, m, m)}"
-        )
-    return m
-
-
 def verify_rep(g: LieAlgebra, action: SparseTensor) -> VerificationReport:
     """Check that an action tensor is a representation of ``g``.
 
@@ -266,7 +260,11 @@ def verify_rep(g: LieAlgebra, action: SparseTensor) -> VerificationReport:
     ``(i, j, a, b)``, where ``a`` indexes the output coefficient and ``b``
     the input basis vector.  Jacobi of ``g`` is not part of it.
     """
-    _check_action_dims(g, action)
+    m = action.dims[1] if action.rank == 3 else 0
+    if action.dims != (g.dim, m, m):
+        raise DimensionMismatch(
+            f"action dims {action.dims}, expected {(g.dim, m, m)}"
+        )
     # coefficients keyed (i, j, a, b) for i < j: of v_a in [e_i, e_j].v_b ...
     lhs = {
         (i, j, a, b): v
@@ -275,12 +273,7 @@ def verify_rep(g: LieAlgebra, action: SparseTensor) -> VerificationReport:
     }
     # ... and in e_i.(e_j.v_b) - e_j.(e_i.v_b); entry (j, b, i, a) of the
     # contraction is the coefficient of v_a in e_i.(e_j.v_b)
-    comm: dict[tuple[int, int, int, int], Rational] = {}
-    for (j, b, i, a), v in contract(action, action, [(2, 1)]).entries.items():
-        if i < j:
-            comm[(i, j, a, b)] = comm.get((i, j, a, b), 0) + v
-        elif j < i:
-            comm[(j, i, a, b)] = comm.get((j, i, a, b), 0) - v
+    comm = _signed_fold(contract(action, action, [(2, 1)]), (2, 0, 3, 1), ((0, 1),))
     idx = _first_mismatch(lhs, comm)
     witness = None
     if idx is not None:
@@ -317,63 +310,51 @@ def verify_cocycle(g: LieAlgebra, d: LieCobracket) -> VerificationReport:
         raise DimensionMismatch(f"algebra dim {g.dim} vs cobracket dim {d.dim}")
     primal = verify_lie(g).prefixed("lie.primal.")
     dual = verify_lie(cobracket_to_dual_lie(d)).prefixed("lie.dual.")
-    # the coefficients of [e_a, e_b] and of delta(e_a), grouped in one pass each
-    brackets: dict[tuple[int, int], dict[int, Rational]] = {}
-    for (a, b, k), v in g.bracket.entries.items():
-        brackets.setdefault((a, b), {})[k] = v
-    images: dict[int, dict[tuple[int, int], Rational]] = {}
-    for (a, j, k), v in d.tensor.entries.items():
-        if j < k:
-            images.setdefault(a, {})[(j, k)] = v
-    witness = None
-    for i, j in itertools.combinations(range(g.dim), 2):
-        lhs: dict = {}
-        for m, cm in brackets.get((i, j), {}).items():
-            for key, val in images.get(m, {}).items():
-                _w2_add(lhs, key, cm * val)
-        rhs = _ad2(brackets, i, images.get(j, {}))
-        for key, val in _ad2(brackets, j, images.get(i, {})).items():
-            _w2_add(rhs, key, -val)
-        diff = dict(lhs)
-        for key, val in rhs.items():
-            _w2_add(diff, key, -val)
-        if diff and witness is None:
-            witness = Witness(
-                (i, j), _w2_render(lhs, g.labels), _w2_render(rhs, g.labels)
-            )
+    # coefficients keyed (i, j, a, b) for i < j, a < b: of e_a^e_b in
+    # delta([e_i, e_j]) ...
+    lhs = {
+        key: v
+        for key, v in contract(g.bracket, d.tensor, [(2, 0)]).entries.items()
+        if key[0] < key[1] and key[2] < key[3]
+    }
+    # ... and in e_i.delta(e_j) - e_j.delta(e_i); entry (i, a, j, b) of the
+    # contraction is the coefficient of e_a (x) e_b in e_i.delta(e_j) with
+    # e_i acting on the first factor, and the second factor gives the same
+    # with a and b swapped and the sign flipped
+    rhs = _signed_fold(
+        contract(g.bracket, d.tensor, [(1, 1)]), (0, 2, 1, 3), ((0, 1), (2, 3))
+    )
+    witness = _mismatch_witness(lhs, rhs, g.labels, 2)
     cocycle = Check("cocycle", witness is None, witness)
     return combine(primal, dual, VerificationReport((cocycle,)))
 
 
-def semidirect(
-    g: LieAlgebra,
-    action: SparseTensor,
-    core_bracket: LieAlgebra | None = None,
-    module_labels=None,
+def bicrossed_sum(
+    h: LieAlgebra, k: LieAlgebra, h_on_k: SparseTensor, k_on_h: SparseTensor
 ) -> LieAlgebra:
-    """Semidirect-sum bracket on g (+) V for an action tensor as in `verify_rep`.
+    """Bracket on h (+) k from two mutual actions, each as in `verify_rep`.
 
-    ``[(x,u),(y,w)] = ([x,y], x.w - y.u + [u,w]_V)`` where the module
-    bracket ``[.,.]_V`` is zero when ``core_bracket`` is absent.  Jacobi of
-    the result is not asserted; callers use `verify_lie`.
+    ``[(x,xi),(y,eta)] = ([x,y] + xi>y - eta>x, [xi,eta] + x>eta - y>xi)``;
+    a semidirect sum is the case ``k_on_h = 0``.  Antisymmetric by
+    construction; Jacobi of the result is not asserted, callers use
+    `verify_lie`.
     """
-    m = _check_action_dims(g, action)
-    n = g.dim
-    if core_bracket is not None and core_bracket.dim != m:
-        raise DimensionMismatch(
-            f"core bracket dim {core_bracket.dim} vs module dim {m}"
-        )
-    if module_labels is None:
-        if core_bracket is not None:
-            module_labels = core_bracket.labels
-        else:
-            module_labels = tuple(f"v{a}" for a in range(m))
-    total = n + m
-    entries: dict[tuple[int, int, int], Rational] = dict(g.bracket.entries)
-    for (i, a, b), v in action.items_sorted():
-        entries[(i, n + a, n + b)] = v
-        entries[(n + a, i, n + b)] = -v
-    if core_bracket is not None:
-        for (a, b, k), v in core_bracket.bracket.entries.items():
-            entries[(n + a, n + b, n + k)] = v
-    return LieAlgebra(g.labels + tuple(module_labels), SparseTensor((total, total, total), entries))
+    nh, nk = h.dim, k.dim
+    for name, action, dims in (
+        ("h_on_k", h_on_k, (nh, nk, nk)),
+        ("k_on_h", k_on_h, (nk, nh, nh)),
+    ):
+        if action.dims != dims:
+            raise DimensionMismatch(f"{name} dims {action.dims}, expected {dims}")
+    entries: dict[tuple[int, int, int], Rational] = dict(h.bracket.entries)
+    for (a, b, c), v in k.bracket.entries.items():
+        entries[(nh + a, nh + b, nh + c)] = v
+    # [x_j, k_a]: h-part -(k_a > x_j), k-part +(x_j > k_a)
+    for (a, j, c), v in k_on_h.entries.items():
+        entries[(j, nh + a, c)] = -v
+        entries[(nh + a, j, c)] = v
+    for (i, b, c), v in h_on_k.entries.items():
+        entries[(i, nh + b, nh + c)] = v
+        entries[(nh + b, i, nh + c)] = -v
+    total = nh + nk
+    return LieAlgebra(h.labels + k.labels, SparseTensor._trusted((total, total, total), entries))

@@ -31,25 +31,18 @@ from .liecore import (
     LieAlgebra,
     VerificationReport,
     Witness,
+    bicrossed_sum,
     combine,
-    semidirect,
     verify_lie,
     verify_rep,
     _first_mismatch,
-    _vec_render,
+    _mismatch_witness,
 )
 
 
 def star_label(label: str) -> str:
     """Toggle a trailing * so that dualizing twice restores the name."""
     return label[:-1] if label.endswith("*") else label + "*"
-
-
-def _check_partial_dims(partial: SparseTensor, n0: int, n1: int):
-    if partial.dims != (n0, n1):
-        raise DimensionMismatch(
-            f"partial dims {partial.dims}, expected {(n0, n1)}"
-        )
 
 
 @dataclass(frozen=True)
@@ -61,7 +54,10 @@ class TwoVectorSpace:
     labels1: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        _check_partial_dims(self.partial, self.dim0, self.dim1)
+        if self.partial.dims != (self.dim0, self.dim1):
+            raise DimensionMismatch(
+                f"partial dims {self.partial.dims}, expected {(self.dim0, self.dim1)}"
+            )
         l0 = self.labels0 or tuple(f"e{i}" for i in range(self.dim0))
         l1 = self.labels1 or tuple(f"f{i}" for i in range(self.dim1))
         if len(l0) != self.dim0 or len(l1) != self.dim1:
@@ -107,22 +103,6 @@ class CrossedModuleData:
         return self.tvs.dim1
 
 
-def _vector_witness(lhs: SparseTensor, rhs: SparseTensor, labels) -> Witness | None:
-    """Both vectors at the lexicographically first index where they differ.
-
-    The last axis of both tensors indexes the basis; the others index the vectors.
-    """
-    idx = _first_mismatch(lhs.entries, rhs.entries)
-    if idx is None:
-        return None
-    at = idx[:-1]
-
-    def vector(t: SparseTensor) -> dict:
-        return {k[-1]: v for k, v in t.entries.items() if k[:-1] == at}
-
-    return Witness(at, _vec_render(vector(lhs), labels), _vec_render(vector(rhs), labels))
-
-
 def derived_bracket_tensor(cm: CrossedModuleData) -> SparseTensor:
     """Raw tensor of the pairing [f_i, f_j] := partial(f_i).f_j (no symmetry check)."""
     return contract(cm.tvs.partial, cm.action, [(0, 0)])
@@ -143,9 +123,9 @@ def verify_cm(cm: CrossedModuleData) -> VerificationReport:
     partial, bracket = cm.tvs.partial, cm.base.bracket
     # entry (i, j, a): the coefficient of e_a in partial(e_i . f_j) and in
     # [e_i, partial(f_j)]
-    eq_witness = _vector_witness(
-        contract(cm.action, partial, [(2, 1)]),
-        permute_axes(contract(partial, bracket, [(0, 1)]), (1, 0, 2)),
+    eq_witness = _mismatch_witness(
+        contract(cm.action, partial, [(2, 1)]).entries,
+        permute_axes(contract(partial, bracket, [(0, 1)]), (1, 0, 2)).entries,
         cm.base.labels,
     )
     # the first (i, j, k) with i <= j where the pairing is not antisymmetric
@@ -216,18 +196,18 @@ def verify_full_crossed_module(
     # they are equal), and the first difference has them increasing
     # entry (i, j, a): the coefficient of e_a in partial([f_i, f_j]) and in
     # [partial(f_i), partial(f_j)]
-    morph_witness = _vector_witness(
-        contract(core, partial, [(2, 1)]),
-        contract(partial, contract(partial, bracket, [(0, 1)]), [(0, 1)]),
+    morph_witness = _mismatch_witness(
+        contract(core, partial, [(2, 1)]).entries,
+        contract(partial, contract(partial, bracket, [(0, 1)]), [(0, 1)]).entries,
         cm.base.labels,
     )
     # entry (i, a, b, m): the coefficient of f_m in e_i . [f_a, f_b] and in
     # [e_i . f_a, f_b] + [f_a, e_i . f_b]
-    der_witness = _vector_witness(
-        permute_axes(contract(core, action, [(2, 1)]), (2, 0, 1, 3)),
+    der_witness = _mismatch_witness(
+        permute_axes(contract(core, action, [(2, 1)]), (2, 0, 1, 3)).entries,
         contract(action, core, [(2, 0)]).add(
             permute_axes(contract(action, core, [(2, 1)]), (0, 2, 1, 3))
-        ),
+        ).entries,
         cm.tvs.labels1,
     )
 
@@ -249,12 +229,16 @@ def gamma_total(cm: CrossedModuleData) -> LieAlgebra:
     Raises `DerivedBracketError` when the skew pairing condition fails;
     for any candidate passing `verify_cm` the result satisfies Jacobi.
     """
-    return semidirect(cm.base, cm.action, derived_bracket(cm))
+    no_back_action = SparseTensor.zero((cm.dim1, cm.dim0, cm.dim0))
+    return bicrossed_sum(cm.base, derived_bracket(cm), cm.action, no_back_action)
 
 
 def g_action_algebroid(cm: CrossedModuleData) -> LieAlgebra:
     """Semidirect total of g0 with the core as a plain module (no core bracket)."""
-    return semidirect(cm.base, cm.action, None, module_labels=cm.tvs.labels1)
+    no_back_action = SparseTensor.zero((cm.dim1, cm.dim0, cm.dim0))
+    return bicrossed_sum(
+        cm.base, LieAlgebra.abelian(cm.tvs.labels1), cm.action, no_back_action
+    )
 
 
 @dataclass(frozen=True)
@@ -280,7 +264,8 @@ class WeakLie2Data:
 
     def __post_init__(self):
         n0, n1 = self.dim0, self.dim1
-        _check_partial_dims(self.partial, n0, n1)
+        # checks the structure map's dims and the label counts, and fills in default labels
+        tvs = TwoVectorSpace(n0, n1, self.partial, self.labels0, self.labels1)
         if self.bracket0.dims != (n0, n0, n0):
             raise DimensionMismatch(f"bracket0 dims {self.bracket0.dims}")
         if self.action.dims != (n0, n1, n1):
@@ -290,10 +275,8 @@ class WeakLie2Data:
         for name, axes in (("bracket0", (0, 1)), ("jacobiator", (0, 1, 2))):
             if (bad := next(asymmetric_entries(getattr(self, name), axes), None)) is not None:
                 raise ValueError(f"{name} not antisymmetric at {bad}")
-        l0 = self.labels0 or tuple(f"e{i}" for i in range(n0))
-        l1 = self.labels1 or tuple(f"f{i}" for i in range(n1))
-        object.__setattr__(self, "labels0", tuple(l0))
-        object.__setattr__(self, "labels1", tuple(l1))
+        object.__setattr__(self, "labels0", tvs.labels0)
+        object.__setattr__(self, "labels1", tvs.labels1)
 
     @classmethod
     def from_cm(cls, cm: CrossedModuleData, jacobiator: SparseTensor | None = None):

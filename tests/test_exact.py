@@ -9,11 +9,9 @@ from l2b.exact import (
     DimensionMismatch,
     MalformedPermutation,
     SparseTensor,
-    alternate,
     asymmetric_entries,
     contract,
     format_rational,
-    koszul_sign,
     parse_rational,
     perm_parity,
     permute_axes,
@@ -157,46 +155,6 @@ def test_contract_bilinear(t1, t1p, t2, a):
     assert lhs == rhs
 
 
-def test_alternate_symmetric_is_zero():
-    sym = SparseTensor((2, 2), {(0, 1): 1, (1, 0): 1})
-    assert alternate(sym, [0, 1]).is_zero()
-
-
-def test_alternate_simple_tensor():
-    t = SparseTensor((2, 2), {(0, 1): 1})  # e (x) f
-    expected = SparseTensor((2, 2), {(0, 1): Q(1, 2), (1, 0): Q(-1, 2)})
-    assert alternate(t, [0, 1]) == expected
-
-
-def test_alternate_direct_sum_oracle():
-    # brute-force antisymmetrization of a rank-3 tensor over all axes
-    t = SparseTensor((2, 2, 2), {(0, 1, 1): Q(3), (1, 0, 0): Q(-1, 2)})
-    alt = alternate(t, [0, 1, 2])
-    for idx in itertools.product(range(2), repeat=3):
-        total = Q(0)
-        for perm in itertools.permutations(range(3)):
-            sign = 1
-            p = list(perm)
-            for i in range(3):
-                for j in range(i + 1, 3):
-                    if p[i] > p[j]:
-                        sign = -sign
-            total += sign * t.get(tuple(idx[p] for p in perm)) / 6
-        assert alt.get(idx) == total
-
-
-@given(small_tensor((2, 2, 3)))
-def test_alternate_is_projection(t):
-    once = alternate(t, [0, 1])
-    assert alternate(once, [0, 1]) == once
-
-
-def test_alternate_dim_mismatch():
-    t = SparseTensor((2, 3), {(0, 0): 1})
-    with pytest.raises(DimensionMismatch):
-        alternate(t, [0, 1])
-
-
 def test_permute_axes():
     t = SparseTensor((2, 3), {(1, 2): Q(5)})
     p = permute_axes(t, (1, 0))
@@ -204,38 +162,12 @@ def test_permute_axes():
     assert p.get((2, 1)) == Q(5)
 
 
-# --- koszul signs ------------------------------------------------------------
-
-def test_koszul_examples():
-    assert koszul_sign((1, 1), (1, 0)) == -1
-    assert koszul_sign((1, 2), (1, 0)) == 1
-    assert koszul_sign((1, 1, 1), (2, 0, 1)) == 1
-
-
-def test_koszul_malformed():
+def test_permute_axes_malformed():
+    t = SparseTensor((2, 2), {(0, 1): 1})
     with pytest.raises(MalformedPermutation):
-        koszul_sign((1, 1), (0, 0))
+        permute_axes(t, (0, 0))
     with pytest.raises(MalformedPermutation):
-        koszul_sign((1, 1), (0,))
-
-
-@given(
-    st.lists(st.integers(0, 3), min_size=2, max_size=5).flatmap(
-        lambda degs: st.tuples(
-            st.just(degs),
-            st.permutations(range(len(degs))),
-            st.permutations(range(len(degs))),
-        )
-    )
-)
-def test_koszul_multiplicative(args):
-    degs, p, q = args
-    # composite permutation: first reorder by q, then by p relative to that
-    composite = [q[p[i]] for i in range(len(p))]
-    reordered = [degs[q[i]] for i in range(len(q))]
-    assert koszul_sign(degs, composite) == koszul_sign(degs, q) * koszul_sign(
-        reordered, p
-    )
+        permute_axes(t, (0,))
 
 
 # --- matrices as rank-2 tensors ------------------------------------------------

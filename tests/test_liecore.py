@@ -10,15 +10,17 @@ from l2b.exact import DimensionMismatch, SparseTensor
 from l2b.liecore import (
     LieAlgebra,
     LieCobracket,
+    bicrossed_sum,
     bracket_to_dual_cobracket,
     cobracket_to_dual_lie,
-    semidirect,
     verify_cocycle,
     verify_lie,
     verify_rep,
 )
 
 import random
+
+from cocycle_oracle import random_bialgebra_candidate, verify_cocycle_by_pairs
 
 
 def random_valid_lie(seed):
@@ -116,8 +118,11 @@ def test_verify_rep_checks_action_dims():
         verify_rep(sl2(), SparseTensor.zero((2, 1, 1)))
     with pytest.raises(DimensionMismatch):
         verify_rep(sl2(), SparseTensor.zero((3, 1, 2)))
+    line = LieAlgebra.abelian(("v",))
     with pytest.raises(DimensionMismatch):
-        semidirect(sl2(), SparseTensor.zero((3, 2)))
+        bicrossed_sum(sl2(), line, SparseTensor.zero((3, 2)), SparseTensor.zero((1, 3, 3)))
+    with pytest.raises(DimensionMismatch):
+        bicrossed_sum(sl2(), line, SparseTensor.zero((3, 1, 1)), SparseTensor.zero((1, 2, 2)))
 
 
 @given(st.integers(0, 60))
@@ -211,15 +216,38 @@ def test_bialgebra_duality_symmetry(seed):
     assert forward == backward
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**6))
+def test_cocycle_equals_pair_oracle(seed):
+    g, d = random_bialgebra_candidate(random.Random(seed))
+    assert verify_cocycle(g, d).checks == verify_cocycle_by_pairs(g, d).checks
+
+
+def test_pair_oracle_candidates_pass_and_fail():
+    verdicts = set()
+    for seed in range(200):
+        g, d = random_bialgebra_candidate(random.Random(seed))
+        report = verify_cocycle(g, d)
+        assert report.checks == verify_cocycle_by_pairs(g, d).checks
+        verdicts.add(report.check("cocycle").passed)
+    assert verdicts == {True, False}
+
+
+def _no_back_action(h, k):
+    return SparseTensor.zero((k.dim, h.dim, h.dim))
+
+
 def test_semidirect_abelian():
     g = LieAlgebra.abelian(("a", "b"))
-    total = semidirect(g, SparseTensor.zero((2, 1, 1)))
+    v = LieAlgebra.abelian(("v",))
+    total = bicrossed_sum(g, v, SparseTensor.zero((2, 1, 1)), _no_back_action(g, v))
     assert total.dim == 3 and total.bracket.is_zero()
 
 
 def test_semidirect_scaling():
-    g = LieAlgebra.abelian(("e",))
-    total = semidirect(g, SparseTensor((1, 1, 1), {(0, 0, 0): 1}), module_labels=("f",))
+    g, v = LieAlgebra.abelian(("e",)), LieAlgebra.abelian(("f",))
+    total = bicrossed_sum(g, v, SparseTensor((1, 1, 1), {(0, 0, 0): 1}), _no_back_action(g, v))
+    assert total.labels == ("e", "f")
     assert total.bracket.get((0, 1, 1)) == 1
     assert verify_lie(total).passed
 
@@ -227,7 +255,7 @@ def test_semidirect_scaling():
 def test_semidirect_sl2_adjoint_with_core():
     g = sl2()
     core = LieAlgebra(("E", "F", "H"), g.bracket)
-    total = semidirect(g, g.bracket, core)
+    total = bicrossed_sum(g, core, g.bracket, _no_back_action(g, core))
     assert total.dim == 6
     assert verify_lie(total).passed
     # core-core block carries the core bracket
@@ -237,5 +265,6 @@ def test_semidirect_sl2_adjoint_with_core():
 @given(st.integers(0, 60))
 def test_semidirect_zero_core_is_lie(seed):
     g = random_valid_lie(seed)
-    total = semidirect(g, g.bracket)
+    v = LieAlgebra.abelian(tuple(f"v{i}" for i in range(g.dim)))
+    total = bicrossed_sum(g, v, g.bracket, _no_back_action(g, v))
     assert verify_lie(total).passed

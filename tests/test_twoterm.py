@@ -251,6 +251,15 @@ def test_weak_data_antisymmetry_validated():
         )
 
 
+def test_weak_data_label_count_validated():
+    with pytest.raises(DimensionMismatch):
+        WeakLie2Data(
+            3, 1, SparseTensor.zero((3, 1)), SparseTensor.zero((3, 3, 3)),
+            SparseTensor.zero((3, 1, 1)), SparseTensor.zero((3, 3, 3, 1)),
+            labels0=("x",),
+        )
+
+
 # --- split double vector spaces ---------------------------------------------------
 
 def _dvb(da=2, db=3, dc=1):
