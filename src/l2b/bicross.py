@@ -25,6 +25,7 @@ from .liecore import (
     Check,
     LieAlgebra,
     LieCobracket,
+    Section,
     VerificationReport,
     bicrossed_sum,
     combine,
@@ -114,13 +115,11 @@ def verify_matched_pair(mp: MatchedPairData) -> VerificationReport:
     """Both factors are Lie, both actions are representations, and the
     bicrossed-sum bracket satisfies Jacobi (the matched-pair criterion)."""
     return combine(
-        verify_lie(mp.h).prefixed("h."),
-        verify_lie(mp.k).prefixed("k."),
-        verify_rep(mp.h, mp.act_h_on_k).prefixed("h_on_k."),
-        verify_rep(mp.k, mp.act_k_on_h).prefixed("k_on_h."),
-        verify_lie(bicrossed_sum(mp.h, mp.k, mp.act_h_on_k, mp.act_k_on_h)).prefixed(
-            "bicrossed."
-        ),
+        ("h.", verify_lie(mp.h)),
+        ("k.", verify_lie(mp.k)),
+        ("h_on_k.", verify_rep(mp.h, mp.act_h_on_k)),
+        ("k_on_h.", verify_rep(mp.k, mp.act_k_on_h)),
+        ("bicrossed.", verify_lie(bicrossed_sum(mp.h, mp.k, mp.act_h_on_k, mp.act_k_on_h))),
     )
 
 
@@ -150,11 +149,12 @@ def induced_cobracket(d: Lie2BialgebraData) -> LieCobracket:
 CmReports = tuple[VerificationReport, VerificationReport]
 
 
-def _cm_reports(d: Lie2BialgebraData, cm_reports: CmReports | None) -> CmReports:
-    """``verify_cm`` of both candidates, prefixed; computed unless given."""
+def _cm_sections(d: Lie2BialgebraData, cm_reports: CmReports | None) -> tuple[Section, Section]:
+    """``verify_cm`` of both candidates as sections ``cm1.`` and ``cm2.``;
+    computed unless given."""
     if cm_reports is None:
         cm_reports = (verify_cm(d.cm1), verify_cm(d.cm2))
-    return cm_reports[0].prefixed("cm1."), cm_reports[1].prefixed("cm2.")
+    return ("cm1.", cm_reports[0]), ("cm2.", cm_reports[1])
 
 
 def verify_l2b_def(
@@ -166,11 +166,11 @@ def verify_l2b_def(
     stage is skipped (the totals need not even be Lie algebras then).
     ``cm_reports`` passes in ``verify_cm`` of ``cm1`` and ``cm2`` when the
     caller has them already."""
-    r1, r2 = _cm_reports(d, cm_reports)
-    if not (r1.passed and r2.passed):
+    cm1, cm2 = _cm_sections(d, cm_reports)
+    if not (cm1[1].passed and cm2[1].passed):
         return combine(
-            r1,
-            r2,
+            cm1,
+            cm2,
             VerificationReport(
                 (),
                 metadata=(
@@ -180,7 +180,7 @@ def verify_l2b_def(
         )
     gamma = gamma_total(d.cm1)
     cobr = induced_cobracket(d)
-    return combine(r1, r2, verify_cocycle(gamma, cobr).prefixed("bialgebra."))
+    return combine(cm1, cm2, ("bialgebra.", verify_cocycle(gamma, cobr)))
 
 
 def matched_pair_of(d: Lie2BialgebraData) -> MatchedPairData:
@@ -200,8 +200,8 @@ def verify_l2b_matched(
 
     ``cm_reports`` is as for `verify_l2b_def`."""
     return combine(
-        *_cm_reports(d, cm_reports),
-        verify_matched_pair(matched_pair_of(d)).prefixed("mp."),
+        *_cm_sections(d, cm_reports),
+        ("mp.", verify_matched_pair(matched_pair_of(d))),
     )
 
 
@@ -219,8 +219,8 @@ def verify_l2b_weil(d: Lie2BialgebraData) -> VerificationReport:
     G = build_gerstenhaber(d.cm2)
     return combine(
         check_cm_square(dv, dh),
-        check_gerst_axioms(G).prefixed("gerst."),
-        check_derivation_of_bracket(derivation_sum(dh, dv), G).prefixed("derivation."),
+        ("gerst.", check_gerst_axioms(G)),
+        ("derivation.", check_derivation_of_bracket(derivation_sum(dh, dv), G)),
     )
 
 
@@ -248,9 +248,7 @@ def cross_check(d: Lie2BialgebraData) -> VerificationReport:
                 + ", ".join(f"{n}={'pass' if v else 'fail'}" for n, v in verdicts.items()),
             )
         )
-    combined = combine(*(r.prefixed(f"{name}.") for name, r in reports))
-    agreement_check = Check("agreement", agreement, None)
-    return VerificationReport(
-        combined.checks + (agreement_check,),
-        metadata=combined.metadata + tuple(notes),
+    return combine(
+        *((f"{name}.", r) for name, r in reports),
+        VerificationReport((Check("agreement", agreement, None),), tuple(notes)),
     )

@@ -110,6 +110,11 @@ _SCHEMAS: dict[str, dict] = {
 
 KINDS = tuple(_SCHEMAS)
 
+# The largest ``dim`` a document may declare: 32 times the largest space of
+# any catalog, generated or benchmark document (8), and small enough that
+# building a space never runs out of memory.
+MAX_DIM = 256
+
 
 @dataclass(frozen=True)
 class SpaceDecl:
@@ -186,6 +191,7 @@ def parse_document(data: bytes) -> StructureDocument:
         _expect(not bad, f"{path}.{sorted(bad)[0]}" if bad else "", "unknown field")
         dim = decl.get("dim")
         _expect(_is_int(dim) and dim >= 0, f"{path}.dim", "must be a non-negative integer")
+        _expect(dim <= MAX_DIM, f"{path}.dim", f"must be at most {MAX_DIM}")
         if kind == "dvb":
             sname = decl.get("name", key)
             dual = decl.get("dual", False)
@@ -193,7 +199,7 @@ def parse_document(data: bytes) -> StructureDocument:
             _expect(isinstance(dual, bool), f"{path}.dual", "must be a boolean")
             spaces[key] = SpaceDecl(dim, (), dual, sname)
         else:
-            labels = decl.get("labels", [f"{key}_{i}" for i in range(dim)])
+            labels = decl["labels"] if "labels" in decl else [f"{key}_{i}" for i in range(dim)]
             _expect(
                 isinstance(labels, list) and all(isinstance(s, str) for s in labels),
                 f"{path}.labels",

@@ -67,14 +67,43 @@ class Check:
     witness: Witness | None = None
 
 
+Section = tuple[str, "VerificationReport"]
+
+
 @dataclass(frozen=True)
 class VerificationReport:
-    checks: tuple[Check, ...]
+    """Checks in order, and the metadata of the whole report.
+
+    ``parts`` are checks and ``(prefix, report)`` sections, whose checks'
+    ids get ``prefix`` (see `combine`).  `checks` reads the tree out, so a
+    check is given its full id once, however deep its section, and only
+    when it is read.  Two assemblies of the same checks are different
+    trees: compare reports by `checks`.
+    """
+
+    parts: tuple[Check | Section, ...]
     metadata: tuple[tuple[str, str], ...] = ()
 
     @property
+    def checks(self) -> tuple[Check, ...]:
+        """The checks with their full ids, built anew at each read."""
+        out: list[Check] = []
+
+        def collect(report: VerificationReport, prefix: str):
+            for part in report.parts:
+                if isinstance(part, Check):
+                    out.append(
+                        Check(prefix + part.cond, part.passed, part.witness) if prefix else part
+                    )
+                else:
+                    collect(part[1], prefix + part[0])
+
+        collect(self, "")
+        return tuple(out)
+
+    @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+        return all(p.passed if isinstance(p, Check) else p[1].passed for p in self.parts)
 
     def check(self, cond: str) -> Check:
         for c in self.checks:
@@ -82,17 +111,23 @@ class VerificationReport:
                 return c
         raise KeyError(cond)
 
-    def prefixed(self, prefix: str) -> "VerificationReport":
-        return VerificationReport(
-            tuple(Check(prefix + c.cond, c.passed, c.witness) for c in self.checks),
-            self.metadata,
-        )
 
+def combine(*parts: VerificationReport | Section) -> VerificationReport:
+    """The checks and metadata of ``parts``, in order.
 
-def combine(*reports: VerificationReport) -> VerificationReport:
-    checks = tuple(itertools.chain.from_iterable(r.checks for r in reports))
-    metadata = tuple(itertools.chain.from_iterable(r.metadata for r in reports))
-    return VerificationReport(checks, metadata)
+    A report adds its checks as they are; a ``(prefix, report)`` section
+    adds the report's checks with ``prefix`` before each id.
+    """
+    out: list[Check | Section] = []
+    metadata: list[tuple[str, str]] = []
+    for part in parts:
+        if isinstance(part, VerificationReport):
+            out.extend(part.parts)
+            metadata.extend(part.metadata)
+        else:
+            out.append(part)
+            metadata.extend(part[1].metadata)
+    return VerificationReport(tuple(out), tuple(metadata))
 
 
 def _first_mismatch(lhs: dict, rhs: dict):
@@ -308,8 +343,8 @@ def verify_cocycle(g: LieAlgebra, d: LieCobracket) -> VerificationReport:
     """
     if g.dim != d.dim:
         raise DimensionMismatch(f"algebra dim {g.dim} vs cobracket dim {d.dim}")
-    primal = verify_lie(g).prefixed("lie.primal.")
-    dual = verify_lie(cobracket_to_dual_lie(d)).prefixed("lie.dual.")
+    primal = verify_lie(g)
+    dual = verify_lie(cobracket_to_dual_lie(d))
     # coefficients keyed (i, j, a, b) for i < j, a < b: of e_a^e_b in
     # delta([e_i, e_j]) ...
     lhs = {
@@ -326,7 +361,9 @@ def verify_cocycle(g: LieAlgebra, d: LieCobracket) -> VerificationReport:
     )
     witness = _mismatch_witness(lhs, rhs, g.labels, 2)
     cocycle = Check("cocycle", witness is None, witness)
-    return combine(primal, dual, VerificationReport((cocycle,)))
+    return combine(
+        ("lie.primal.", primal), ("lie.dual.", dual), VerificationReport((cocycle,))
+    )
 
 
 def bicrossed_sum(

@@ -29,12 +29,16 @@ generators, whose images are the table's entries (Kosmann-Schwarzbach,
 *Derived brackets*); every bracket is an `apply_derivation` of one of them.
 
 Validation happens at the public constructors: `WeilMonomial` checks that
-its index tuples are sorted and `WeilElement` that every monomial is in
+its index tuples are sorted, `WeilElement` that every monomial is in
 range, converting coefficients with `exact.rational` (an `int` when
-integral, else a `Fraction`) and dropping zeros.  Products, sums,
-scalings, brackets and derivation images are built by the trusted
-`_trusted` constructors, since they combine monomials and exact rational
-coefficients of valid operands of the same dims.
+integral, else a `Fraction`) and dropping zeros, and `GradedDerivation`
+that its images have the degrees of its bidegree or total degree.
+Products, sums, scalings, brackets and derivation images are built by the
+trusted `_trusted` constructors, since they combine monomials and exact
+rational coefficients of valid operands of the same dims; so are the
+derivations the kernel derives from valid ones (squares, commutators,
+sums, the ``ad_x`` and the bracket with an element).  A monomial is an
+immutable ``(ext, sym)`` tuple, so hashing and equality run in C.
 """
 
 from __future__ import annotations
@@ -57,46 +61,61 @@ _ZERO = 0
 _ONE = 1
 
 
-@dataclass(frozen=True)
-class WeilMonomial:
-    ext: tuple[int, ...]  # strictly increasing
-    sym: tuple[int, ...]  # non-decreasing
+class WeilMonomial(tuple):
+    """The monomial ``a_ext * g_sym``, stored as the tuple ``(ext, sym)``.
 
-    def __post_init__(self):
-        ext = tuple(int(i) for i in self.ext)
-        sym = tuple(int(i) for i in self.sym)
+    ``ext`` is strictly increasing and ``sym`` non-decreasing.  As a tuple
+    subclass without instance dict, hashing and equality run in C.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, ext, sym):
+        ext = tuple(int(i) for i in ext)
+        sym = tuple(int(i) for i in sym)
         if any(ext[i] >= ext[i + 1] for i in range(len(ext) - 1)):
             raise ValueError(f"exterior indices not strictly increasing: {ext}")
         if any(sym[i] > sym[i + 1] for i in range(len(sym) - 1)):
             raise ValueError(f"symmetric indices not sorted: {sym}")
-        object.__setattr__(self, "ext", ext)
-        object.__setattr__(self, "sym", sym)
+        return tuple.__new__(cls, (ext, sym))
 
     @classmethod
     def _trusted(cls, ext: tuple[int, ...], sym: tuple[int, ...]) -> "WeilMonomial":
         """A monomial from already sorted int tuples, unchecked."""
-        m = object.__new__(cls)
-        object.__setattr__(m, "ext", ext)
-        object.__setattr__(m, "sym", sym)
-        return m
+        return tuple.__new__(cls, (ext, sym))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return f"WeilMonomial(ext={self[0]!r}, sym={self[1]!r})"
+
+    @property
+    def ext(self) -> tuple[int, ...]:
+        return self[0]
+
+    @property
+    def sym(self) -> tuple[int, ...]:
+        return self[1]
 
     @property
     def bidegree(self) -> tuple[int, int]:
-        return (len(self.ext) + len(self.sym), len(self.sym))
+        ext, sym = self
+        return (len(ext) + len(sym), len(sym))
 
     @property
     def total_degree(self) -> int:
-        return len(self.ext) + 2 * len(self.sym)
+        ext, sym = self
+        return len(ext) + 2 * len(sym)
 
     def sort_key(self):
-        return (self.total_degree, self.ext, self.sym)
+        return (self.total_degree, *self)
 
     def render(self) -> str:
-        if not self.ext and not self.sym:
+        ext, sym = self
+        if not ext and not sym:
             return "1"
-        return "*".join(
-            [f"a{i}" for i in self.ext] + [f"g{j}" for j in self.sym]
-        )
+        return "*".join([f"a{i}" for i in ext] + [f"g{j}" for j in sym])
 
 
 ONE = WeilMonomial((), ())
@@ -117,9 +136,8 @@ class WeilElement:
         n0, n1 = self.dims
         clean = {}
         for mono, coeff in self.terms.items():
-            if any(not 0 <= i < n0 for i in mono.ext) or any(
-                not 0 <= j < n1 for j in mono.sym
-            ):
+            ext, sym = mono
+            if any(not 0 <= i < n0 for i in ext) or any(not 0 <= j < n1 for j in sym):
                 raise ValueError(f"monomial {mono.render()} out of range for {self.dims}")
             q = rational(coeff)
             if q:
@@ -204,21 +222,23 @@ def _merge_ext(e1: tuple[int, ...], e2: tuple[int, ...]):
 
 def mono_mul(m1: WeilMonomial, m2: WeilMonomial):
     """Product of two monomials: (sign, monomial) or None if it vanishes."""
-    if not m2.ext:
-        sign, ext = 1, m1.ext
-    elif not m1.ext:
-        sign, ext = 1, m2.ext
+    e1, s1 = m1
+    e2, s2 = m2
+    if not e2:
+        sign, ext = 1, e1
+    elif not e1:
+        sign, ext = 1, e2
     else:
-        merged = _merge_ext(m1.ext, m2.ext)
+        merged = _merge_ext(e1, e2)
         if merged is None:
             return None
         sign, ext = merged
-    if not m2.sym:
-        sym = m1.sym
-    elif not m1.sym:
-        sym = m2.sym
+    if not s2:
+        sym = s1
+    elif not s1:
+        sym = s2
     else:
-        sym = tuple(sorted(m1.sym + m2.sym))
+        sym = tuple(sorted(s1 + s2))
     return sign, WeilMonomial._trusted(ext, sym)
 
 
@@ -245,9 +265,8 @@ def _generators(dims) -> list[WeilMonomial]:
     as ``g_k`` but a non-empty exterior part).
     """
     n0, n1 = dims
-    return [WeilMonomial((i,), ()) for i in range(n0)] + [
-        WeilMonomial((), (j,)) for j in range(n1)
-    ]
+    trusted = WeilMonomial._trusted
+    return [trusted((i,), ()) for i in range(n0)] + [trusted((), (j,)) for j in range(n1)]
 
 
 # --- graded derivations -------------------------------------------------------
@@ -260,7 +279,8 @@ class GradedDerivation:
     Homogeneous derivations carry their bidegree; sums of different
     bidegrees (such as a total differential) carry ``bidegree=None`` and an
     explicit total degree.  Images extend to the whole algebra lazily by
-    the graded Leibniz rule.
+    the graded Leibniz rule.  The constructor checks the images' degrees;
+    derivations the kernel derives from valid ones are built by `_trusted`.
     """
 
     dims: tuple[int, int]
@@ -298,6 +318,19 @@ class GradedDerivation:
                                 "image total degree inconsistent with derivation degree"
                             )
 
+    @classmethod
+    def _trusted(
+        cls, dims, bidegree, ext_images, sym_images, total_degree: int
+    ) -> "GradedDerivation":
+        """A derivation whose images are known to have the right degrees, unchecked."""
+        d = object.__new__(cls)
+        object.__setattr__(d, "dims", dims)
+        object.__setattr__(d, "bidegree", bidegree)
+        object.__setattr__(d, "ext_images", ext_images)
+        object.__setattr__(d, "sym_images", sym_images)
+        object.__setattr__(d, "total_degree", total_degree)
+        return d
+
 
 def apply_derivation(d: GradedDerivation, a: WeilElement) -> WeilElement:
     """Extend the generator images by the graded Leibniz rule.
@@ -311,6 +344,8 @@ def apply_derivation(d: GradedDerivation, a: WeilElement) -> WeilElement:
     """
     if d.dims != a.dims:
         raise DimensionMismatch(f"{d.dims} vs {a.dims}")
+    if not a.terms:
+        return a  # the zero element
     dodd = d.total_degree % 2
     trusted = WeilMonomial._trusted
     out: dict[WeilMonomial, Rational] = {}
@@ -327,7 +362,7 @@ def apply_derivation(d: GradedDerivation, a: WeilElement) -> WeilElement:
             out[right[1]] = out.get(right[1], _ZERO) + (c if left[0] * right[0] > 0 else -c)
 
     for mono, coeff in a.terms.items():
-        ext, sym = mono.ext, mono.sym
+        ext, sym = mono
         for pos, i in enumerate(ext):
             img = d.ext_images[i]
             if img.terms:
@@ -347,12 +382,12 @@ def derivation_sum(d1: GradedDerivation, d2: GradedDerivation) -> GradedDerivati
     if d1.total_degree != d2.total_degree:
         raise ValueError("cannot sum derivations of different total degree")
     bid = d1.bidegree if d1.bidegree == d2.bidegree else None
-    return GradedDerivation(
+    return GradedDerivation._trusted(
         d1.dims,
         bid,
-        tuple(weil_add(x, y) for x, y in zip(d1.ext_images, d2.ext_images)),
-        tuple(weil_add(x, y) for x, y in zip(d1.sym_images, d2.sym_images)),
-        total_degree=d1.total_degree,
+        tuple(map(weil_add, d1.ext_images, d2.ext_images)),
+        tuple(map(weil_add, d1.sym_images, d2.sym_images)),
+        d1.total_degree,
     )
 
 
@@ -367,11 +402,11 @@ def graded_commutator(d1: GradedDerivation, d2: GradedDerivation) -> GradedDeriv
 
     ext = tuple(map(comm_on, d2.ext_images, d1.ext_images))
     sym = tuple(map(comm_on, d2.sym_images, d1.sym_images))
+    bid = None
     if d1.bidegree is not None and d2.bidegree is not None:
         bid = (d1.bidegree[0] + d2.bidegree[0], d1.bidegree[1] + d2.bidegree[1])
-        return GradedDerivation(d1.dims, bid, ext, sym)
-    return GradedDerivation(
-        d1.dims, None, ext, sym, total_degree=d1.total_degree + d2.total_degree
+    return GradedDerivation._trusted(
+        d1.dims, bid, ext, sym, d1.total_degree + d2.total_degree
     )
 
 
@@ -395,12 +430,12 @@ def check_zero_on_generators(d: GradedDerivation, prefix: str) -> VerificationRe
 
 def _square(d: GradedDerivation) -> GradedDerivation:
     """``d o d`` on the generators; for odd ``d`` it is the derivation ``[d, d] / 2``."""
-    return GradedDerivation(
+    return GradedDerivation._trusted(
         d.dims,
         None,
         tuple(apply_derivation(d, img) for img in d.ext_images),
         tuple(apply_derivation(d, img) for img in d.sym_images),
-        total_degree=2 * d.total_degree,
+        2 * d.total_degree,
     )
 
 
@@ -599,9 +634,10 @@ def _adjoints(G: GerstenhaberStructure) -> list[GradedDerivation]:
     for (i, j, k), v in G.core_bracket.entries.items():
         rows[n0 + i][n0 + j][trusted((), (k,))] = v
     elements = [tuple(WeilElement._trusted(dims, terms) for terms in row) for row in rows]
+    bids = [(0, -1)] * n0 + [(0, 0)] * n1
     return [
-        GradedDerivation(dims, (0, -1) if p < n0 else (0, 0), row[:n0], row[n0:])
-        for p, row in enumerate(elements)
+        GradedDerivation._trusted(dims, bid, row[:n0], row[n0:], sum(bid))
+        for bid, row in zip(bids, elements)
     ]
 
 
@@ -642,8 +678,8 @@ def gerst_bracket(G: GerstenhaberStructure, a: WeilElement, b: WeilElement) -> W
             weil_scale(_swap_sign(t, deg), apply_derivation(ad, part))
             for ad, deg in zip(ads, degrees)
         ]
-        ad_part = GradedDerivation(
-            G.dims, None, tuple(images[:n0]), tuple(images[n0:]), total_degree=t - 2
+        ad_part = GradedDerivation._trusted(
+            G.dims, None, tuple(images[:n0]), tuple(images[n0:]), t - 2
         )
         brackets.append((1, apply_derivation(ad_part, b)))
     return _signed_sum(G.dims, *brackets)
@@ -749,25 +785,28 @@ def check_derivation_of_bracket(
     br = [ad.ext_images + ad.sym_images for ad in ads]  # br[p][q] = [x_p, x_q]
     ad_d = [[apply_derivation(ad, dy) for dy in d.ext_images + d.sym_images] for ad in ads]
     idx = range(len(gens))
-    defects = {  # d[x_p, x_q] - [d x_p, x_q] - (-1)^|x_p| [x_p, d x_q]
-        (gens[p], gens[q]): _signed_sum(
+    defects = {}  # nonzero d[x_p, x_q] - [d x_p, x_q] - (-1)^|x_p| [x_p, d x_q] by (p, q)
+    for p, q in itertools.product(idx, idx):
+        if not (br[p][q].terms or ad_d[q][p].terms or ad_d[p][q].terms):
+            continue  # all three parts are zero
+        dft = _signed_sum(
             G.dims,
             (1, apply_derivation(d, br[p][q])),
             (-_swap_sign(deg[p] + 1, deg[q]), ad_d[q][p]),
             (1 if deg[p] % 2 else -1, ad_d[p][q]),
         )
-        for p, q in itertools.product(idx, idx)
-    }
+        if dft.terms:
+            defects[p, q] = dft
 
     def first_failing(pairs) -> Witness | None:
-        for m1, m2 in pairs:
-            dft = defects[(m1, m2)]
-            if not dft.is_zero():
-                return Witness((), dft.render(), "0", at=f"({m1.render()}, {m2.render()})")
+        for p, q in pairs:
+            if (p, q) in defects:
+                at = f"({gens[p].render()}, {gens[q].render()})"
+                return Witness((), defects[p, q].render(), "0", at=at)
         return None
 
-    gen_witness = first_failing(itertools.product(gens, gens))
-    mono_witness = first_failing(itertools.combinations_with_replacement(gens, 2))
+    gen_witness = first_failing(itertools.product(idx, idx))
+    mono_witness = first_failing(itertools.combinations_with_replacement(idx, 2))
     return VerificationReport(
         (
             Check("generator_pairs", gen_witness is None, gen_witness),

@@ -85,8 +85,8 @@ def cocycle(g: LieAlgebra, d: LieCobracket) -> Check:
 
 def verify_cocycle_by_pairs(g: LieAlgebra, d: LieCobracket) -> VerificationReport:
     return combine(
-        verify_lie(g).prefixed("lie.primal."),
-        verify_lie(cobracket_to_dual_lie(d)).prefixed("lie.dual."),
+        ("lie.primal.", verify_lie(g)),
+        ("lie.dual.", verify_lie(cobracket_to_dual_lie(d))),
         VerificationReport((cocycle(g, d),)),
     )
 

@@ -29,7 +29,7 @@ from l2b.catalog import (
 )
 from l2b.documents import build_lie2_bialgebra
 from l2b.exact import SparseTensor
-from l2b.liecore import LieAlgebra, bicrossed_sum, verify_lie, verify_rep
+from l2b.liecore import LieAlgebra, bicrossed_sum, combine, verify_lie, verify_rep
 from l2b.twoterm import CrossedModuleData, TwoVectorSpace, verify_cm
 
 from conftest import small_tensor
@@ -259,7 +259,7 @@ def test_cross_check_verifies_each_crossed_module_once(monkeypatch):
     report = cross_check(d)
     assert calls == [d.cm1, d.cm2]
     n = len(rd.checks) + len(rm.checks)
-    assert report.checks[:n] == rd.prefixed("def.").checks + rm.prefixed("matched.").checks
+    assert report.checks[:n] == combine(("def.", rd), ("matched.", rm)).checks
 
 
 # --- equivalence and closure properties ------------------------------------------------

@@ -3,8 +3,10 @@ import io
 import itertools
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -12,8 +14,10 @@ from hypothesis import given, settings
 
 from l2b import catalog
 from l2b.cli import main
-from l2b.documents import KINDS, _SCHEMAS, parse_document, serialize_document
+from l2b.documents import KINDS, MAX_DIM, _SCHEMAS, parse_document, serialize_document
 from l2b.exact import perm_parity
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -181,6 +185,17 @@ def test_verify_deeply_nested_input_exit_two(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_verify_oversized_dim_exit_two(tmp_path, capsys):
+    obj = {"kind": "lie_algebra", "spaces": {"g": {"dim": MAX_DIM + 1}}, "blocks": {"bracket": []}}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: spaces.g.dim: must be at most {MAX_DIM}\n"
+    obj["spaces"]["g"] = {"dim": MAX_DIM}
+    assert parse_document(json.dumps(obj).encode()).spaces["g"].dim == MAX_DIM
+
+
 @pytest.mark.parametrize("index", [[0, 0, 7], [0, -1, 2]])
 def test_verify_out_of_range_index_exit_two(tmp_path, capsys, index):
     obj = json.loads(serialize_document(catalog.get("sl2").document))
@@ -202,10 +217,13 @@ def test_verify_unwritable_out_exit_two(doc_file, tmp_path, capsys):
 
 def test_subprocess_entry_point(doc_file, tmp_path):
     path = doc_file("axb_bialgebra")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "l2b", "verify", path],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["verdict"] == "pass"

@@ -13,6 +13,8 @@ from l2b.exact import SparseTensor
 from l2b.liecore import Check, LieAlgebra, Witness
 from l2b.twoterm import CrossedModuleData, TwoVectorSpace, WeakLie2Data, verify_cm
 from l2b.weil import (
+    _adjoints,
+    _square,
     GerstenhaberStructure,
     GradedDerivation,
     WeilElement,
@@ -579,6 +581,23 @@ def test_derivation_witness_trace_one_table():
     )
 
 
+def test_derivation_witness_after_all_zero_pairs():
+    # [g0, a1] = a1 and d(a1) = g0: a0 is inert, so every pair with a0 has
+    # three zero defect parts, and the first failing pair is (a1, a1)
+    dims = (2, 1)
+    G = GerstenhaberStructure(
+        dims, SparseTensor((1, 1, 1)), SparseTensor((1, 2, 2), {(0, 1, 1): 1})
+    )
+    d = GradedDerivation(
+        dims, None, (weil_zero(dims), weil_gamma(dims, 0)), (weil_zero(dims),), total_degree=1
+    )
+    witness = Witness((), "(-2)*a1", "0", at="(a1, a1)")
+    assert check_derivation_of_bracket(d, G).checks == (
+        Check("generator_pairs", False, witness),
+        Check("monomial_pairs", False, witness),
+    )
+
+
 def test_apply_derivation_sign_past_odd_exterior_prefix():
     # d(g0) = a1 with deg d = -1: d(a0 g0) = d(a0) g0 - a0 d(g0) = -a0 a1
     dims = (2, 1)
@@ -599,7 +618,21 @@ def assert_revalidates(e: WeilElement):
     for mono, coeff in e.terms.items():
         assert_exact(coeff)
         assert_canonical(copy.terms[mono])
-        assert mono == WeilMonomial(mono.ext, mono.sym)
+        checked = WeilMonomial(mono.ext, mono.sym)
+        assert type(mono) is WeilMonomial
+        assert mono == checked and hash(mono) == hash(checked)
+        assert mono.sort_key() == checked.sort_key()
+
+
+def assert_derivation_revalidates(d: GradedDerivation):
+    """A trusted derivation equals its copy through the public constructor,
+    which checks the degrees of its images."""
+    copy = GradedDerivation(
+        d.dims, d.bidegree, d.ext_images, d.sym_images, total_degree=d.total_degree
+    )
+    assert d == copy
+    for img in d.ext_images + d.sym_images:
+        assert_revalidates(img)
 
 
 # small coefficients, so that sums and products cancel often; halves make
@@ -612,14 +645,38 @@ def assert_revalidates(e: WeilElement):
         )
     ),
     st.sampled_from((0, 1, -1, Q(1, 2), Q(4, 2), True)),
+    tables_and_derivations(),
 )
-def test_kernel_results_revalidate(pair, c):
+def test_kernel_results_revalidate(pair, c, table):
     a, b = pair
-    assert_revalidates(weil_add(a, b))
-    assert_revalidates(weil_add(a, weil_scale(-1, a)))
-    assert_revalidates(weil_mul(a, b))
-    assert_revalidates(weil_scale(c, a))
-    assert_revalidates(weil_sub(a, b))
+    results = (
+        weil_add(a, b),
+        weil_add(a, weil_scale(-1, a)),
+        weil_mul(a, b),
+        weil_scale(c, a),
+        weil_sub(a, b),
+    )
+    for e in results:
+        assert_revalidates(e)
+    # trusted monomials sort like their validated copies
+    monos = [m for e in results for m in e.terms]
+    checked = [WeilMonomial(m.ext, m.sym) for m in monos]
+    key = WeilMonomial.sort_key
+    assert sorted(monos, key=key) == sorted(checked, key=key)
+    # derivations: homogeneous (the ad_x) and of mixed bidegree (d)
+    G, d = table
+    ads = _adjoints(G)
+    for ad in ads:
+        assert_derivation_revalidates(ad)
+    for result in (
+        _square(d),
+        graded_commutator(d, ads[0]),
+        graded_commutator(ads[0], ads[-1]),
+        derivation_sum(d, d),
+        derivation_sum(ads[0], ads[0]),
+        derivation_sum(ads[-1], ads[-1]),
+    ):
+        assert_derivation_revalidates(result)
 
 
 def test_constructors_validate():
