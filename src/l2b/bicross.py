@@ -35,12 +35,11 @@ from .liecore import (
 )
 from .twoterm import CrossedModuleData, dual_two_vs, gamma_total, verify_cm
 from .weil import (
-    build_delta_h,
-    build_delta_v,
     build_gerstenhaber,
     check_cm_square,
     check_derivation_of_bracket,
     check_gerst_axioms,
+    cm_differentials,
     derivation_sum,
 )
 
@@ -213,9 +212,7 @@ def verify_l2b_weil(d: Lie2BialgebraData) -> VerificationReport:
     ``cm2`` satisfies the graded axioms, and that the total differential is
     a derivation of the bracket.
     """
-    cm = d.cm1
-    dh = build_delta_h(cm.base.bracket, cm.action)
-    dv = build_delta_v(cm.tvs.partial)
+    dv, dh = cm_differentials(d.cm1)
     G = build_gerstenhaber(d.cm2)
     return combine(
         check_cm_square(dv, dh),

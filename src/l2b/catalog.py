@@ -130,14 +130,7 @@ def weak_l3_example(n1: int = 1, coeff=1, target: int = 0) -> WeakLie2Data:
         perm + (target,): perm_parity(perm) * Fraction(coeff)
         for perm in itertools.permutations((0, 1, 2))
     }
-    return WeakLie2Data(
-        3,
-        n1,
-        SparseTensor.zero((3, n1)),
-        SparseTensor.zero((3, 3, 3)),
-        SparseTensor.zero((3, n1, n1)),
-        SparseTensor((3, 3, 3, n1), entries),
-    )
+    return WeakLie2Data(abelian_cm(3, n1), SparseTensor((3, 3, 3, n1), entries))
 
 
 def semidirect_mp(h: LieAlgebra, act: SparseTensor, k_dim: int) -> MatchedPairData:
@@ -260,18 +253,14 @@ def _build_entries() -> tuple[CatalogEntry, ...]:
         doc_from_weak_lie2(weak_l3_example(), "weak_l3"),
     )
     wbad = weak_l3_example()
+    bad_partial = TwoVectorSpace(3, 1, SparseTensor((3, 1), {(0, 0): 1}))
     add(
         "weak_l3_bad_partial",
         False,
         "same 3-form with a nonzero structure map; the (2,0) square fails",
         doc_from_weak_lie2(
             WeakLie2Data(
-                3,
-                1,
-                SparseTensor((3, 1), {(0, 0): 1}),
-                wbad.bracket0,
-                wbad.action,
-                wbad.jacobiator,
+                CrossedModuleData(wbad.cm.base, bad_partial, wbad.cm.action), wbad.jacobiator
             ),
             "weak_l3_bad_partial",
         ),

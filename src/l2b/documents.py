@@ -17,6 +17,7 @@ from . import __version__
 from .bicross import (
     Lie2BialgebraData,
     MatchedPairData,
+    abelian_dual_pair,
     cross_check,
     verify_l2b_def,
     verify_l2b_matched,
@@ -59,6 +60,10 @@ class UnsupportedMethod(ValueError):
     """The requested verification method does not apply to this document kind."""
 
 
+# the blocks of a crossed module on g1 -> g0 other than its action, which is
+# ``action0`` in a lie2_bialgebra document and ``action`` elsewhere
+_CM_BLOCKS = {"bracket0": ("g0", "g0", "g0"), "partial": ("g0", "g1")}
+
 # block arity expressed through space names
 _SCHEMAS: dict[str, dict] = {
     "lie_algebra": {
@@ -71,17 +76,12 @@ _SCHEMAS: dict[str, dict] = {
     },
     "crossed_module": {
         "spaces": ("g0", "g1"),
-        "blocks": {
-            "bracket0": ("g0", "g0", "g0"),
-            "partial": ("g0", "g1"),
-            "action": ("g0", "g1", "g1"),
-        },
+        "blocks": {**_CM_BLOCKS, "action": ("g0", "g1", "g1")},
     },
     "weak_lie2": {
         "spaces": ("g0", "g1"),
         "blocks": {
-            "bracket0": ("g0", "g0", "g0"),
-            "partial": ("g0", "g1"),
+            **_CM_BLOCKS,
             "action": ("g0", "g1", "g1"),
             "jacobiator": ("g0", "g0", "g0", "g1"),
         },
@@ -89,8 +89,7 @@ _SCHEMAS: dict[str, dict] = {
     "lie2_bialgebra": {
         "spaces": ("g0", "g1"),
         "blocks": {
-            "bracket0": ("g0", "g0", "g0"),
-            "partial": ("g0", "g1"),
+            **_CM_BLOCKS,
             "action0": ("g0", "g1", "g1"),
             "dual_bracket": ("g1", "g1", "g1"),
             "dual_action": ("g1", "g0", "g0"),
@@ -289,39 +288,34 @@ def build_bialgebra(doc: StructureDocument) -> tuple[LieAlgebra, LieCobracket]:
     return g, d
 
 
-def _tvs_of(doc: StructureDocument) -> TwoVectorSpace:
-    return TwoVectorSpace(
-        doc.space("g0").dim,
-        doc.space("g1").dim,
-        doc.block_tensor("partial"),
-        doc.space("g0").labels,
-        doc.space("g1").labels,
-    )
+def _action_block(kind: str) -> str:
+    """The action block of a document's crossed module on ``g1 -> g0``."""
+    return "action0" if kind == "lie2_bialgebra" else "action"
+
+
+def _read_cm(doc: StructureDocument) -> CrossedModuleData:
+    """The crossed module on ``g1 -> g0`` of a ``crossed_module``,
+    ``weak_lie2`` or ``lie2_bialgebra`` document.
+
+    The ``build_*`` functions call this rather than each other, so that a
+    document is built by one public call."""
+    g0, g1 = doc.space("g0"), doc.space("g1")
+    base = LieAlgebra(g0.labels, doc.block_tensor("bracket0"))
+    tvs = TwoVectorSpace(g0.dim, g1.dim, doc.block_tensor("partial"), g0.labels, g1.labels)
+    return CrossedModuleData(base, tvs, doc.block_tensor(_action_block(doc.kind)))
 
 
 def build_crossed_module(doc: StructureDocument) -> CrossedModuleData:
-    base = LieAlgebra(doc.space("g0").labels, doc.block_tensor("bracket0"))
-    return CrossedModuleData(base, _tvs_of(doc), doc.block_tensor("action"))
+    return _read_cm(doc)
 
 
 def build_weak_lie2(doc: StructureDocument) -> WeakLie2Data:
-    return WeakLie2Data(
-        doc.space("g0").dim,
-        doc.space("g1").dim,
-        doc.block_tensor("partial"),
-        doc.block_tensor("bracket0"),
-        doc.block_tensor("action"),
-        doc.block_tensor("jacobiator"),
-        doc.space("g0").labels,
-        doc.space("g1").labels,
-    )
+    return WeakLie2Data(_read_cm(doc), doc.block_tensor("jacobiator"))
 
 
 def build_lie2_bialgebra(doc: StructureDocument) -> Lie2BialgebraData:
-    base1 = LieAlgebra(doc.space("g0").labels, doc.block_tensor("bracket0"))
-    tvs1 = _tvs_of(doc)
-    cm1 = CrossedModuleData(base1, tvs1, doc.block_tensor("action0"))
-    tvs2 = dual_two_vs(tvs1)
+    cm1 = _read_cm(doc)
+    tvs2 = dual_two_vs(cm1.tvs)
     base2 = LieAlgebra(tvs2.labels0, doc.block_tensor("dual_bracket"))
     cm2 = CrossedModuleData(base2, tvs2, doc.block_tensor("dual_action"))
     return Lie2BialgebraData(cm1, cm2)
@@ -368,9 +362,11 @@ def doc_from_bialgebra(g: LieAlgebra, d: LieCobracket, name: str = "") -> Struct
     )
 
 
-def doc_from_crossed_module(cm: CrossedModuleData, name: str = "") -> StructureDocument:
+def _cm_document(kind: str, name: str, cm: CrossedModuleData, **blocks) -> StructureDocument:
+    """A document of ``kind`` whose crossed module on ``g1 -> g0`` is ``cm``,
+    with the further ``blocks``."""
     return StructureDocument(
-        "crossed_module",
+        kind,
         name,
         {
             "g0": SpaceDecl(cm.dim0, cm.base.labels),
@@ -379,44 +375,27 @@ def doc_from_crossed_module(cm: CrossedModuleData, name: str = "") -> StructureD
         {
             "bracket0": _tensor_block(cm.base.bracket),
             "partial": _tensor_block(cm.tvs.partial),
-            "action": _tensor_block(cm.action),
+            _action_block(kind): _tensor_block(cm.action),
+            **blocks,
         },
     )
+
+
+def doc_from_crossed_module(cm: CrossedModuleData, name: str = "") -> StructureDocument:
+    return _cm_document("crossed_module", name, cm)
 
 
 def doc_from_weak_lie2(w: WeakLie2Data, name: str = "") -> StructureDocument:
-    return StructureDocument(
-        "weak_lie2",
-        name,
-        {
-            "g0": SpaceDecl(w.dim0, w.labels0),
-            "g1": SpaceDecl(w.dim1, w.labels1),
-        },
-        {
-            "bracket0": _tensor_block(w.bracket0),
-            "partial": _tensor_block(w.partial),
-            "action": _tensor_block(w.action),
-            "jacobiator": _tensor_block(w.jacobiator),
-        },
-    )
+    return _cm_document("weak_lie2", name, w.cm, jacobiator=_tensor_block(w.jacobiator))
 
 
 def doc_from_lie2_bialgebra(d: Lie2BialgebraData, name: str = "") -> StructureDocument:
-    cm1 = d.cm1
-    return StructureDocument(
+    return _cm_document(
         "lie2_bialgebra",
         name,
-        {
-            "g0": SpaceDecl(cm1.dim0, cm1.base.labels),
-            "g1": SpaceDecl(cm1.dim1, cm1.tvs.labels1),
-        },
-        {
-            "bracket0": _tensor_block(cm1.base.bracket),
-            "partial": _tensor_block(cm1.tvs.partial),
-            "action0": _tensor_block(cm1.action),
-            "dual_bracket": _tensor_block(d.cm2.base.bracket),
-            "dual_action": _tensor_block(d.cm2.action),
-        },
+        d.cm1,
+        dual_bracket=_tensor_block(d.cm2.base.bracket),
+        dual_action=_tensor_block(d.cm2.action),
     )
 
 
@@ -466,16 +445,8 @@ def dualize_document(doc: StructureDocument, which: str) -> StructureDocument:
                     "bracket and action (a bare 2-vector space); dualize the full "
                     "pair as a lie2_bialgebra document instead"
                 )
-            t = dual_two_vs(_tvs_of(doc))
-            return StructureDocument(
-                "crossed_module",
-                doc.name,
-                {
-                    "g0": SpaceDecl(t.dim0, t.labels0),
-                    "g1": SpaceDecl(t.dim1, t.labels1),
-                },
-                {"partial": _tensor_block(t.partial), "bracket0": (), "action": ()},
-            )
+            dual = abelian_dual_pair(_read_cm(doc)).cm2
+            return doc_from_crossed_module(dual, doc.name)
         raise UnsupportedMethod(f"two_vs dualization does not apply to kind {doc.kind!r}")
     if which in ("dvb_vertical", "dvb_horizontal", "flip"):
         if doc.kind != "dvb":

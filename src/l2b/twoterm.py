@@ -243,64 +243,24 @@ def g_action_algebroid(cm: CrossedModuleData) -> LieAlgebra:
 
 @dataclass(frozen=True)
 class WeakLie2Data:
-    """Two-term homotopy Lie-algebra candidate data.
+    """Two-term homotopy Lie-algebra candidate data: a crossed-module
+    candidate plus a Jacobiator.
 
-    ``bracket0`` is antisymmetric but Jacobi is not assumed; ``action`` is
-    not assumed to be a representation; ``jacobiator`` stores
-    ``(i, j, k, b) -> l`` meaning the coefficient of ``f_b`` in
-    ``l3(e_i, e_j, e_k)``, antisymmetric in the first three slots.  The
-    stated antisymmetries are construction invariants; everything else is
-    the subject of verification.
+    ``jacobiator`` stores ``(i, j, k, b) -> l`` meaning the coefficient of
+    ``f_b`` in ``l3(e_i, e_j, e_k)``, antisymmetric in the first three
+    slots, which is checked here; as for ``cm``, everything else is the
+    subject of verification.
     """
 
-    dim0: int
-    dim1: int
-    partial: SparseTensor  # (a, b) -> coefficient of e_a in partial(f_b)
-    bracket0: SparseTensor
-    action: SparseTensor
+    cm: CrossedModuleData
     jacobiator: SparseTensor
-    labels0: tuple[str, ...] | None = None
-    labels1: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        n0, n1 = self.dim0, self.dim1
-        # checks the structure map's dims and the label counts, and fills in default labels
-        tvs = TwoVectorSpace(n0, n1, self.partial, self.labels0, self.labels1)
-        if self.bracket0.dims != (n0, n0, n0):
-            raise DimensionMismatch(f"bracket0 dims {self.bracket0.dims}")
-        if self.action.dims != (n0, n1, n1):
-            raise DimensionMismatch(f"action dims {self.action.dims}")
+        n0, n1 = self.cm.dim0, self.cm.dim1
         if self.jacobiator.dims != (n0, n0, n0, n1):
             raise DimensionMismatch(f"jacobiator dims {self.jacobiator.dims}")
-        for name, axes in (("bracket0", (0, 1)), ("jacobiator", (0, 1, 2))):
-            if (bad := next(asymmetric_entries(getattr(self, name), axes), None)) is not None:
-                raise ValueError(f"{name} not antisymmetric at {bad}")
-        object.__setattr__(self, "labels0", tvs.labels0)
-        object.__setattr__(self, "labels1", tvs.labels1)
-
-    @classmethod
-    def from_cm(cls, cm: CrossedModuleData, jacobiator: SparseTensor | None = None):
-        n0, n1 = cm.dim0, cm.dim1
-        if jacobiator is None:
-            jacobiator = SparseTensor.zero((n0, n0, n0, n1))
-        return cls(
-            n0,
-            n1,
-            cm.tvs.partial,
-            cm.base.bracket,
-            cm.action,
-            jacobiator,
-            cm.base.labels,
-            cm.tvs.labels1,
-        )
-
-    def strict_part(self) -> CrossedModuleData:
-        """The crossed-module candidate obtained by forgetting the Jacobiator."""
-        return CrossedModuleData(
-            LieAlgebra(self.labels0, self.bracket0),
-            TwoVectorSpace(self.dim0, self.dim1, self.partial, self.labels0, self.labels1),
-            self.action,
-        )
+        if (bad := next(asymmetric_entries(self.jacobiator, (0, 1, 2)), None)) is not None:
+            raise ValueError(f"jacobiator not antisymmetric at {bad}")
 
 
 # --- split double-vector-space bookkeeping -----------------------------------

@@ -509,6 +509,11 @@ def build_delta_j(l3: SparseTensor) -> GradedDerivation:
     return GradedDerivation(dims, (2, -1), ext, tuple(WeilElement(dims, t) for t in sym))
 
 
+def cm_differentials(cm: CrossedModuleData) -> tuple[GradedDerivation, GradedDerivation]:
+    """``(delta_v, delta_h)`` of a crossed-module candidate."""
+    return build_delta_v(cm.tvs.partial), build_delta_h(cm.base.bracket, cm.action)
+
+
 def square_components(*ds: GradedDerivation) -> dict[tuple[int, int], GradedDerivation]:
     """The square of a sum of odd homogeneous derivations on generators, by bidegree.
 
@@ -544,9 +549,7 @@ def check_cm_square(dv: GradedDerivation, dh: GradedDerivation) -> VerificationR
 
 def verify_cm_via_weil(cm: CrossedModuleData) -> VerificationReport:
     """The differential-calculus characterization of the crossed-module checks."""
-    return check_cm_square(
-        build_delta_v(cm.tvs.partial), build_delta_h(cm.base.bracket, cm.action)
-    )
+    return check_cm_square(*cm_differentials(cm))
 
 
 def verify_weak_lie2(w: WeakLie2Data) -> VerificationReport:
@@ -556,11 +559,7 @@ def verify_weak_lie2(w: WeakLie2Data) -> VerificationReport:
     fails with its first failing generator.  With a vanishing Jacobiator
     this agrees with `twoterm.verify_cm` on the same data.
     """
-    square = square_components(
-        build_delta_v(w.partial),
-        build_delta_h(w.bracket0, w.action),
-        build_delta_j(w.jacobiator),
-    )
+    square = square_components(*cm_differentials(w.cm), build_delta_j(w.jacobiator))
     checks = []
     for (p, q), comp in sorted(square.items()):
         cond = f"square({p},{q})"

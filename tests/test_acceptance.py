@@ -239,7 +239,7 @@ def test_criterion_6_duality_bookkeeping():
 def test_criterion_7_weak_strict_consistency(cm_population):
     with criterion(7, "weak/strict consistency"):
         for cm in cm_population:
-            w = WeakLie2Data.from_cm(cm)
+            w = WeakLie2Data(cm, SparseTensor.zero((cm.dim0,) * 3 + (cm.dim1,)))
             assert verify_weak_lie2(w).passed == verify_cm(cm).passed
         assert verify_weak_lie2(weak_l3_example()).passed
         for seed in range(6):

@@ -207,6 +207,20 @@ def test_verify_out_of_range_index_exit_two(tmp_path, capsys, index):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_verify_weak_lie2_bracket_not_antisymmetric_exit_two(tmp_path, capsys):
+    # the crossed module of a weak_lie2 document is read as for crossed_module
+    messages = []
+    for name in ("adjoint_sl2_cm", "weak_l3"):
+        obj = json.loads(serialize_document(catalog.get(name).document))
+        obj["blocks"]["bracket0"].append([[0, 1, 0], "1"])
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run_cli(capsys, "verify", str(path))
+        assert code == 2 and out == ""
+        messages.append(err)
+    assert messages[0] == messages[1] == "error: bracket tensor not antisymmetric at (0, 1, 0)\n"
+
+
 def test_verify_unwritable_out_exit_two(doc_file, tmp_path, capsys):
     target = tmp_path / "missing" / "x.json"
     code, out, err = run_cli(capsys, "verify", doc_file("sl2"), "--out", str(target))

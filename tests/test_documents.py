@@ -9,6 +9,8 @@ from l2b.documents import (
     UnsupportedMethod,
     build_crossed_module,
     build_lie2_bialgebra,
+    build_weak_lie2,
+    doc_from_weak_lie2,
     dualize_document,
     parse_document,
     run_verifier,
@@ -25,6 +27,15 @@ def test_round_trip_identity_on_catalog():
     for entry in catalog.entries():
         data = serialize_document(entry.document)
         assert serialize_document(parse_document(data)) == data
+
+
+def test_weak_lie2_round_trip_through_weak_data():
+    docs = [catalog.get(name).document for name in ("weak_l3", "weak_l3_bad_partial")]
+    docs += [catalog.gen_document("weak_abelian_l3", seed) for seed in range(20)]
+    for doc in docs:
+        data = serialize_document(doc)
+        w = build_weak_lie2(parse_document(data))
+        assert serialize_document(doc_from_weak_lie2(w, doc.name)) == data
 
 
 def test_parse_rejects_out_of_range_index():

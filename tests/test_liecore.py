@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from l2b.catalog import axb, heisenberg, sl2, transform_lie, _unimodular
+from l2b.bicross import abelian_dual_pair, matched_pair_of
+from l2b.catalog import adjoint_cm, axb, heisenberg, sl2, transform_lie, _unimodular
 from l2b.exact import DimensionMismatch, SparseTensor
 from l2b.liecore import (
     LieAlgebra,
@@ -17,10 +18,12 @@ from l2b.liecore import (
     verify_lie,
     verify_rep,
 )
+from l2b.twoterm import gamma_total
 
 import random
 
 from cocycle_oracle import random_bialgebra_candidate, verify_cocycle_by_pairs
+from jacobi_oracle import verify_lie_by_fold
 
 
 def random_valid_lie(seed):
@@ -79,6 +82,56 @@ def test_verify_lie_perturbed_sl2():
 def test_verify_lie_matches_brute_force(seed):
     g = random_valid_lie(seed)
     assert verify_lie(g).passed == brute_force_jacobi(g)
+
+
+def random_table(rng):
+    """An antisymmetric bracket table of dim 0 to 7 with a few int and Fraction entries."""
+    n = rng.randrange(8)
+    entries = {}
+    for _ in range(rng.randrange(3 * n + 1)):
+        i, j, k = (rng.randrange(n) for _ in range(3))
+        if i != j:
+            c = rng.choice((rng.randrange(-2, 3), Q(rng.randrange(-3, 4), rng.randrange(1, 4))))
+            entries[(i, j, k)] = entries.get((i, j, k), 0) + c
+            entries[(j, i, k)] = entries.get((j, i, k), 0) - c
+    return LieAlgebra(tuple(f"x{i}" for i in range(n)), SparseTensor((n, n, n), entries))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**6))
+def test_verify_lie_matches_fold_oracle(seed):
+    g = random_table(random.Random(seed))
+    assert verify_lie(g).checks == verify_lie_by_fold(g).checks
+
+
+def test_verify_lie_fold_oracle_covers_dims_scalars_and_verdicts():
+    seen = set()
+    for seed in range(300):
+        g = random_table(random.Random(seed))
+        report = verify_lie(g)
+        assert report.checks == verify_lie_by_fold(g).checks
+        values = g.bracket.entries.values()
+        seen.add((g.dim, report.passed, any(type(v) is Q for v in values)))
+    assert {dim for dim, _, _ in seen} == set(range(8))
+    assert {(passed, frac) for _, passed, frac in seen} == {
+        (True, False), (True, True), (False, False), (False, True)
+    }
+
+
+def test_verify_lie_fold_oracle_on_the_sl2_sl2_ladder_totals():
+    # the def and matched totals of the adjoint sl2+sl2 pair with the zero dual
+    zero = SparseTensor.zero((3, 3, 3))
+    d = abelian_dual_pair(adjoint_cm(bicrossed_sum(sl2(), sl2(), zero, zero)))
+    mp = matched_pair_of(d)
+    totals = [gamma_total(d.cm1), bicrossed_sum(mp.h, mp.k, mp.act_h_on_k, mp.act_k_on_h)]
+    # and the def total with one entry pair changed, so that Jacobi fails
+    g = totals[0]
+    edit = {(0, 6, 7): 1, (6, 0, 7): -1}
+    totals.append(LieAlgebra(g.labels, g.bracket.add(SparseTensor(g.bracket.dims, edit))))
+    assert [verify_lie(t).passed for t in totals] == [True, True, False]
+    for t in totals:
+        assert t.dim == 12
+        assert verify_lie(t).checks == verify_lie_by_fold(t).checks
 
 
 def test_verify_rep_zero_matrices():

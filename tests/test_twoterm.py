@@ -242,22 +242,24 @@ def test_loop_oracle_candidates_pass_and_fail_every_check():
     assert all(seen == {True, False} for seen in outcomes.values()), dict(outcomes)
 
 
+def test_two_vector_space_label_count_validated():
+    for labels in ({"labels0": ("x",)}, {"labels1": ("y", "z")}):
+        with pytest.raises(DimensionMismatch, match="label count"):
+            TwoVectorSpace(3, 1, SparseTensor.zero((3, 1)), **labels)
+
+
 def test_weak_data_antisymmetry_validated():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="jacobiator not antisymmetric"):
         WeakLie2Data(
-            3, 1, SparseTensor.zero((3, 1)), SparseTensor.zero((3, 3, 3)),
-            SparseTensor.zero((3, 1, 1)),
+            abelian_cm(3, 1),
             SparseTensor((3, 3, 3, 1), {(0, 1, 2, 0): 1}),  # missing signed orbit
         )
 
 
-def test_weak_data_label_count_validated():
-    with pytest.raises(DimensionMismatch):
-        WeakLie2Data(
-            3, 1, SparseTensor.zero((3, 1)), SparseTensor.zero((3, 3, 3)),
-            SparseTensor.zero((3, 1, 1)), SparseTensor.zero((3, 3, 3, 1)),
-            labels0=("x",),
-        )
+def test_weak_data_jacobiator_dims_validated():
+    for dims in ((3, 3, 3, 2), (2, 3, 3, 1), (3, 3, 3)):
+        with pytest.raises(DimensionMismatch, match="jacobiator dims"):
+            WeakLie2Data(abelian_cm(3, 1), SparseTensor.zero(dims))
 
 
 # --- split double vector spaces ---------------------------------------------------
