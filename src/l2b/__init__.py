@@ -34,15 +34,11 @@ from .twoterm import (
     verify_full_crossed_module,
 )
 from .weil import (
-    GerstenhaberStructure,
     GradedDerivation,
     WeilElement,
     WeilMonomial,
     apply_derivation,
-    build_delta_h,
     build_delta_j,
-    build_delta_v,
-    build_gerstenhaber,
     check_derivation_of_bracket,
     check_gerst_axioms,
     check_square_zero,

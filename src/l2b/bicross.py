@@ -2,8 +2,8 @@
 
 A Lie 2-bialgebra candidate is a pair of crossed-module candidates on dual
 2-vector spaces: ``cm1`` on ``[g1 -> g0]`` and ``cm2`` on ``[g0* -> g1*]``
-(the structure map of ``cm2`` must be the transpose of ``cm1``'s, which is
-checked at construction).  Validity has three independent
+(the 2-vector space of ``cm2`` must be `twoterm.dual_two_vs` of ``cm1``'s,
+which is checked at construction).  Validity has three independent
 characterizations, implemented as three verifiers that must agree:
 
 * ``verify_l2b_def``: the two semidirect totals form a Lie bialgebra
@@ -35,7 +35,6 @@ from .liecore import (
 )
 from .twoterm import CrossedModuleData, dual_two_vs, gamma_total, verify_cm
 from .weil import (
-    build_gerstenhaber,
     check_cm_square,
     check_derivation_of_bracket,
     check_gerst_axioms,
@@ -50,15 +49,10 @@ class Lie2BialgebraData:
     cm2: CrossedModuleData  # on [g0* -> g1*]
 
     def __post_init__(self):
-        t1, t2 = self.cm1.tvs, self.cm2.tvs
-        if (t2.dim0, t2.dim1) != (t1.dim1, t1.dim0):
-            raise DimensionMismatch(
-                f"dual 2-vector space dims {(t2.dim0, t2.dim1)} do not mirror "
-                f"{(t1.dim0, t1.dim1)}"
-            )
-        if t2.partial != permute_axes(t1.partial, (1, 0)):
+        if self.cm2.tvs != dual_two_vs(self.cm1.tvs):
             raise ValueError(
-                "structure map of the dual crossed module is not the transpose"
+                "the 2-vector space of the dual crossed module is not the dual of "
+                "cm1's: mirrored dims, transposed structure map and starred labels"
             )
 
     @property
@@ -208,16 +202,15 @@ def verify_l2b_weil(d: Lie2BialgebraData) -> VerificationReport:
     """Differential-calculus verifier on the bigraded algebra of cm1's spaces.
 
     Checks that the two differentials built from ``cm1`` square to zero and
-    commute (`weil.check_cm_square`), that the bracket table built from
-    ``cm2`` satisfies the graded axioms, and that the total differential is
-    a derivation of the bracket.
+    commute (`weil.check_cm_square`), that the bidegree (-1,-1) bracket,
+    which is ``cm2`` read as a bracket, satisfies the graded axioms, and
+    that the total differential is a derivation of the bracket.
     """
     dv, dh = cm_differentials(d.cm1)
-    G = build_gerstenhaber(d.cm2)
     return combine(
         check_cm_square(dv, dh),
-        ("gerst.", check_gerst_axioms(G)),
-        ("derivation.", check_derivation_of_bracket(derivation_sum(dh, dv), G)),
+        ("gerst.", check_gerst_axioms(d.cm2)),
+        ("derivation.", check_derivation_of_bracket(derivation_sum(dh, dv), d.cm2)),
     )
 
 

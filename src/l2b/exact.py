@@ -28,7 +28,7 @@ import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 from fractions import Fraction
-from operator import itemgetter
+from operator import index, itemgetter
 
 Rational = int | Fraction
 
@@ -95,12 +95,12 @@ class SparseTensor:
     entries: dict[tuple[int, ...], Rational] = field(default_factory=dict)
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
+        dims = tuple(map(index, self.dims))
         if any(d < 0 for d in dims):
             raise ValueError(f"negative dimension in {dims}")
         clean: dict[tuple[int, ...], Rational] = {}
         for idx, val in self.entries.items():
-            idx = tuple(int(i) for i in idx)
+            idx = tuple(map(index, idx))
             if len(idx) != len(dims):
                 raise DimensionMismatch(
                     f"index {idx} has rank {len(idx)}, tensor has rank {len(dims)}"

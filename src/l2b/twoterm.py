@@ -58,8 +58,8 @@ class TwoVectorSpace:
             raise DimensionMismatch(
                 f"partial dims {self.partial.dims}, expected {(self.dim0, self.dim1)}"
             )
-        l0 = self.labels0 or tuple(f"e{i}" for i in range(self.dim0))
-        l1 = self.labels1 or tuple(f"f{i}" for i in range(self.dim1))
+        l0 = tuple(f"e{i}" for i in range(self.dim0)) if self.labels0 is None else self.labels0
+        l1 = tuple(f"f{i}" for i in range(self.dim1)) if self.labels1 is None else self.labels1
         if len(l0) != self.dim0 or len(l1) != self.dim1:
             raise DimensionMismatch("label count does not match dimensions")
         object.__setattr__(self, "labels0", tuple(l0))
@@ -92,6 +92,10 @@ class CrossedModuleData:
         if self.action.dims != (n0, n1, n1):
             raise DimensionMismatch(
                 f"action dims {self.action.dims}, expected {(n0, n1, n1)}"
+            )
+        if self.base.labels != self.tvs.labels0:
+            raise ValueError(
+                f"base labels {self.base.labels} vs side labels {self.tvs.labels0}"
             )
 
     @property

@@ -19,14 +19,16 @@ vanishing graded commutator ``[delta_h, delta_v] = 0``):
   (Chevalley-Eilenberg convention);
 * ``delta_J(g_b) = - sum_{i<j<k} l3^b_{ijk} a_i a_j a_k``, ``delta_J(a) = 0``.
 
-The bidegree (-1,-1) bracket induced by dual crossed-module data uses the
-table ``[g_i, g_j] = dual bracket``, ``[g_i, a_j] = dual action``,
-``[a_i, a_j] = 0`` with graded skew ``[x,y] = -(-1)^{|x||y|}[y,x]`` and
-Leibniz ``[x, y.z] = [x,y].z + (-1)^{|x||y|} y.[x,z]`` in total degree
+The bidegree (-1,-1) bracket is read off the dual crossed module ``cm2``
+on ``[g0* -> g1*]``: ``[g_i, g_j]`` is its base bracket, ``[g_i, a_j]``
+its action and ``[a_i, a_j] = 0``, with graded skew
+``[x,y] = -(-1)^{|x||y|}[y,x]`` and Leibniz
+``[x, y.z] = [x,y].z + (-1)^{|x||y|} y.[x,z]`` in total degree
 (legitimate because the bracket's total degree -2 is even).  Being a
 biderivation, it is known by the derivations ``ad_x = [x, -]`` of the
-generators, whose images are the table's entries (Kosmann-Schwarzbach,
-*Derived brackets*); every bracket is an `apply_derivation` of one of them.
+generators, whose images are those structure constants
+(Kosmann-Schwarzbach, *Derived brackets*); every bracket is an
+`apply_derivation` of one of them.
 
 Validation happens at the public constructors: `WeilMonomial` checks that
 its index tuples are sorted, `WeilElement` that every monomial is in
@@ -36,24 +38,20 @@ that its images have the degrees of its bidegree or total degree.
 Products, sums, scalings, brackets and derivation images are built by the
 trusted `_trusted` constructors, since they combine monomials and exact
 rational coefficients of valid operands of the same dims; so are the
-derivations the kernel derives from valid ones (squares, commutators,
-sums, the ``ad_x`` and the bracket with an element).  A monomial is an
-immutable ``(ext, sym)`` tuple, so hashing and equality run in C.
+derivations the kernel reads off `CrossedModuleData` and `WeakLie2Data`,
+whose dims and antisymmetry their constructors have checked (the three
+differentials and the ``ad_x``), and those it derives from valid ones
+(squares, commutators, sums and the bracket with an element).  A monomial
+is an immutable ``(ext, sym)`` tuple, so hashing and equality run in C.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import index
 
-from .exact import (
-    DimensionMismatch,
-    Rational,
-    SparseTensor,
-    asymmetric_entries,
-    format_rational,
-    rational,
-)
+from .exact import DimensionMismatch, Rational, format_rational, rational
 from .liecore import Check, VerificationReport, Witness, combine
 from .twoterm import CrossedModuleData, WeakLie2Data
 
@@ -71,8 +69,8 @@ class WeilMonomial(tuple):
     __slots__ = ()
 
     def __new__(cls, ext, sym):
-        ext = tuple(int(i) for i in ext)
-        sym = tuple(int(i) for i in sym)
+        ext = tuple(map(index, ext))
+        sym = tuple(map(index, sym))
         if any(ext[i] >= ext[i + 1] for i in range(len(ext) - 1)):
             raise ValueError(f"exterior indices not strictly increasing: {ext}")
         if any(sym[i] > sym[i + 1] for i in range(len(sym) - 1)):
@@ -142,7 +140,7 @@ class WeilElement:
             q = rational(coeff)
             if q:
                 clean[mono] = q
-        object.__setattr__(self, "dims", (int(n0), int(n1)))
+        object.__setattr__(self, "dims", (index(n0), index(n1)))
         object.__setattr__(self, "terms", clean)
 
     @classmethod
@@ -449,69 +447,52 @@ def check_square_zero(d: GradedDerivation) -> VerificationReport:
 # --- the three differentials --------------------------------------------------
 
 
-def build_delta_v(partial: SparseTensor) -> GradedDerivation:
-    """The bidegree (0,1) differential extending the transpose of a structure map.
-
-    ``partial`` stores ``(a, b) -> coefficient of e_a in partial(f_b)``.
-    """
-    dims = partial.dims
-    rows: list[dict[WeilMonomial, Rational]] = [{} for _ in range(dims[0])]
-    for (a, b), v in partial.items_sorted():
-        rows[a][WeilMonomial((), (b,))] = v
-    ext = [WeilElement(dims, terms) for terms in rows]
-    sym = tuple(weil_zero(dims) for _ in range(dims[1]))
-    return GradedDerivation(dims, (0, 1), tuple(ext), sym)
-
-
-def build_delta_h(bracket0: SparseTensor, action: SparseTensor) -> GradedDerivation:
-    """The bidegree (1,0) differential dual to a bracket and an action.
-
-    ``delta_h(a_l)`` evaluates on ``x^y`` to ``-a_l([x,y])``;
-    ``delta_h(g_b)`` evaluates on ``x (x) c`` to ``-g_b(x.c)``.
-    """
-    n0 = bracket0.dims[0]
-    if bracket0.dims != (n0, n0, n0):
-        raise DimensionMismatch(f"bracket dims {bracket0.dims}")
-    n1 = action.dims[1]
-    if action.dims != (n0, n1, n1):
-        raise DimensionMismatch(
-            f"action dims {action.dims}, expected {(n0, n1, n1)}"
-        )
-    if (bad := next(asymmetric_entries(bracket0, (0, 1)), None)) is not None:
-        raise ValueError(f"bracket tensor not antisymmetric at {bad}")
-    dims = (n0, n1)
-    ext: list[dict[WeilMonomial, Rational]] = [{} for _ in range(n0)]
-    for (p, q, k), v in bracket0.entries.items():
-        if p < q:
-            ext[k][WeilMonomial((p, q), ())] = -v
-    sym: list[dict[WeilMonomial, Rational]] = [{} for _ in range(n1)]
-    for (i, j, k), v in action.entries.items():
-        sym[k][WeilMonomial((i,), (j,))] = -v
-    ext_images = tuple(WeilElement(dims, terms) for terms in ext)
-    sym_images = tuple(WeilElement(dims, terms) for terms in sym)
-    return GradedDerivation(dims, (1, 0), ext_images, sym_images)
-
-
-def build_delta_j(l3: SparseTensor) -> GradedDerivation:
-    """The bidegree (2,-1) component dual to a Jacobiator l3: wedge^3 g0 -> g1."""
-    n0 = l3.dims[0]
-    n1 = l3.dims[3]
-    if l3.dims != (n0, n0, n0, n1):
-        raise DimensionMismatch(f"jacobiator dims {l3.dims}")
-    if (bad := next(asymmetric_entries(l3, (0, 1, 2)), None)) is not None:
-        raise ValueError(f"jacobiator not antisymmetric at {bad}")
-    dims = (n0, n1)
-    ext = tuple(weil_zero(dims) for _ in range(n0))
-    sym: list[dict[WeilMonomial, Rational]] = [{} for _ in range(n1)]
-    for (i, j, k, b), v in l3.entries.items():
-        if i < j < k:
-            sym[b][WeilMonomial((i, j, k), ())] = -v
-    return GradedDerivation(dims, (2, -1), ext, tuple(WeilElement(dims, t) for t in sym))
+def _derivation(dims, bidegree, ext_terms, sym_terms) -> GradedDerivation:
+    """The homogeneous derivation whose generator images have the given
+    zero-free terms, unchecked: the callers read the terms off valid data."""
+    return GradedDerivation._trusted(
+        dims,
+        bidegree,
+        tuple(WeilElement._trusted(dims, t) for t in ext_terms),
+        tuple(WeilElement._trusted(dims, t) for t in sym_terms),
+        sum(bidegree),
+    )
 
 
 def cm_differentials(cm: CrossedModuleData) -> tuple[GradedDerivation, GradedDerivation]:
-    """``(delta_v, delta_h)`` of a crossed-module candidate."""
-    return build_delta_v(cm.tvs.partial), build_delta_h(cm.base.bracket, cm.action)
+    """``(delta_v, delta_h)`` of a crossed-module candidate.
+
+    ``delta_v`` (bidegree (0,1)) extends the transpose of ``partial``;
+    ``delta_h`` (bidegree (1,0)) is dual to the base bracket and the action:
+    ``delta_h(a_l)`` evaluates on ``x^y`` to ``-a_l([x,y])`` and
+    ``delta_h(g_b)`` on ``x (x) c`` to ``-g_b(x.c)``.
+    """
+    n0, n1 = dims = (cm.dim0, cm.dim1)
+    trusted = WeilMonomial._trusted
+    dv: list[dict[WeilMonomial, Rational]] = [{} for _ in range(n0)]
+    for (a, b), v in cm.tvs.partial.entries.items():
+        dv[a][trusted((), (b,))] = v
+    dh_ext: list[dict[WeilMonomial, Rational]] = [{} for _ in range(n0)]
+    for (p, q, k), v in cm.base.bracket.entries.items():
+        if p < q:
+            dh_ext[k][trusted((p, q), ())] = -v
+    dh_sym: list[dict[WeilMonomial, Rational]] = [{} for _ in range(n1)]
+    for (i, j, k), v in cm.action.entries.items():
+        dh_sym[k][trusted((i,), (j,))] = -v
+    return (
+        _derivation(dims, (0, 1), dv, [{}] * n1),
+        _derivation(dims, (1, 0), dh_ext, dh_sym),
+    )
+
+
+def build_delta_j(w: WeakLie2Data) -> GradedDerivation:
+    """The bidegree (2,-1) component dual to the Jacobiator l3: wedge^3 g0 -> g1."""
+    n0, n1 = dims = (w.cm.dim0, w.cm.dim1)
+    sym: list[dict[WeilMonomial, Rational]] = [{} for _ in range(n1)]
+    for (i, j, k, b), v in w.jacobiator.entries.items():
+        if i < j < k:
+            sym[b][WeilMonomial._trusted((i, j, k), ())] = -v
+    return _derivation(dims, (2, -1), [{}] * n0, sym)
 
 
 def square_components(*ds: GradedDerivation) -> dict[tuple[int, int], GradedDerivation]:
@@ -559,7 +540,7 @@ def verify_weak_lie2(w: WeakLie2Data) -> VerificationReport:
     fails with its first failing generator.  With a vanishing Jacobiator
     this agrees with `twoterm.verify_cm` on the same data.
     """
-    square = square_components(*cm_differentials(w.cm), build_delta_j(w.jacobiator))
+    square = square_components(*cm_differentials(w.cm), build_delta_j(w))
     checks = []
     for (p, q), comp in sorted(square.items()):
         cond = f"square({p},{q})"
@@ -572,72 +553,29 @@ def verify_weak_lie2(w: WeakLie2Data) -> VerificationReport:
 # --- the bidegree (-1,-1) bracket ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class GerstenhaberStructure:
-    """Generator table of the bidegree (-1,-1) bracket on the Weil algebra.
-
-    ``core_bracket`` stores ``[g_i, g_j]`` (a core-generator-valued tensor,
-    antisymmetric), ``side_action`` stores ``[g_i, a_j]`` (side-generator
-    valued); ``[a_i, a_j] = 0`` is forced since its bidegree would have a
-    negative symmetric component.  The antisymmetry is checked here, so the
-    table is graded skew.  The bracket is the biderivation extending the
-    table: ``[x, -]`` for a generator ``x`` is the derivation ``ad_x`` whose
-    generator images are the table's entries (`_adjoints`).
-    """
-
-    dims: tuple[int, int]
-    core_bracket: SparseTensor  # (i, j, k): coefficient of g_k in [g_i, g_j]
-    side_action: SparseTensor  # (i, j, k): coefficient of a_k in [g_i, a_j]
-
-    def __post_init__(self):
-        n0, n1 = self.dims
-        if self.core_bracket.dims != (n1, n1, n1):
-            raise DimensionMismatch(
-                f"core bracket dims {self.core_bracket.dims}, expected {(n1, n1, n1)}"
-            )
-        if self.side_action.dims != (n1, n0, n0):
-            raise DimensionMismatch(
-                f"side action dims {self.side_action.dims}, expected {(n1, n0, n0)}"
-            )
-        if (bad := next(asymmetric_entries(self.core_bracket, (0, 1)), None)) is not None:
-            raise ValueError(f"bracket tensor not antisymmetric at {bad}")
-
-
-def build_gerstenhaber(cm2: CrossedModuleData) -> GerstenhaberStructure:
-    """Bracket table from crossed-module candidate data on the dual spaces.
-
-    ``cm2`` lives on the dual 2-vector space: its base algebra is the dual
-    core (bracket of the ``g`` generators), its action is of the dual core
-    on the dual side (bracket of a ``g`` with an ``a``).
-    """
-    n1 = cm2.tvs.dim0
-    n0 = cm2.tvs.dim1
-    return GerstenhaberStructure((n0, n1), cm2.base.bracket, cm2.action)
-
-
-def _adjoints(G: GerstenhaberStructure) -> list[GradedDerivation]:
+def _adjoints(cm2: CrossedModuleData) -> list[GradedDerivation]:
     """``ad_x = [x, -]`` for each generator ``x``, in `_generators` order.
 
-    Read off the table in one pass over its entries:
-    ``ad_{g_i}(a_j) = sum_k side_action[i, j, k] a_k``,
-    ``ad_{g_i}(g_j) = sum_k core_bracket[i, j, k] g_k``, ``ad_{a_i}(a_j) = 0``
+    ``cm2`` is the dual crossed module, on ``[g0* -> g1*]``: its base
+    bracket is the bracket of the ``g`` generators and its action the
+    bracket of a ``g`` with an ``a``, so the Weil dims are
+    ``(cm2.dim1, cm2.dim0)``.  Read off in one pass over its entries:
+    ``ad_{g_i}(a_j) = sum_k action[i, j, k] a_k``,
+    ``ad_{g_i}(g_j) = sum_k bracket[i, j, k] g_k``, ``ad_{a_i}(a_j) = 0``
     and, by graded skew, ``ad_{a_j}(g_i) = -ad_{g_i}(a_j)``.  ``ad_{a_i}`` has
-    bidegree (0,-1) and ``ad_{g_i}`` bidegree (0,0).
+    bidegree (0,-1) and ``ad_{g_i}`` bidegree (0,0).  The table is graded
+    skew because `LieAlgebra` refuses a bracket that is not antisymmetric.
     """
-    n0, n1 = dims = G.dims
+    n0, n1 = dims = (cm2.dim1, cm2.dim0)
     trusted = WeilMonomial._trusted
     rows = [[{} for _ in range(n0 + n1)] for _ in range(n0 + n1)]  # rows[p][q]: [x_p, x_q]
-    for (i, j, k), v in G.side_action.entries.items():
+    for (i, j, k), v in cm2.action.entries.items():
         rows[n0 + i][j][trusted((k,), ())] = v
         rows[j][n0 + i][trusted((k,), ())] = -v
-    for (i, j, k), v in G.core_bracket.entries.items():
+    for (i, j, k), v in cm2.base.bracket.entries.items():
         rows[n0 + i][n0 + j][trusted((), (k,))] = v
-    elements = [tuple(WeilElement._trusted(dims, terms) for terms in row) for row in rows]
     bids = [(0, -1)] * n0 + [(0, 0)] * n1
-    return [
-        GradedDerivation._trusted(dims, bid, row[:n0], row[n0:], sum(bid))
-        for bid, row in zip(bids, elements)
-    ]
+    return [_derivation(dims, bid, row[:n0], row[n0:]) for bid, row in zip(bids, rows)]
 
 
 def _swap_sign(deg_a: int, deg_b: int) -> int:
@@ -654,7 +592,7 @@ def _signed_sum(dims, *parts: tuple[int, WeilElement]) -> WeilElement:
     return _nonzero(dims, out)
 
 
-def gerst_bracket(G: GerstenhaberStructure, a: WeilElement, b: WeilElement) -> WeilElement:
+def gerst_bracket(cm2: CrossedModuleData, a: WeilElement, b: WeilElement) -> WeilElement:
     """The bracket of two elements, as a derivation applied to ``b``.
 
     For ``a`` of total degree ``t``, ``[a, -]`` is the derivation of degree
@@ -662,36 +600,37 @@ def gerst_bracket(G: GerstenhaberStructure, a: WeilElement, b: WeilElement) -> W
     ``[a, y] = -(-1)^(t|y|) ad_y(a)``; an ``a`` of several total degrees is
     split by degree.
     """
-    if a.dims != G.dims or b.dims != G.dims:
-        raise DimensionMismatch(f"{a.dims}/{b.dims} vs structure dims {G.dims}")
-    ads = _adjoints(G)
-    degrees = [m.total_degree for m in _generators(G.dims)]
-    n0 = G.dims[0]
+    dims = (cm2.dim1, cm2.dim0)
+    if a.dims != dims or b.dims != dims:
+        raise DimensionMismatch(f"{a.dims}/{b.dims} vs structure dims {dims}")
+    ads = _adjoints(cm2)
+    degrees = [m.total_degree for m in _generators(dims)]
+    n0 = cm2.dim1
     parts: dict[int, dict[WeilMonomial, Rational]] = {}
     for mono, coeff in a.terms.items():
         parts.setdefault(mono.total_degree, {})[mono] = coeff
     brackets = []
     for t, terms in parts.items():
-        part = WeilElement._trusted(G.dims, terms)
+        part = WeilElement._trusted(dims, terms)
         images = [
             weil_scale(_swap_sign(t, deg), apply_derivation(ad, part))
             for ad, deg in zip(ads, degrees)
         ]
         ad_part = GradedDerivation._trusted(
-            G.dims, None, tuple(images[:n0]), tuple(images[n0:]), t - 2
+            dims, None, tuple(images[:n0]), tuple(images[n0:]), t - 2
         )
         brackets.append((1, apply_derivation(ad_part, b)))
-    return _signed_sum(G.dims, *brackets)
+    return _signed_sum(dims, *brackets)
 
 
-def check_gerst_axioms(G: GerstenhaberStructure) -> VerificationReport:
+def check_gerst_axioms(cm2: CrossedModuleData) -> VerificationReport:
     """Graded skew-symmetry, Jacobi and Leibniz, decided on generators.
 
     Every bracket is an image of one of the derivations ``ad_x``
     (`_adjoints`): ``[x, y]`` is read off ``ad_x``, and ``[e, z]`` for an
     element ``e`` is ``-(-1)^(|e||z|) ad_z(e)``.  So the bracket is a
     biderivation by construction, and it is skew because the table is (see
-    `GerstenhaberStructure`); skew and Leibniz (``ad_x(y.z)`` against the
+    `_adjoints`); skew and Leibniz (``ad_x(y.z)`` against the
     product rule) are checked on generators all the same.  The Jacobiator
     ``ad_x(ad_y z) - [ad_x y, z] -+ ad_y(ad_x z)`` of a skew biderivation
     is a graded-antisymmetric triderivation, so it vanishes on all
@@ -701,9 +640,10 @@ def check_gerst_axioms(G: GerstenhaberStructure) -> VerificationReport:
     its factors, which sorts earlier; so the first failing sorted generator
     tuple is also the first failing sorted monomial tuple.
     """
-    gens = _generators(G.dims)
+    dims = (cm2.dim1, cm2.dim0)
+    gens = _generators(dims)
     deg = [m.total_degree for m in gens]
-    ads = _adjoints(G)
+    ads = _adjoints(cm2)
     br = [ad.ext_images + ad.sym_images for ad in ads]  # br[p][q] = [x_p, x_q]
     idx = range(len(gens))
 
@@ -724,7 +664,7 @@ def check_gerst_axioms(G: GerstenhaberStructure) -> VerificationReport:
             continue  # both sides are zero
         lhs = apply_derivation(ads[p], br[q][r])
         rhs = _signed_sum(
-            G.dims,
+            dims,
             (_swap_sign(deg[p] + deg[q], deg[r]), apply_derivation(ads[r], br[p][q])),
             (-_swap_sign(deg[p], deg[q]), apply_derivation(ads[q], br[p][r])),
         )
@@ -733,7 +673,7 @@ def check_gerst_axioms(G: GerstenhaberStructure) -> VerificationReport:
             break
 
     leibniz_witness = None
-    elts = [WeilElement._trusted(G.dims, {m: _ONE}) for m in gens]
+    elts = [WeilElement._trusted(dims, {m: _ONE}) for m in gens]
     products = [
         (q, r, weil_mul(elts[q], elts[r]))
         for q, r in itertools.combinations_with_replacement(idx, 2)
@@ -743,7 +683,7 @@ def check_gerst_axioms(G: GerstenhaberStructure) -> VerificationReport:
             continue  # ad_p vanishes on both factors, so both sides are zero
         lhs = apply_derivation(ads[p], prod)
         rhs = _signed_sum(
-            G.dims,
+            dims,
             (1, weil_mul(br[p][q], elts[r])),
             (-_swap_sign(deg[p], deg[q]), weil_mul(elts[q], br[p][r])),
         )
@@ -761,7 +701,7 @@ def check_gerst_axioms(G: GerstenhaberStructure) -> VerificationReport:
 
 
 def check_derivation_of_bracket(
-    d: GradedDerivation, G: GerstenhaberStructure
+    d: GradedDerivation, cm2: CrossedModuleData
 ) -> VerificationReport:
     """Check d[x,y] = [d x, y] + (-1)^|x| [x, d y], decided on generators.
 
@@ -776,11 +716,12 @@ def check_derivation_of_bracket(
     """
     if d.total_degree % 2 == 0:
         raise ValueError("derivation compatibility check requires an odd derivation")
-    if d.dims != G.dims:
-        raise DimensionMismatch(f"{d.dims} vs {G.dims}")
-    gens = _generators(G.dims)
+    dims = (cm2.dim1, cm2.dim0)
+    if d.dims != dims:
+        raise DimensionMismatch(f"{d.dims} vs {dims}")
+    gens = _generators(dims)
     deg = [m.total_degree for m in gens]
-    ads = _adjoints(G)
+    ads = _adjoints(cm2)
     br = [ad.ext_images + ad.sym_images for ad in ads]  # br[p][q] = [x_p, x_q]
     ad_d = [[apply_derivation(ad, dy) for dy in d.ext_images + d.sym_images] for ad in ads]
     idx = range(len(gens))
@@ -789,7 +730,7 @@ def check_derivation_of_bracket(
         if not (br[p][q].terms or ad_d[q][p].terms or ad_d[p][q].terms):
             continue  # all three parts are zero
         dft = _signed_sum(
-            G.dims,
+            dims,
             (1, apply_derivation(d, br[p][q])),
             (-_swap_sign(deg[p] + 1, deg[q]), ad_d[q][p]),
             (1 if deg[p] % 2 else -1, ad_d[p][q]),

@@ -18,13 +18,12 @@ through element products and sums.
 import itertools
 
 from l2b.liecore import Check, VerificationReport, Witness
+from l2b.twoterm import CrossedModuleData
 from l2b.weil import (
-    GerstenhaberStructure,
     GradedDerivation,
     WeilElement,
     WeilMonomial,
     apply_derivation,
-    build_gerstenhaber,
     weil_add,
     weil_mul,
     weil_scale,
@@ -62,38 +61,45 @@ def apply_derivation_by_products(d: GradedDerivation, a: WeilElement) -> WeilEle
     return out
 
 
+def weil_dims(cm2: CrossedModuleData) -> tuple[int, int]:
+    """The Weil dims of a dual crossed module on ``[g0* -> g1*]``."""
+    return (cm2.dim1, cm2.dim0)
+
+
 class MonomialBracket:
-    """The bracket of a table by recursive Leibniz expansion, memoized.
+    """The bracket of a dual crossed module by recursive Leibniz expansion, memoized.
 
     One generator is peeled off a monomial at a time: ``[g.m', b] =
     g.[m', b] + (-1)^(|m'||b|) [g, b].m'`` on the left, then ``[x, h.w'] =
     [x,h].w' + (-1)^(|x||h|) h.[x, w']`` on the right, down to a table
-    entry, which is looked up by scanning the table.
+    entry (base bracket for two ``g``, action for a ``g`` and an ``a``),
+    which is looked up by scanning the table.
     """
 
-    def __init__(self, G: GerstenhaberStructure):
-        self.G = G
+    def __init__(self, cm2: CrossedModuleData):
+        self.cm2 = cm2
+        self.dims = weil_dims(cm2)
         self.cache: dict = {}
 
     def _elt(self, m: WeilMonomial) -> WeilElement:
-        return WeilElement(self.G.dims, {m: 1})
+        return WeilElement(self.dims, {m: 1})
 
     def table(self, g1, g2) -> WeilElement:
         """``[g1, g2]`` for generators given as ``(kind, index)``."""
         (kind1, i), (kind2, j) = g1, g2
-        G = self.G
+        dims = self.dims
         if kind1 == "ext" and kind2 == "ext":
-            return weil_zero(G.dims)
+            return weil_zero(dims)
         if kind1 == "sym" and kind2 == "sym":
             return WeilElement(
-                G.dims,
-                {WeilMonomial((), (k,)): v for (a, b, k), v in G.core_bracket.entries.items()
+                dims,
+                {WeilMonomial((), (k,)): v for (a, b, k), v in self.cm2.base.bracket.entries.items()
                  if (a, b) == (i, j)},
             )
         if kind1 == "sym":
             return WeilElement(
-                G.dims,
-                {WeilMonomial((k,), ()): v for (a, b, k), v in G.side_action.entries.items()
+                dims,
+                {WeilMonomial((k,), ()): v for (a, b, k), v in self.cm2.action.entries.items()
                  if (a, b) == (i, j)},
             )
         # [a_i, g_j] = -(-1)^(1*2) [g_j, a_i] = -[g_j, a_i]
@@ -106,7 +112,7 @@ class MonomialBracket:
         k1 = len(m1.ext) + len(m1.sym)
         k2 = len(m2.ext) + len(m2.sym)
         if k1 == 0 or k2 == 0:
-            result = weil_zero(self.G.dims)
+            result = weil_zero(self.dims)
         elif k1 == 1 and k2 == 1:
             result = self.table(_peel(m1)[0], _peel(m2)[0])
         elif k1 > 1:
@@ -127,7 +133,7 @@ class MonomialBracket:
         return result
 
     def bracket(self, a: WeilElement, b: WeilElement) -> WeilElement:
-        out = weil_zero(self.G.dims)
+        out = weil_zero(self.dims)
         for m1, c1 in a.terms.items():
             for m2, c2 in b.terms.items():
                 out = weil_add(out, weil_scale(c1 * c2, self.mono(m1, m2)))
@@ -145,7 +151,7 @@ def _peel(m: WeilMonomial):
     return ("sym", m.sym[0]), WeilMonomial((), m.sym[1:])
 
 
-def gerst_bracket_by_sums(G: GerstenhaberStructure, a: WeilElement, b: WeilElement) -> WeilElement:
+def gerst_bracket_by_sums(G: CrossedModuleData, a: WeilElement, b: WeilElement) -> WeilElement:
     """`gerst_bracket` as a sum of scaled recursive monomial brackets."""
     return MonomialBracket(G).bracket(a, b)
 
@@ -171,11 +177,11 @@ def generators(dims):
     ]
 
 
-def _elt(G: GerstenhaberStructure, m: WeilMonomial) -> WeilElement:
-    return WeilElement(G.dims, {m: 1})
+def _elt(G: CrossedModuleData, m: WeilMonomial) -> WeilElement:
+    return WeilElement(weil_dims(G), {m: 1})
 
 
-def gerst_axioms_over(G: GerstenhaberStructure, monos, degree_bound: int) -> VerificationReport:
+def gerst_axioms_over(G: CrossedModuleData, monos, degree_bound: int) -> VerificationReport:
     """Graded skew-symmetry, Jacobi and Leibniz on sorted tuples of ``monos``.
 
     Leibniz takes the products of total degree at most ``degree_bound``.
@@ -233,18 +239,18 @@ def gerst_axioms_over(G: GerstenhaberStructure, monos, degree_bound: int) -> Ver
     )
 
 
-def check_gerst_axioms_bounded(G: GerstenhaberStructure, degree_bound: int) -> VerificationReport:
+def check_gerst_axioms_bounded(G: CrossedModuleData, degree_bound: int) -> VerificationReport:
     """The axioms on every monomial up to a total-degree bound."""
-    return gerst_axioms_over(G, enumerate_monomials(G.dims, degree_bound), degree_bound)
+    return gerst_axioms_over(G, enumerate_monomials(weil_dims(G), degree_bound), degree_bound)
 
 
-def check_gerst_axioms_on_generators(G: GerstenhaberStructure) -> VerificationReport:
+def check_gerst_axioms_on_generators(G: CrossedModuleData) -> VerificationReport:
     """The axioms on generator tuples, as `l2b.weil.check_gerst_axioms` decides them."""
-    return gerst_axioms_over(G, generators(G.dims), 4)
+    return gerst_axioms_over(G, generators(weil_dims(G)), 4)
 
 
 def derivation_of_bracket_over(
-    d: GradedDerivation, G: GerstenhaberStructure, monos
+    d: GradedDerivation, G: CrossedModuleData, monos
 ) -> VerificationReport:
     """d[x,y] = [d x, y] + (-1)^|x| [x, d y] on generator pairs and on sorted pairs of ``monos``."""
     B = MonomialBracket(G)
@@ -257,7 +263,7 @@ def derivation_of_bracket_over(
         rhs = weil_add(rhs, weil_scale(sign, B.bracket(e1, apply_derivation(d, e2))))
         return weil_sub(lhs, rhs)
 
-    gens = generators(G.dims)
+    gens = generators(weil_dims(G))
     gen_witness = None
     for m1, m2 in itertools.product(gens, gens):
         dft = defect(m1, m2)
@@ -279,24 +285,24 @@ def derivation_of_bracket_over(
 
 
 def check_derivation_of_bracket_bounded(
-    d: GradedDerivation, G: GerstenhaberStructure, degree_bound: int
+    d: GradedDerivation, G: CrossedModuleData, degree_bound: int
 ) -> VerificationReport:
     """The derivation property on every monomial pair up to a total-degree bound."""
-    return derivation_of_bracket_over(d, G, enumerate_monomials(G.dims, degree_bound))
+    return derivation_of_bracket_over(d, G, enumerate_monomials(weil_dims(G), degree_bound))
 
 
 def check_derivation_of_bracket_on_generators(
-    d: GradedDerivation, G: GerstenhaberStructure
+    d: GradedDerivation, G: CrossedModuleData
 ) -> VerificationReport:
     """The derivation property on generator pairs, as
     `l2b.weil.check_derivation_of_bracket` decides it."""
-    return derivation_of_bracket_over(d, G, generators(G.dims))
+    return derivation_of_bracket_over(d, G, generators(weil_dims(G)))
 
 
 def random_table_and_derivation(rng):
-    """A bracket table with dims 0-3 and an odd derivation on its algebra.
+    """A dual crossed module with dims 0-3 and an odd derivation on its Weil algebra.
 
-    The table is `build_gerstenhaber` of a candidate of
+    The dual crossed module is a candidate of
     `crossed_module_oracle.random_candidate`: half are a Lie algebra acting
     on itself, with an entry perturbed now and then, the rest random
     antisymmetric tables, so Jacobi both holds and fails.  The derivation
@@ -304,9 +310,8 @@ def random_table_and_derivation(rng):
     `MonomialBracket` (a derivation of the bracket whenever Jacobi holds), or
     random images.
     """
-    cm, _ = random_candidate(rng)
-    G = build_gerstenhaber(cm)
-    dims = n0, n1 = G.dims
+    G, _ = random_candidate(rng)
+    dims = n0, n1 = weil_dims(G)
     kind = rng.choice(("zero", "ad", "random", "random"))
     if kind == "ad" and n0:
         i = rng.randrange(n0)

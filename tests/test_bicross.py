@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction as Q
 
+import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
@@ -30,9 +31,9 @@ from l2b.catalog import (
 from l2b.documents import build_lie2_bialgebra
 from l2b.exact import SparseTensor
 from l2b.liecore import LieAlgebra, bicrossed_sum, combine, verify_lie, verify_rep
-from l2b.twoterm import CrossedModuleData, TwoVectorSpace, verify_cm
+from l2b.twoterm import CrossedModuleData, TwoVectorSpace, dual_two_vs, verify_cm
 
-from conftest import small_tensor
+from conftest import crossed_module, small_tensor
 
 
 def seeded_l2b(seed, modifications=0):
@@ -177,6 +178,24 @@ def test_verify_def_scaling_and_abelian_dual(sl2):
     assert verify_l2b_def(abelian_dual_pair(axb_action_cm())).passed
 
 
+def test_pair_refuses_a_cm2_not_on_the_dual_space():
+    # cm2 must live on dual_two_vs(cm1.tvs): mirrored dims, transposed
+    # structure map and starred labels
+    def on(tvs):
+        zero = SparseTensor.zero((tvs.dim0, tvs.dim1, tvs.dim1))
+        return CrossedModuleData(LieAlgebra.abelian(tvs.labels0), tvs, zero)
+
+    cm1 = crossed_module((2, 2), partial=SparseTensor((2, 2), {(0, 1): 1}))
+    dual = dual_two_vs(cm1.tvs)
+    assert Lie2BialgebraData(cm1, on(dual)).cm2.tvs.labels0 == ("f0*", "f1*")
+    untransposed = TwoVectorSpace(2, 2, cm1.tvs.partial, dual.labels0, dual.labels1)
+    axb_cm = axb_action_cm()
+    relabelled = TwoVectorSpace(1, 2, SparseTensor.zero((1, 2)), ("p",), ("q", "r"))
+    for first, second in ((axb_cm, axb_cm), (cm1, on(untransposed)), (axb_cm, on(relabelled))):
+        with pytest.raises(ValueError, match="not the dual"):
+            Lie2BialgebraData(first, second)
+
+
 def test_verify_def_skips_cocycle_on_bad_cm():
     d = seeded_l2b(1)
     # break cm1's bracket so the crossed-module stage fails
@@ -202,7 +221,7 @@ def test_verify_weil_scaling():
 def zero_core_pair(g0):
     n = g0.dim
     cm1 = CrossedModuleData(
-        g0, TwoVectorSpace(n, 0, SparseTensor.zero((n, 0))), SparseTensor.zero((n, 0, 0))
+        g0, TwoVectorSpace(n, 0, SparseTensor.zero((n, 0)), g0.labels), SparseTensor.zero((n, 0, 0))
     )
     return abelian_dual_pair(cm1)
 

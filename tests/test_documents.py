@@ -3,13 +3,17 @@ import json
 import pytest
 
 from l2b import catalog
+from l2b.bicross import abelian_dual_pair
 from l2b.exact import SparseTensor
+from l2b.liecore import LieAlgebra
+from l2b.twoterm import CrossedModuleData, TwoVectorSpace
 from l2b.documents import (
     DocumentError,
     UnsupportedMethod,
     build_crossed_module,
     build_lie2_bialgebra,
     build_weak_lie2,
+    doc_from_lie2_bialgebra,
     doc_from_weak_lie2,
     dualize_document,
     parse_document,
@@ -36,6 +40,17 @@ def test_weak_lie2_round_trip_through_weak_data():
         data = serialize_document(doc)
         w = build_weak_lie2(parse_document(data))
         assert serialize_document(doc_from_weak_lie2(w, doc.name)) == data
+
+
+def test_lie2_bialgebra_round_trip_keeps_side_labels():
+    # the dual core labels are the starred side labels, which the document
+    # writes once, as the labels of g0
+    g = LieAlgebra(("x", "y"), catalog.axb().bracket)
+    tvs = TwoVectorSpace(2, 1, SparseTensor.zero((2, 1)), g.labels, ("f",))
+    d = abelian_dual_pair(CrossedModuleData(g, tvs, SparseTensor((2, 1, 1), {(0, 0, 0): 1})))
+    back = build_lie2_bialgebra(parse_document(serialize_document(doc_from_lie2_bialgebra(d))))
+    assert back == d
+    assert back.cm2.tvs.labels1 == ("x*", "y*")
 
 
 def test_parse_rejects_out_of_range_index():

@@ -72,6 +72,20 @@ def test_tensor_rejects_out_of_range():
         SparseTensor((2,), {(0, 0): 1})
 
 
+def test_tensor_refuses_non_integer_indices_and_dims():
+    # indices and dims go through operator.index: a float or a string is
+    # refused rather than truncated or parsed
+    for dims, entries in (
+        ((2,), {(1.5,): 1}),
+        ((2,), {(1.0,): 1}),
+        ((2,), {("1",): 1}),
+        ((2.5,), {}),
+        (("2",), {}),
+    ):
+        with pytest.raises(TypeError):
+            SparseTensor(dims, entries)
+
+
 def test_tensor_wraps_integer_values():
     # integral values are stored as int, the others as Fraction; bools,
     # floats and integral Fractions are converted, zeros of any type dropped

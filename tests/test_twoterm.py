@@ -110,18 +110,22 @@ def test_verify_cm_isolated_failures():
         ("e", "f", "h"), {(0, 1): {2: 1, 0: 1}, (2, 0): {0: 2}, (2, 1): {1: -2}}
     )
     j = CrossedModuleData(
-        bad_base, TwoVectorSpace(3, 1, SparseTensor.zero((3, 1))), SparseTensor((3, 1, 1))
+        bad_base,
+        TwoVectorSpace(3, 1, SparseTensor.zero((3, 1)), bad_base.labels),
+        SparseTensor((3, 1, 1)),
     )
     r_act = SparseTensor((2, 2, 2), {(0, 0, 1): 1, (1, 1, 0): 1})
     r = CrossedModuleData(
-        LieAlgebra.abelian(("a", "b")), TwoVectorSpace(2, 2, SparseTensor.zero((2, 2))), r_act
+        LieAlgebra.abelian(("a", "b")),
+        TwoVectorSpace(2, 2, SparseTensor.zero((2, 2)), ("a", "b")),
+        r_act,
     )
     a = CrossedModuleData(
         axb(), TwoVectorSpace(2, 1, SparseTensor((2, 1), {(1, 0): 1})), SparseTensor((2, 1, 1))
     )
     b = CrossedModuleData(
         LieAlgebra.abelian(("e",)),
-        TwoVectorSpace(1, 2, SparseTensor((1, 2), {(0, 0): 1})),
+        TwoVectorSpace(1, 2, SparseTensor((1, 2), {(0, 0): 1}), ("e",)),
         SparseTensor((1, 2, 2), {(0, 1, 1): 1}),
     )
     for cm, failing in ((j, "jacobi"), (r, "representation"), (a, "equivariance"), (b, "skew_action")):
@@ -145,7 +149,7 @@ def test_derived_bracket_adjoint_recovers_bracket(sl2):
 def test_derived_bracket_refuses_skew_failure():
     cm = CrossedModuleData(
         LieAlgebra.abelian(("e",)),
-        TwoVectorSpace(1, 1, SparseTensor((1, 1), {(0, 0): 1})),
+        TwoVectorSpace(1, 1, SparseTensor((1, 1), {(0, 0): 1}), ("e",)),
         SparseTensor((1, 1, 1), {(0, 0, 0): 1}),
     )
     with pytest.raises(DerivedBracketError) as err:
@@ -243,9 +247,22 @@ def test_loop_oracle_candidates_pass_and_fail_every_check():
 
 
 def test_two_vector_space_label_count_validated():
-    for labels in ({"labels0": ("x",)}, {"labels1": ("y", "z")}):
+    # an empty label tuple is a label count like any other, not a request
+    # for the default labels
+    for labels in ({"labels0": ("x",)}, {"labels1": ("y", "z")}, {"labels0": ()}, {"labels1": ()}):
         with pytest.raises(DimensionMismatch, match="label count"):
             TwoVectorSpace(3, 1, SparseTensor.zero((3, 1)), **labels)
+
+
+def test_crossed_module_refuses_mismatched_side_labels():
+    # the side labels are stored twice, on the base algebra and on the
+    # 2-vector space; a pair that disagrees is refused
+    tvs = TwoVectorSpace(2, 1, SparseTensor.zero((2, 1)), ("x", "y"), ("f",))
+    action = SparseTensor((2, 1, 1), {(0, 0, 0): 1})
+    with pytest.raises(ValueError, match="base labels"):
+        CrossedModuleData(axb(), tvs, action)
+    cm = CrossedModuleData(LieAlgebra(("x", "y"), axb().bracket), tvs, action)
+    assert cm.base.labels == cm.tvs.labels0 == ("x", "y")
 
 
 def test_weak_data_antisymmetry_validated():
