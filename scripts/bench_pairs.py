@@ -17,8 +17,11 @@ pairs the change wins.  A row is marked ``WORSE`` where the change's median
 is worse than the parent's by more than the metric's bound (a fraction of
 the parent's median), and ``unresolved`` where the parent's interquartile
 range is wider than the bound, so that such a shift could be noise, unless
-every change run beats every parent run.  The exit code is 1 if any row is
-marked or any run reports ``correct: false``, else 0.
+every change run beats every parent run.  A row that is neither is marked
+``gain`` where the change wins at least 9 of every 10 pairs and its median
+is better than the parent's by more than the parent's interquartile range.
+The exit code is 1 if any row is marked ``WORSE`` or ``unresolved``, or any
+run reports ``correct: false``, else 0.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ def summarize(parent: list[dict], change: list[dict], end_to_end: list[dict]) ->
 
     ``parent[k]`` and ``change[k]`` are the JSON objects of pair ``k``;
     ``end_to_end`` is the list of the same name in ``BENCHMARK.json``.
-    A row's ``verdict`` is ``"WORSE"``, ``"unresolved"`` or ``"ok"``.
+    A row's ``verdict`` is ``"WORSE"``, ``"unresolved"``, ``"gain"`` or ``"ok"``.
     """
     rows = []
     for metric in [*end_to_end, FAILED_SHARE]:
@@ -67,10 +70,13 @@ def summarize(parent: list[dict], change: list[dict], end_to_end: list[dict]) ->
         pq, cq = quartiles(p), quartiles(c)
         limit = pq[1] * (1 + bound if lower else 1 - bound)
         all_win = max(c) < min(p) if lower else min(c) > max(p)
+        better_by = pq[1] - cq[1] if lower else cq[1] - pq[1]
         if cq[1] > limit if lower else cq[1] < limit:
             verdict = "WORSE"
         elif pq[2] - pq[0] > bound * abs(pq[1]) and not all_win:
             verdict = "unresolved"
+        elif 10 * wins >= 9 * len(p) and better_by > pq[2] - pq[0]:
+            verdict = "gain"
         else:
             verdict = "ok"
         rows.append({"name": name, "parent": pq, "change": cq, "wins": wins,
@@ -79,8 +85,9 @@ def summarize(parent: list[dict], change: list[dict], end_to_end: list[dict]) ->
 
 
 def exit_code(rows: list[dict], runs: list[dict]) -> int:
-    """1 if a row is not ``ok`` or a run reports ``correct: false``, else 0."""
-    return int(any(r["verdict"] != "ok" for r in rows) or not all(r["correct"] for r in runs))
+    """1 if a row is ``WORSE`` or ``unresolved`` or a run reports ``correct: false``, else 0."""
+    return int(any(r["verdict"] in ("WORSE", "unresolved") for r in rows)
+               or not all(r["correct"] for r in runs))
 
 
 def _quartile_text(q: tuple[float, float, float]) -> str:

@@ -176,11 +176,12 @@ def _index_getter(axes):
 def contract(t1: SparseTensor, t2: SparseTensor, pairs) -> SparseTensor:
     """Contract paired axes of two tensors.
 
-    `pairs` lists (axis of t1, axis of t2); paired axes must have equal
+    `pairs` lists (axis of t1, axis of t2), each an integer (`operator.index`,
+    so a float or a string axis is a `TypeError`); paired axes must have equal
     dimensions.  Result axes are the free axes of t1 followed by the free
     axes of t2, in their original order.
     """
-    pairs = [(int(a), int(b)) for a, b in pairs]
+    pairs = [(index(a), index(b)) for a, b in pairs]
     a_axes = [a for a, _ in pairs]
     b_axes = [b for _, b in pairs]
     if len(set(a_axes)) != len(a_axes) or len(set(b_axes)) != len(b_axes):

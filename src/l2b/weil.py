@@ -27,8 +27,14 @@ its action and ``[a_i, a_j] = 0``, with graded skew
 (legitimate because the bracket's total degree -2 is even).  Being a
 biderivation, it is known by the derivations ``ad_x = [x, -]`` of the
 generators, whose images are those structure constants
-(Kosmann-Schwarzbach, *Derived brackets*); every bracket is an
-`apply_derivation` of one of them.
+(Kosmann-Schwarzbach, *Derived brackets*); every bracket is a
+derivation image (`_derive`) of one of them.
+
+The checks compute on plain ``{WeilMonomial: coefficient}`` term dicts:
+a derivation is applied by `_derive`, which adds its images into a dict,
+and an identity is decided on one dict holding its left side minus its
+right side.  A `WeilElement` is built only for a derivation image that is
+returned, or for the witness of a failing tuple.
 
 Validation happens at the public constructors: `WeilMonomial` checks that
 its index tuples are sorted, `WeilElement` that every monomial is in
@@ -38,16 +44,18 @@ that its images have the degrees of its bidegree or total degree.
 Products, sums, scalings, brackets and derivation images are built by the
 trusted `_trusted` constructors, since they combine monomials and exact
 rational coefficients of valid operands of the same dims; so are the
-derivations the kernel reads off `CrossedModuleData` and `WeakLie2Data`,
-whose dims and antisymmetry their constructors have checked (the three
-differentials and the ``ad_x``), and those it derives from valid ones
-(squares, commutators, sums and the bracket with an element).  A monomial
-is an immutable ``(ext, sym)`` tuple, so hashing and equality run in C.
+three differentials the kernel reads off `CrossedModuleData` and
+`WeakLie2Data`, whose dims and antisymmetry their constructors have
+checked, and the derivations it derives from valid ones (squares,
+commutators and sums); the images of the ``ad_x`` are term dicts read off
+``cm2`` the same way.  A monomial is an immutable ``(ext, sym)`` tuple, so
+hashing and equality run in C.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from operator import index
 
@@ -184,9 +192,14 @@ def weil_gamma(dims, j: int) -> WeilElement:
     return WeilElement(tuple(dims), {WeilMonomial((), (j,)): _ONE})
 
 
+def _clean(terms: dict) -> dict:
+    """``terms`` without its zero coefficients (itself when it has none)."""
+    return terms if all(terms.values()) else {m: c for m, c in terms.items() if c}
+
+
 def _nonzero(dims, terms: dict) -> WeilElement:
     """The trusted element of the nonzero ``terms``."""
-    return WeilElement._trusted(dims, {m: c for m, c in terms.items() if c})
+    return WeilElement._trusted(dims, _clean(terms))
 
 
 def weil_add(a: WeilElement, b: WeilElement) -> WeilElement:
@@ -209,35 +222,20 @@ def weil_scale(c, a: WeilElement) -> WeilElement:
     return WeilElement._trusted(a.dims, {m: c * v for m, v in a.terms.items()})
 
 
-def _merge_ext(e1: tuple[int, ...], e2: tuple[int, ...]):
-    """Merge two increasing index tuples; returns (sign, merged) or None on repetition."""
-    if set(e1) & set(e2):
-        return None
-    inversions = sum(1 for x in e1 for y in e2 if x > y)
-    merged = tuple(sorted(e1 + e2))
-    return (-1 if inversions % 2 else 1, merged)
-
-
-def mono_mul(m1: WeilMonomial, m2: WeilMonomial):
-    """Product of two monomials: (sign, monomial) or None if it vanishes."""
-    e1, s1 = m1
-    e2, s2 = m2
-    if not e2:
-        sign, ext = 1, e1
-    elif not e1:
-        sign, ext = 1, e2
+def _add_product(out: dict, m1: WeilMonomial, m2: WeilMonomial, c: Rational) -> None:
+    """Add ``c * m1 * m2`` to the term dict ``out``: nothing if the exterior
+    parts share an index, else one sign per inversion between them."""
+    (e1, s1), (e2, s2) = m1, m2
+    if e1 and e2:
+        if set(e1) & set(e2):
+            return
+        if sum(1 for x in e1 for y in e2 if x > y) % 2:
+            c = -c
+        ext = tuple(sorted(e1 + e2))
     else:
-        merged = _merge_ext(e1, e2)
-        if merged is None:
-            return None
-        sign, ext = merged
-    if not s2:
-        sym = s1
-    elif not s1:
-        sym = s2
-    else:
-        sym = tuple(sorted(s1 + s2))
-    return sign, WeilMonomial._trusted(ext, sym)
+        ext = e1 or e2
+    mono = WeilMonomial._trusted(ext, tuple(sorted(s1 + s2)) if s1 and s2 else s1 or s2)
+    out[mono] = out.get(mono, _ZERO) + c
 
 
 def weil_mul(a: WeilElement, b: WeilElement) -> WeilElement:
@@ -246,12 +244,7 @@ def weil_mul(a: WeilElement, b: WeilElement) -> WeilElement:
     out: dict[WeilMonomial, Rational] = {}
     for m1, c1 in a.terms.items():
         for m2, c2 in b.terms.items():
-            prod = mono_mul(m1, m2)
-            if prod is None:
-                continue
-            sign, mono = prod
-            c = c1 * c2
-            out[mono] = out.get(mono, _ZERO) + (c if sign > 0 else -c)
+            _add_product(out, m1, m2, c1 * c2)
     return _nonzero(a.dims, out)
 
 
@@ -330,47 +323,74 @@ class GradedDerivation:
         return d
 
 
-def apply_derivation(d: GradedDerivation, a: WeilElement) -> WeilElement:
-    """Extend the generator images by the graded Leibniz rule.
+def _images(d: GradedDerivation) -> tuple[list[dict], list[dict], int]:
+    """The term dicts of ``d``'s images of ``a_i`` and of ``g_j``, and the
+    parity of its degree: the arguments of `_derive` before ``terms``."""
+    return (
+        [img.terms for img in d.ext_images],
+        [img.terms for img in d.sym_images],
+        d.total_degree % 2,
+    )
 
-    The generator at each position of a monomial is replaced by its image,
-    multiplied between the prefix before it and the suffix after it.
-    Passing the derivation over a prefix of total degree ``t`` contributes
-    the sign ``(-1)**(deg(d) * t)``; only exterior generators have odd
-    degree, so ``t`` is odd exactly when the exterior part of the prefix
-    has odd length.
+
+def _derive(ext_images, sym_images, dodd: int, terms: dict, out: dict, sign: int) -> None:
+    """Add ``sign * d(terms)`` to the term dict ``out``, for ``sign`` +-1.
+
+    ``d`` is known by the term dicts of its images of the generators and
+    the parity ``dodd`` of its degree (see `_images`).  The generator at
+    each slot of a monomial ``a_ext g_sym`` is replaced by each term
+    ``a_ie g_is`` of its image in one merge.  The slot has ``shift``
+    exterior factors before it: ``pos`` for the exterior factor at
+    ``pos``, ``len(ext)`` for a symmetric one.  Passing ``d`` over them
+    gives ``(-1)**(dodd * shift)``; moving ``a_ie`` over them to the front
+    gives ``(-1)**(shift * len(ie))``, and sorting it into the remaining
+    exterior indices ``rest`` one sign per inversion, a pair of an ``ie``
+    index above a ``rest`` one.  The term vanishes if ``ie`` and ``rest``
+    share an index.  Symmetric factors are even and only get sorted.
     """
+    new = tuple.__new__
+    for (ext, sym), coeff in terms.items():
+        if sign < 0:
+            coeff = -coeff
+        r = len(ext)
+        for pos in range(r + len(sym)):
+            if pos < r:
+                img = ext_images[ext[pos]]
+                if not img:
+                    continue
+                rest, base, shift = ext[:pos] + ext[pos + 1 :], sym, pos
+            else:
+                img = sym_images[sym[pos - r]]
+                if not img:
+                    continue
+                rest, base, shift = ext, sym[: pos - r] + sym[pos - r + 1 :], r
+            c = -coeff if dodd and shift & 1 else coeff
+            for (ie, isym), ic in img.items():
+                v = c * ic
+                sm = tuple(sorted(base + isym)) if base and isym else base or isym
+                if ie and rest:
+                    odd = shift * len(ie)
+                    for x in ie:  # inversions of x, unless rest holds it
+                        k = bisect_left(rest, x)
+                        if k < len(rest) and rest[k] == x:
+                            break
+                        odd += k
+                    else:
+                        m = new(WeilMonomial, (tuple(sorted(rest + ie)), sm))
+                        out[m] = out.get(m, _ZERO) + (-v if odd & 1 else v)
+                    continue
+                m = new(WeilMonomial, (rest or ie, sm))
+                out[m] = out.get(m, _ZERO) + v
+
+
+def apply_derivation(d: GradedDerivation, a: WeilElement) -> WeilElement:
+    """Extend the generator images by the graded Leibniz rule (`_derive`)."""
     if d.dims != a.dims:
         raise DimensionMismatch(f"{d.dims} vs {a.dims}")
     if not a.terms:
         return a  # the zero element
-    dodd = d.total_degree % 2
-    trusted = WeilMonomial._trusted
     out: dict[WeilMonomial, Rational] = {}
-
-    def put(coeff: Rational, prefix: WeilMonomial, img: WeilElement, suffix: WeilMonomial):
-        for im, ic in img.terms.items():
-            left = mono_mul(prefix, im)
-            if left is None:
-                continue
-            right = mono_mul(left[1], suffix)
-            if right is None:
-                continue
-            c = coeff * ic
-            out[right[1]] = out.get(right[1], _ZERO) + (c if left[0] * right[0] > 0 else -c)
-
-    for mono, coeff in a.terms.items():
-        ext, sym = mono
-        for pos, i in enumerate(ext):
-            img = d.ext_images[i]
-            if img.terms:
-                c = -coeff if (dodd and pos % 2) else coeff
-                put(c, trusted(ext[:pos], ()), img, trusted(ext[pos + 1 :], sym))
-        c = -coeff if (dodd and len(ext) % 2) else coeff
-        for pos, j in enumerate(sym):
-            img = d.sym_images[j]
-            if img.terms:
-                put(c, trusted(ext, sym[:pos]), img, trusted((), sym[pos + 1 :]))
+    _derive(*_images(d), a.terms, out, 1)
     return _nonzero(a.dims, out)
 
 
@@ -394,9 +414,13 @@ def graded_commutator(d1: GradedDerivation, d2: GradedDerivation) -> GradedDeriv
     if d1.dims != d2.dims:
         raise DimensionMismatch(f"{d1.dims} vs {d2.dims}")
     sign = -1 if (d1.total_degree * d2.total_degree) % 2 else 1
+    images1, images2 = _images(d1), _images(d2)
 
     def comm_on(img2: WeilElement, img1: WeilElement) -> WeilElement:
-        return weil_sub(apply_derivation(d1, img2), weil_scale(sign, apply_derivation(d2, img1)))
+        out: dict[WeilMonomial, Rational] = {}
+        _derive(*images1, img2.terms, out, 1)
+        _derive(*images2, img1.terms, out, -sign)
+        return _nonzero(d1.dims, out)
 
     ext = tuple(map(comm_on, d2.ext_images, d1.ext_images))
     sym = tuple(map(comm_on, d2.sym_images, d1.sym_images))
@@ -428,11 +452,18 @@ def check_zero_on_generators(d: GradedDerivation, prefix: str) -> VerificationRe
 
 def _square(d: GradedDerivation) -> GradedDerivation:
     """``d o d`` on the generators; for odd ``d`` it is the derivation ``[d, d] / 2``."""
+    images = _images(d)
+
+    def square_on(img: WeilElement) -> WeilElement:
+        out: dict[WeilMonomial, Rational] = {}
+        _derive(*images, img.terms, out, 1)
+        return _nonzero(d.dims, out)
+
     return GradedDerivation._trusted(
         d.dims,
         None,
-        tuple(apply_derivation(d, img) for img in d.ext_images),
-        tuple(apply_derivation(d, img) for img in d.sym_images),
+        tuple(map(square_on, d.ext_images)),
+        tuple(map(square_on, d.sym_images)),
         2 * d.total_degree,
     )
 
@@ -553,29 +584,35 @@ def verify_weak_lie2(w: WeakLie2Data) -> VerificationReport:
 # --- the bidegree (-1,-1) bracket ----------------------------------------------
 
 
-def _adjoints(cm2: CrossedModuleData) -> list[GradedDerivation]:
-    """``ad_x = [x, -]`` for each generator ``x``, in `_generators` order.
+def _brackets(cm2: CrossedModuleData) -> list[list[dict]]:
+    """``br[p][q]``: the term dict of ``[x_p, x_q]`` for generators in
+    `_generators` order, so that ``br[p]`` lists the images of ``ad_{x_p}``.
 
     ``cm2`` is the dual crossed module, on ``[g0* -> g1*]``: its base
     bracket is the bracket of the ``g`` generators and its action the
     bracket of a ``g`` with an ``a``, so the Weil dims are
     ``(cm2.dim1, cm2.dim0)``.  Read off in one pass over its entries:
-    ``ad_{g_i}(a_j) = sum_k action[i, j, k] a_k``,
-    ``ad_{g_i}(g_j) = sum_k bracket[i, j, k] g_k``, ``ad_{a_i}(a_j) = 0``
-    and, by graded skew, ``ad_{a_j}(g_i) = -ad_{g_i}(a_j)``.  ``ad_{a_i}`` has
-    bidegree (0,-1) and ``ad_{g_i}`` bidegree (0,0).  The table is graded
+    ``[g_i, a_j] = sum_k action[i, j, k] a_k``,
+    ``[g_i, g_j] = sum_k bracket[i, j, k] g_k``, ``[a_i, a_j] = 0`` and,
+    by graded skew, ``[a_j, g_i] = -[g_i, a_j]``.  The table is graded
     skew because `LieAlgebra` refuses a bracket that is not antisymmetric.
     """
-    n0, n1 = dims = (cm2.dim1, cm2.dim0)
+    n0, n1 = cm2.dim1, cm2.dim0
     trusted = WeilMonomial._trusted
-    rows = [[{} for _ in range(n0 + n1)] for _ in range(n0 + n1)]  # rows[p][q]: [x_p, x_q]
+    br = [[{} for _ in range(n0 + n1)] for _ in range(n0 + n1)]
     for (i, j, k), v in cm2.action.entries.items():
-        rows[n0 + i][j][trusted((k,), ())] = v
-        rows[j][n0 + i][trusted((k,), ())] = -v
+        br[n0 + i][j][trusted((k,), ())] = v
+        br[j][n0 + i][trusted((k,), ())] = -v
     for (i, j, k), v in cm2.base.bracket.entries.items():
-        rows[n0 + i][n0 + j][trusted((), (k,))] = v
-    bids = [(0, -1)] * n0 + [(0, 0)] * n1
-    return [_derivation(dims, bid, row[:n0], row[n0:]) for bid, row in zip(bids, rows)]
+        br[n0 + i][n0 + j][trusted((), (k,))] = v
+    return br
+
+
+def _ad_images(br: list[list[dict]], n0: int) -> list[tuple[list[dict], list[dict], int]]:
+    """The `_derive` arguments of every ``ad_{x_p}``: ``br[p]`` split into
+    its ``a`` and ``g`` images, and the parity of ``|x_p| - 2``, which is
+    odd exactly for the ``a`` generators."""
+    return [(row[:n0], row[n0:], int(p < n0)) for p, row in enumerate(br)]
 
 
 def _swap_sign(deg_a: int, deg_b: int) -> int:
@@ -583,13 +620,14 @@ def _swap_sign(deg_a: int, deg_b: int) -> int:
     return 1 if (deg_a * deg_b) % 2 else -1
 
 
-def _signed_sum(dims, *parts: tuple[int, WeilElement]) -> WeilElement:
-    """``sum sign * element`` over ``(sign, element)`` pairs with signs +-1."""
-    out: dict[WeilMonomial, Rational] = {}
-    for sign, e in parts:
-        for mono, coeff in e.terms.items():
-            out[mono] = out.get(mono, _ZERO) + (coeff if sign > 0 else -coeff)
-    return _nonzero(dims, out)
+def _add_terms(out: dict, terms: dict, sign: int) -> None:
+    """Add ``sign * terms`` to the term dict ``out``, for ``sign`` +-1."""
+    for mono, coeff in terms.items():
+        out[mono] = out.get(mono, _ZERO) + (coeff if sign > 0 else -coeff)
+
+
+def _render(dims, terms: dict) -> str:
+    return _nonzero(dims, terms).render()
 
 
 def gerst_bracket(cm2: CrossedModuleData, a: WeilElement, b: WeilElement) -> WeilElement:
@@ -603,34 +641,50 @@ def gerst_bracket(cm2: CrossedModuleData, a: WeilElement, b: WeilElement) -> Wei
     dims = (cm2.dim1, cm2.dim0)
     if a.dims != dims or b.dims != dims:
         raise DimensionMismatch(f"{a.dims}/{b.dims} vs structure dims {dims}")
-    ads = _adjoints(cm2)
-    degrees = [m.total_degree for m in _generators(dims)]
     n0 = cm2.dim1
+    ads = _ad_images(_brackets(cm2), n0)
+    degrees = [m.total_degree for m in _generators(dims)]
     parts: dict[int, dict[WeilMonomial, Rational]] = {}
     for mono, coeff in a.terms.items():
         parts.setdefault(mono.total_degree, {})[mono] = coeff
-    brackets = []
+    out: dict[WeilMonomial, Rational] = {}
     for t, terms in parts.items():
-        part = WeilElement._trusted(dims, terms)
-        images = [
-            weil_scale(_swap_sign(t, deg), apply_derivation(ad, part))
-            for ad, deg in zip(ads, degrees)
-        ]
-        ad_part = GradedDerivation._trusted(
-            dims, None, tuple(images[:n0]), tuple(images[n0:]), t - 2
-        )
-        brackets.append((1, apply_derivation(ad_part, b)))
-    return _signed_sum(dims, *brackets)
+        images = []
+        for ad, deg in zip(ads, degrees):
+            image: dict[WeilMonomial, Rational] = {}
+            _derive(*ad, terms, image, _swap_sign(t, deg))
+            images.append(_clean(image))
+        _derive(images[:n0], images[n0:], t % 2, b.terms, out, 1)
+    return _nonzero(dims, out)
+
+
+def _first_failing(dims, cases, sides, at) -> Witness | None:
+    """The witness of the first case whose two sides differ, or None.
+
+    ``sides(*case, lhs, rhs, rsign)`` adds the left side of the identity
+    to the term dict ``lhs`` and ``rsign`` times its right side to
+    ``rhs``.  A case is decided on one dict, the left side minus the right;
+    only a failing one is evaluated again, side by side, for its witness.
+    """
+    for case in cases:
+        diff: dict[WeilMonomial, Rational] = {}
+        sides(*case, diff, diff, -1)
+        if any(diff.values()):
+            lhs: dict[WeilMonomial, Rational] = {}
+            rhs: dict[WeilMonomial, Rational] = {}
+            sides(*case, lhs, rhs, 1)
+            return Witness((), _render(dims, lhs), _render(dims, rhs), at=at(*case))
+    return None
 
 
 def check_gerst_axioms(cm2: CrossedModuleData) -> VerificationReport:
     """Graded skew-symmetry, Jacobi and Leibniz, decided on generators.
 
     Every bracket is an image of one of the derivations ``ad_x``
-    (`_adjoints`): ``[x, y]`` is read off ``ad_x``, and ``[e, z]`` for an
+    (`_brackets`): ``[x, y]`` is read off ``ad_x``, and ``[e, z]`` for an
     element ``e`` is ``-(-1)^(|e||z|) ad_z(e)``.  So the bracket is a
     biderivation by construction, and it is skew because the table is (see
-    `_adjoints`); skew and Leibniz (``ad_x(y.z)`` against the
+    `_brackets`); skew and Leibniz (``ad_x(y.z)`` against the
     product rule) are checked on generators all the same.  The Jacobiator
     ``ad_x(ad_y z) - [ad_x y, z] -+ ad_y(ad_x z)`` of a skew biderivation
     is a graded-antisymmetric triderivation, so it vanishes on all
@@ -638,59 +692,69 @@ def check_gerst_axioms(cm2: CrossedModuleData) -> VerificationReport:
     before every product, and a failing tuple with a product in it stays
     failing, up to order, when the product is replaced by a suitable one of
     its factors, which sorts earlier; so the first failing sorted generator
-    tuple is also the first failing sorted monomial tuple.
+    tuple is also the first failing sorted monomial tuple.  Every side is a
+    term dict (`_first_failing`).
     """
     dims = (cm2.dim1, cm2.dim0)
     gens = _generators(dims)
     deg = [m.total_degree for m in gens]
-    ads = _adjoints(cm2)
-    br = [ad.ext_images + ad.sym_images for ad in ads]  # br[p][q] = [x_p, x_q]
+    br = _brackets(cm2)  # br[p][q] = [x_p, x_q]
+    ads = _ad_images(br, dims[0])
     idx = range(len(gens))
 
     def at(*ps) -> str:
-        return ", ".join(gens[p].render() for p in ps)
+        return "(" + ", ".join(gens[p].render() for p in ps) + ")"
 
-    skew_witness = None
-    for p, q in itertools.combinations_with_replacement(idx, 2):
-        lhs = br[p][q]
-        rhs = weil_scale(_swap_sign(deg[p], deg[q]), br[q][p])
-        if lhs != rhs:
-            skew_witness = Witness((), lhs.render(), rhs.render(), at=f"({at(p, q)})")
-            break
+    def skew(p, q, lhs, rhs, rsign):
+        _add_terms(lhs, br[p][q], 1)
+        _add_terms(rhs, br[q][p], rsign * _swap_sign(deg[p], deg[q]))
 
-    jacobi_witness = None
-    for p, q, r in itertools.combinations_with_replacement(idx, 3):
-        if not (br[q][r].terms or br[p][q].terms or br[p][r].terms):
-            continue  # both sides are zero
-        lhs = apply_derivation(ads[p], br[q][r])
-        rhs = _signed_sum(
-            dims,
-            (_swap_sign(deg[p] + deg[q], deg[r]), apply_derivation(ads[r], br[p][q])),
-            (-_swap_sign(deg[p], deg[q]), apply_derivation(ads[q], br[p][r])),
-        )
-        if lhs != rhs:
-            jacobi_witness = Witness((), lhs.render(), rhs.render(), at=f"({at(p, q, r)})")
-            break
+    def jacobi(p, q, r, lhs, rhs, rsign):
+        _derive(*ads[p], br[q][r], lhs, 1)
+        _derive(*ads[r], br[p][q], rhs, rsign * _swap_sign(deg[p] + deg[q], deg[r]))
+        _derive(*ads[q], br[p][r], rhs, -rsign * _swap_sign(deg[p], deg[q]))
 
-    leibniz_witness = None
-    elts = [WeilElement._trusted(dims, {m: _ONE}) for m in gens]
-    products = [
-        (q, r, weil_mul(elts[q], elts[r]))
-        for q, r in itertools.combinations_with_replacement(idx, 2)
-    ]
-    for p, (q, r, prod) in itertools.product(idx, products):
-        if not (br[p][q].terms or br[p][r].terms):
-            continue  # ad_p vanishes on both factors, so both sides are zero
-        lhs = apply_derivation(ads[p], prod)
-        rhs = _signed_sum(
-            dims,
-            (1, weil_mul(br[p][q], elts[r])),
-            (-_swap_sign(deg[p], deg[q]), weil_mul(elts[q], br[p][r])),
-        )
-        if lhs != rhs:
-            leibniz_witness = Witness((), lhs.render(), rhs.render(), at=f"({at(p)}; {at(q, r)})")
-            break
+    def leibniz(p, q, r, prod, lhs, rhs, rsign):
+        _derive(*ads[p], prod, lhs, 1)
+        for mono, coeff in br[p][q].items():
+            _add_product(rhs, mono, gens[r], rsign * coeff)
+        sign = -rsign * _swap_sign(deg[p], deg[q])
+        for mono, coeff in br[p][r].items():
+            _add_product(rhs, gens[q], mono, sign * coeff)
 
+    def leibniz_at(p, q, r, prod) -> str:
+        return f"({gens[p].render()}; {gens[q].render()}, {gens[r].render()})"
+
+    pairs = list(itertools.combinations_with_replacement(idx, 2))
+    products = []  # (q, r, x_q x_r as a term dict)
+    for q, r in pairs:
+        prod: dict[WeilMonomial, Rational] = {}
+        _add_product(prod, gens[q], gens[r], _ONE)
+        products.append((q, r, prod))
+    skew_witness = _first_failing(  # a pair of zero brackets has both sides zero
+        dims, ((p, q) for p, q in pairs if br[p][q] or br[q][p]), skew, at
+    )
+    jacobi_witness = _first_failing(
+        dims,
+        (  # a triple with all three brackets zero has both sides zero
+            (p, q, r)
+            for p, q, r in itertools.combinations_with_replacement(idx, 3)
+            if br[q][r] or br[p][q] or br[p][r]
+        ),
+        jacobi,
+        at,
+    )
+    leibniz_witness = _first_failing(
+        dims,
+        (  # ad_p vanishing on both factors makes both sides zero
+            (p, q, r, prod)
+            for p in idx
+            for q, r, prod in products
+            if br[p][q] or br[p][r]
+        ),
+        leibniz,
+        leibniz_at,
+    )
     return VerificationReport(
         (
             Check("skew", skew_witness is None, skew_witness),
@@ -706,7 +770,7 @@ def check_derivation_of_bracket(
     """Check d[x,y] = [d x, y] + (-1)^|x| [x, d y], decided on generators.
 
     On generators the defect is ``d(ad_x y) - [d x, y] - (-1)^|x| ad_x(d y)``
-    with ``[d x, y] = -(-1)^(|dx||y|) ad_y(d x)`` (`_adjoints`).  The defect
+    with ``[d x, y] = -(-1)^(|dx||y|) ad_y(d x)`` (`_brackets`).  The defect
     is a biderivation (``[d, ad_x] - ad_{dx}`` in each argument), so it
     vanishes on all monomials iff it vanishes on generator pairs, and it is
     graded-skew because the bracket is.  ``generator_pairs`` reports the
@@ -721,28 +785,35 @@ def check_derivation_of_bracket(
         raise DimensionMismatch(f"{d.dims} vs {dims}")
     gens = _generators(dims)
     deg = [m.total_degree for m in gens]
-    ads = _adjoints(cm2)
-    br = [ad.ext_images + ad.sym_images for ad in ads]  # br[p][q] = [x_p, x_q]
-    ad_d = [[apply_derivation(ad, dy) for dy in d.ext_images + d.sym_images] for ad in ads]
+    br = _brackets(cm2)  # br[p][q] = [x_p, x_q]
+    ads = _ad_images(br, dims[0])
+    images = _images(d)
+    d_gens = images[0] + images[1]  # d x_q, as term dicts
+    ad_d = []  # ad_d[p][q] = ad_{x_p}(d x_q)
+    for ad in ads:
+        row = []
+        for dy in d_gens:
+            out: dict[WeilMonomial, Rational] = {}
+            _derive(*ad, dy, out, 1)
+            row.append(_clean(out))
+        ad_d.append(row)
     idx = range(len(gens))
     defects = {}  # nonzero d[x_p, x_q] - [d x_p, x_q] - (-1)^|x_p| [x_p, d x_q] by (p, q)
     for p, q in itertools.product(idx, idx):
-        if not (br[p][q].terms or ad_d[q][p].terms or ad_d[p][q].terms):
+        if not (br[p][q] or ad_d[q][p] or ad_d[p][q]):
             continue  # all three parts are zero
-        dft = _signed_sum(
-            dims,
-            (1, apply_derivation(d, br[p][q])),
-            (-_swap_sign(deg[p] + 1, deg[q]), ad_d[q][p]),
-            (1 if deg[p] % 2 else -1, ad_d[p][q]),
-        )
-        if dft.terms:
+        dft: dict[WeilMonomial, Rational] = {}
+        _derive(*images, br[p][q], dft, 1)
+        _add_terms(dft, ad_d[q][p], -_swap_sign(deg[p] + 1, deg[q]))
+        _add_terms(dft, ad_d[p][q], 1 if deg[p] % 2 else -1)
+        if any(dft.values()):
             defects[p, q] = dft
 
     def first_failing(pairs) -> Witness | None:
         for p, q in pairs:
             if (p, q) in defects:
                 at = f"({gens[p].render()}, {gens[q].render()})"
-                return Witness((), defects[p, q].render(), "0", at=at)
+                return Witness((), _render(dims, defects[p, q]), "0", at=at)
         return None
 
     gen_witness = first_failing(itertools.product(idx, idx))

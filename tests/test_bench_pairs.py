@@ -68,7 +68,8 @@ def test_summary_of_one_pair_and_a_higher_failed_share(bench_pairs):
     rows = bench_pairs.summarize([run(100, 20.0)], [run(80, 19.0, 3)], END_TO_END)
     docs, rss, failed = rows
     assert docs["parent"] == (100, 100, 100) and docs["verdict"] == "WORSE"
-    assert rss["wins"] == 1 and rss["verdict"] == "ok"
+    # one won pair, against a parent spread of zero
+    assert rss["wins"] == 1 and rss["verdict"] == "gain"
     assert failed["change"] == (0.03, 0.03, 0.03) and failed["verdict"] == "WORSE"
 
 
@@ -82,10 +83,40 @@ def test_wide_parent_spread_is_unresolved_unless_every_pair_wins(bench_pairs):
     assert "unresolved" in bench_pairs.format_rows([docs]).splitlines()[1].split()
     assert bench_pairs.exit_code([docs, rss, failed], parent + change) == 1
 
+    # every pair won, and the median 123 beats 100 by more than the spread 20
     change = [run(v, 20.0) for v in (121, 122, 123, 124, 125)]
     rows = bench_pairs.summarize(parent, change, END_TO_END)
-    assert [r["verdict"] for r in rows] == ["ok", "ok", "ok"]
+    assert [r["verdict"] for r in rows] == ["gain", "ok", "ok"]
     assert bench_pairs.exit_code(rows, parent + change) == 0
+
+
+def test_gain_needs_nine_of_ten_wins_and_a_median_shift_beyond_the_spread(bench_pairs):
+    # parent docs_per_s quartiles 98/100/102 (spread 4) and peak_rss_mb 19.9/20/20.1
+    parent_docs = [96, 97, 98, 99, 100, 100, 101, 102, 103, 104]
+    parent_rss = [20.2, 20.1, 20.0, 19.9, 20.0, 20.0, 20.1, 19.9, 19.8, 20.2]
+    parent = [run(d, m) for d, m in zip(parent_docs, parent_rss)]
+
+    def rows_for(docs, rss):
+        rows = bench_pairs.summarize(parent, [run(d, m) for d, m in zip(docs, rss)], END_TO_END)
+        return {r["name"]: r for r in rows}
+
+    # docs: 9 of 10 pairs won (the fifth lost), median 105.5 is 5.5 above 100
+    # rss: every pair won, median 19.5 is 0.5 below 20, the spread being 0.2
+    rows = rows_for([101, 102, 103, 104, 99, 106, 107, 108, 109, 110], [v - 0.5 for v in parent_rss])
+    assert (rows["docs_per_s"]["wins"], rows["docs_per_s"]["verdict"]) == (9, "gain")
+    assert (rows["peak_rss_mb"]["wins"], rows["peak_rss_mb"]["verdict"]) == (10, "gain")
+    assert rows["failed_share"]["verdict"] == "ok"
+    text = bench_pairs.format_rows(list(rows.values())).splitlines()
+    assert text[1].split()[-1] == text[2].split()[-1] == "gain"
+    assert bench_pairs.exit_code(list(rows.values()), parent) == 0
+
+    # 8 of 10 pairs won: not a gain, however far the median moves
+    rows = rows_for([101, 102, 103, 104, 99, 106, 107, 108, 109, 90], parent_rss)
+    assert (rows["docs_per_s"]["wins"], rows["docs_per_s"]["verdict"]) == (8, "ok")
+    # every pair won, but the median moves by 2, within the parent's spread of 4
+    rows = rows_for([v + 2 for v in parent_docs], [v - 0.1 for v in parent_rss])
+    assert (rows["docs_per_s"]["wins"], rows["docs_per_s"]["verdict"]) == (10, "ok")
+    assert (rows["peak_rss_mb"]["wins"], rows["peak_rss_mb"]["verdict"]) == (10, "ok")
 
 
 def test_a_run_that_is_not_correct_fails_the_comparison(bench_pairs):

@@ -1,4 +1,6 @@
+import importlib
 import json
+import sys
 
 import pytest
 
@@ -196,3 +198,36 @@ def test_report_witnesses_have_both_sides():
     obj = json.loads(serialize_report(doc, "auto", run_verifier(doc, "auto")))
     failing = [c for c in obj["checks"] if not c["pass"]]
     assert failing and all(c["witness"]["lhs"] and c["witness"]["rhs"] for c in failing)
+
+
+def _l2b_modules() -> list[str]:
+    return [name for name in sys.modules if name == "l2b" or name.startswith("l2b.")]
+
+
+def test_reimported_kernel_gives_the_same_report_bytes():
+    # A program may import l2b afresh while modules of an earlier import are
+    # still in use.  The earlier ones must keep computing with their own
+    # classes: an import made at call time would reach the new copies, and
+    # dataclass equality between two copies of a class is always false.
+    first = sys.modules["l2b.documents"]
+    saved = {name: sys.modules[name] for name in _l2b_modules()}
+    entries = [e for e in catalog.entries() if e.kind == "lie2_bialgebra"]
+    assert entries
+    try:
+        for name in saved:
+            del sys.modules[name]
+        importlib.import_module("l2b.cli")
+        second = sys.modules["l2b.documents"]
+        assert second is not first
+        for entry in entries:
+            data = serialize_document(entry.document)
+            reports = []
+            for documents in (first, second):
+                doc = documents.parse_document(data)
+                report = documents.run_verifier(doc, "auto")
+                reports.append(documents.serialize_report(doc, "auto", report))
+            assert reports[0] == reports[1], entry.name
+    finally:
+        for name in _l2b_modules():
+            del sys.modules[name]
+        sys.modules.update(saved)

@@ -162,6 +162,15 @@ def test_contract_dimension_error_names_axes():
     assert "axis 1" in str(err.value) and "axis 0" in str(err.value)
 
 
+def test_contract_refuses_non_integer_axes():
+    # int() would truncate 0.9 to axis 0 and parse "1" as axis 1
+    t = SparseTensor((2, 2), {(0, 1): 1})
+    v = SparseTensor((2,), {(0,): 1})
+    for pairs in ([(0.9, 0)], [("1", 0)], [(0, 0.0)]):
+        with pytest.raises(TypeError):
+            contract(t, v, pairs)
+
+
 @given(small_tensor((2, 3)), small_tensor((2, 3)), small_tensor((3, 2)), rationals)
 def test_contract_bilinear(t1, t1p, t2, a):
     lhs = contract(t1.scale(a).add(t1p), t2, [(1, 0)])

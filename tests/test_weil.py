@@ -13,7 +13,7 @@ from l2b.exact import SparseTensor
 from l2b.liecore import Check, LieAlgebra, Witness
 from l2b.twoterm import CrossedModuleData, TwoVectorSpace, WeakLie2Data, verify_cm
 from l2b.weil import (
-    _adjoints,
+    _brackets,
     _square,
     GradedDerivation,
     WeilElement,
@@ -210,6 +210,74 @@ def test_apply_derivation_leibniz_product_rule(m1, m2):
         weil_scale(sign, weil_mul(e1, apply_derivation(dh, e2))),
     )
     assert lhs == rhs
+
+
+# int and Fraction coefficients; WeilElement stores an integral Fraction as an int
+mixed_coeffs = st.one_of(st.integers(-3, 3).filter(bool), nonzero_rationals)
+
+
+def monomials_of(dims, max_ext, max_sym):
+    n0, n1 = dims
+    return [
+        WeilMonomial(ext, sym)
+        for r in range(min(n0, max_ext) + 1)
+        for ext in itertools.combinations(range(n0), r)
+        for s in range(max_sym + 1)
+        for sym in itertools.combinations_with_replacement(range(n1), s)
+    ]
+
+
+@st.composite
+def derivations_and_elements(draw):
+    """A derivation of total degree -1, 0, 1 or 2 with up to three image
+    terms per generator, and an element with up to three exterior and three
+    symmetric factors per monomial.  Few exterior generators, so that image
+    terms often repeat an exterior index of the monomial they land in."""
+    dims = (draw(st.integers(2, 3)), draw(st.integers(1, 2)))
+    degree = draw(st.sampled_from((-1, 0, 1, 2)))
+    # images of total degree up to 4: a0 a1 a2, a0 g0, a0 a1 g0, g0 g1, ...
+    candidates = monomials_of(dims, 3, 2)
+
+    def images(gen_degree, count):
+        of_degree = [m for m in candidates if m.total_degree == gen_degree + degree]
+        terms = st.dictionaries(st.sampled_from(of_degree), mixed_coeffs, max_size=3)
+        return tuple(WeilElement(dims, draw(terms)) for _ in range(count))
+
+    d = GradedDerivation(
+        dims, None, images(1, dims[0]), images(2, dims[1]), total_degree=degree
+    )
+    element = draw(
+        st.dictionaries(st.sampled_from(monomials_of(dims, 3, 3)), mixed_coeffs, max_size=4)
+    )
+    return d, WeilElement(dims, element)
+
+
+@settings(max_examples=150, deadline=None)
+@given(derivations_and_elements())
+def test_apply_derivation_equals_products_oracle(case):
+    d, x = case
+    assert apply_derivation(d, x) == apply_derivation_by_products(d, x)
+
+
+def test_apply_derivation_repeated_exterior_index_vanishes():
+    # d(a0) = a1 g0 (degree 2): in d(a0 a1) = d(a0) a1 + a0 d(a1) the first
+    # term a1 g0 a1 vanishes, leaving a0 d(a1) = a0 a2 g0
+    dims = (3, 1)
+    d = GradedDerivation(
+        dims,
+        None,
+        (
+            elt(dims, (WeilMonomial((1,), (0,)), 1)),
+            elt(dims, (WeilMonomial((2,), (0,)), 1)),
+            weil_zero(dims),
+        ),
+        (weil_zero(dims),),
+        total_degree=2,
+    )
+    a0a1 = elt(dims, (WeilMonomial((0, 1), ()), 1))
+    expected = elt(dims, (WeilMonomial((0, 2), (0,)), 1))
+    assert apply_derivation(d, a0a1) == expected
+    assert apply_derivation_by_products(d, a0a1) == expected
 
 
 def test_commutator_of_odd_with_itself_is_twice_square():
@@ -655,9 +723,7 @@ def test_kernel_results_revalidate(pair, c, table):
     assert sorted(monos, key=key) == sorted(checked, key=key)
     # derivations: homogeneous (the ad_x) and of mixed bidegree (d)
     G, d = table
-    ads = _adjoints(G)
-    for ad in ads:
-        assert_derivation_revalidates(ad)
+    ads = adjoints_by_public_constructors(G)
     for result in (
         _square(d),
         graded_commutator(d, ads[0]),
@@ -667,6 +733,27 @@ def test_kernel_results_revalidate(pair, c, table):
         derivation_sum(ads[-1], ads[-1]),
     ):
         assert_derivation_revalidates(result)
+
+
+def adjoints_by_public_constructors(G: CrossedModuleData) -> list[GradedDerivation]:
+    """``ad_x`` for each generator, built through the validating constructors
+    from the kernel's bracket table, whose rows must come through unchanged:
+    zero-free, in range and of the degrees of ``ad_{a_i}`` (bidegree
+    (0,-1)) and ``ad_{g_i}`` (bidegree (0,0))."""
+    dims = n0, _ = (G.dim1, G.dim0)
+    ads = []
+    for p, row in enumerate(_brackets(G)):
+        ad = GradedDerivation(
+            dims,
+            (0, -1) if p < n0 else (0, 0),
+            tuple(WeilElement(dims, t) for t in row[:n0]),
+            tuple(WeilElement(dims, t) for t in row[n0:]),
+        )
+        assert [img.terms for img in ad.ext_images + ad.sym_images] == row
+        for coeff in (c for terms in row for c in terms.values()):
+            assert_exact(coeff)
+        ads.append(ad)
+    return ads
 
 
 def differentials_by_public_constructors(w: WeakLie2Data):
