@@ -19,6 +19,8 @@ from .bicross import Lie2BialgebraData, MatchedPairData, abelian_dual_pair
 from .documents import (
     StructureDocument,
     _SCHEMAS,
+    build_crossed_module,
+    build_lie2_bialgebra,
     doc_from_bialgebra,
     doc_from_crossed_module,
     doc_from_dvb,
@@ -314,17 +316,21 @@ def get(name: str) -> CatalogEntry:
 # --- seeded generators ------------------------------------------------------------
 
 
-FAMILIES = (
-    "abelian",
-    "adjoint",
-    "scaling",
-    "abelian_dual",
-    "semidirect_mp",
-    "weak_abelian_l3",
-    "random_basis_change",
-)
-
-_BASIS_CHANGE_BASES = ("adjoint", "scaling", "abelian_dual")
+# every `gen` family, in a fixed order (scripts/report_digest.py seeds by
+# position), with the family whose members a random basis change moves
+_BASIS_CHANGE_OF = {
+    "abelian": None,
+    "adjoint": None,
+    "scaling": None,
+    "abelian_dual": None,
+    "semidirect_mp": None,
+    "weak_abelian_l3": None,
+    "random_basis_change": "adjoint",
+    "random_basis_change:adjoint": "adjoint",
+    "random_basis_change:scaling": "scaling",
+    "random_basis_change:abelian_dual": "abelian_dual",
+}
+FAMILIES = tuple(_BASIS_CHANGE_OF)
 
 
 def _rand_nonzero(rng: random.Random) -> Fraction:
@@ -343,8 +349,8 @@ def _mat_tensor(m) -> SparseTensor:
     return SparseTensor((len(m), len(m[0]) if m else 0), entries)
 
 
-def _unimodular(rng: random.Random, n: int, shears: int = 3):
-    """A product of elementary shears together with its exact inverse, as row tuples.
+def _unimodular(rng: random.Random, n: int):
+    """The product of three elementary shears (none if ``n < 2``) and its inverse, as rows.
 
     Shear ``i, j, c`` is the identity plus ``c`` at row ``i``, column ``j``;
     multiplying ``s`` by it on the right adds ``c`` times column ``i`` to
@@ -353,7 +359,7 @@ def _unimodular(rng: random.Random, n: int, shears: int = 3):
     """
     s = [[Fraction(int(a == b)) for b in range(n)] for a in range(n)]
     s_inv = [list(row) for row in s]
-    for _ in range(shears if n >= 2 else 0):
+    for _ in range(3 if n >= 2 else 0):
         i = rng.randrange(n)
         j = rng.randrange(n)
         while j == i:
@@ -438,34 +444,28 @@ def _valid_document(family: str, rng: random.Random, name: str) -> StructureDocu
             g = sl2()
             mp = semidirect_mp(g, SparseTensor((3, 3, 3), dict(g.bracket.entries)), 3)
         return doc_from_matched_pair(mp, name)
-    if family == "weak_abelian_l3":
-        n1 = 1 + rng.randrange(2)
-        w = weak_l3_example(n1, _rand_nonzero(rng), rng.randrange(n1))
-        return doc_from_weak_lie2(w, name)
-    raise UnknownFamily(family)
+    # weak_abelian_l3
+    n1 = 1 + rng.randrange(2)
+    w = weak_l3_example(n1, _rand_nonzero(rng), rng.randrange(n1))
+    return doc_from_weak_lie2(w, name)
 
 
 def _gen_valid(family: str, rng: random.Random, name: str) -> StructureDocument:
-    if family.startswith("random_basis_change"):
-        parts = family.split(":", 1)
-        base = parts[1] if len(parts) == 2 else "adjoint"
-        if base not in _BASIS_CHANGE_BASES:
-            raise UnknownFamily(family)
-        doc = _valid_document(base, rng, name)
-        from .documents import build_crossed_module, build_lie2_bialgebra
-
-        if doc.kind == "crossed_module":
-            cm = build_crossed_module(doc)
-            s, s_inv = _unimodular(rng, cm.dim0)
-            t, t_inv = _unimodular(rng, cm.dim1)
-            return doc_from_crossed_module(transform_cm(cm, s, s_inv, t, t_inv), name)
-        d = build_lie2_bialgebra(doc)
-        s, s_inv = _unimodular(rng, d.dim0)
-        t, t_inv = _unimodular(rng, d.dim1)
-        return doc_from_lie2_bialgebra(transform_l2b(d, s, s_inv, t, t_inv), name)
-    if family not in FAMILIES or family == "random_basis_change":
-        raise UnknownFamily(family)
-    return _valid_document(family, rng, name)
+    if family not in _BASIS_CHANGE_OF:
+        raise UnknownFamily(f"unknown family {family!r}; expected one of {', '.join(FAMILIES)}")
+    base = _BASIS_CHANGE_OF[family]
+    if base is None:
+        return _valid_document(family, rng, name)
+    doc = _valid_document(base, rng, name)
+    if doc.kind == "crossed_module":
+        cm = build_crossed_module(doc)
+        s, s_inv = _unimodular(rng, cm.dim0)
+        t, t_inv = _unimodular(rng, cm.dim1)
+        return doc_from_crossed_module(transform_cm(cm, s, s_inv, t, t_inv), name)
+    d = build_lie2_bialgebra(doc)
+    s, s_inv = _unimodular(rng, d.dim0)
+    t, t_inv = _unimodular(rng, d.dim1)
+    return doc_from_lie2_bialgebra(transform_l2b(d, s, s_inv, t, t_inv), name)
 
 
 # perturbation slot descriptions: block name -> symmetry kind
@@ -580,9 +580,9 @@ def gen_document(family: str, seed: int, perturbed: bool = False) -> StructureDo
 
 # --- seeded populations -------------------------------------------------------------
 
-# shared by the tests and scripts/equivalence_sweep.py: crossed-module
-# families whose valid members exercise all the crossed-module machinery,
-# and Lie 2-bialgebra families, every member of which has a nonzero core
+# population families (see `seeded_member`): crossed-module families whose
+# valid members exercise all the crossed-module machinery, and Lie
+# 2-bialgebra families, every member of which has a nonzero core
 CM_FAMILIES = ("abelian", "adjoint", "random_basis_change:adjoint")
 L2B_FAMILIES = (
     "scaling",
@@ -602,3 +602,8 @@ def seeded_doc(family: str, seed: int, modifications: int = 0) -> StructureDocum
     for _ in range(modifications):
         doc = perturb_document(doc, rng)
     return doc
+
+
+def seeded_member(families: tuple[str, ...], seed: int) -> StructureDocument:
+    """Member ``seed`` of the population over ``families``, with ``seed % 3`` edits."""
+    return seeded_doc(families[seed % len(families)], seed, seed % 3)

@@ -11,6 +11,7 @@ inputs always produce byte-identical output.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 
 from . import __version__
@@ -154,17 +155,51 @@ def _expect(cond: bool, path: str, message: str):
         raise DocumentError(path, message)
 
 
+class _IntText(str):
+    """The text of a JSON integer, kept as read."""
+
+
+def _long_int_path(obj) -> str:
+    """The JSON path of the first `_IntText` in ``obj`` that `int` refuses to read."""
+    stack = [("", obj)]
+    while stack:
+        path, node = stack.pop()
+        if isinstance(node, _IntText):
+            try:
+                int(node)
+            except ValueError:
+                return path
+        elif isinstance(node, dict):
+            stack += reversed([(f"{path}.{k}" if path else k, v) for k, v in node.items()])
+        elif isinstance(node, list):
+            stack += reversed([(f"{path}[{i}]", v) for i, v in enumerate(node)])
+    return ""
+
+
+def _load_json(text: str):
+    try:
+        try:
+            return json.loads(text)
+        except json.JSONDecodeError:
+            raise
+        except ValueError:
+            # an integer of more digits than int() reads from text: read the
+            # text again, keeping each integer's digits, to name the first
+            path = _long_int_path(json.loads(text, parse_int=_IntText))
+            limit = sys.get_int_max_str_digits()
+            raise DocumentError(path, f"integer of more than {limit} digits") from None
+    except json.JSONDecodeError as e:
+        raise DocumentError("", f"syntax error at line {e.lineno} column {e.colno}: {e.msg}") from e
+    except RecursionError as e:
+        raise DocumentError("", "nesting too deep") from e
+
+
 def parse_document(data: bytes) -> StructureDocument:
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as e:
         raise DocumentError("", f"not UTF-8: {e}") from e
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise DocumentError("", f"syntax error at line {e.lineno} column {e.colno}: {e.msg}") from e
-    except RecursionError as e:
-        raise DocumentError("", "nesting too deep") from e
+    obj = _load_json(text)
     _expect(isinstance(obj, dict), "", "top level must be an object")
     unknown = set(obj) - {"kind", "name", "spaces", "blocks"}
     _expect(not unknown, sorted(unknown)[0] if unknown else "", "unknown field")

@@ -25,7 +25,9 @@ from __future__ import annotations
 
 import itertools
 import re
+import sys
 from dataclasses import dataclass, field
+from decimal import Decimal
 from functools import lru_cache
 from fractions import Fraction
 from operator import index, itemgetter
@@ -64,12 +66,27 @@ def parse_rational(text: str) -> Rational:
     s = text.strip()
     if "/" in s and s.split("/")[1].lstrip("0") == "":
         raise ValueError(f"bad rational literal {text!r}: zero denominator")
-    return rational(s)
+    try:
+        return rational(s)
+    except ValueError:  # more digits than int() reads from text
+        raise ValueError(
+            "bad rational literal: a numerator or denominator of more than "
+            f"{sys.get_int_max_str_digits()} digits"
+        ) from None
 
 
 def format_rational(q: Rational) -> str:
-    """Canonical string form: "p/q" for non-integers, plain "p" otherwise."""
-    return str(Fraction(q))
+    """Canonical string form: "p/q" for non-integers, plain "p" otherwise.
+
+    Any size is rendered: where `str` refuses an integer of more digits
+    than ``sys.get_int_max_str_digits()``, `Decimal` converts it exactly.
+    """
+    q = Fraction(q)
+    try:
+        return str(q)
+    except ValueError:
+        num = str(Decimal(q.numerator))
+        return num if q.denominator == 1 else f"{num}/{Decimal(q.denominator)}"
 
 
 def perm_parity(perm) -> int:

@@ -138,6 +138,14 @@ def _first_mismatch(lhs: dict, rhs: dict):
     return min((k for k in keys if lhs.get(k, 0) != rhs.get(k, 0)), default=None)
 
 
+def _scalar_witness(lhs: dict, rhs: dict) -> Witness | None:
+    """Both values at the lexicographically first key where they differ, or None."""
+    idx = _first_mismatch(lhs, rhs)
+    if idx is None:
+        return None
+    return Witness(idx, format_rational(lhs.get(idx, 0)), format_rational(rhs.get(idx, 0)))
+
+
 def _mismatch_witness(lhs: dict, rhs: dict, labels, k: int = 1) -> Witness | None:
     """Both sides at the lexicographically first key where they differ, or None.
 
@@ -309,23 +317,15 @@ def verify_rep(g: LieAlgebra, action: SparseTensor) -> VerificationReport:
     # ... and in e_i.(e_j.v_b) - e_j.(e_i.v_b); entry (j, b, i, a) of the
     # contraction is the coefficient of v_a in e_i.(e_j.v_b)
     comm = _signed_fold(contract(action, action, [(2, 1)]), (2, 0, 3, 1), ((0, 1),))
-    idx = _first_mismatch(lhs, comm)
-    witness = None
-    if idx is not None:
-        witness = Witness(
-            idx,
-            format_rational(lhs.get(idx, 0)),
-            format_rational(comm.get(idx, 0)),
-        )
+    witness = _scalar_witness(lhs, comm)
     return VerificationReport((Check("representation", witness is None, witness),))
 
 
-def cobracket_to_dual_lie(d: LieCobracket, labels=None) -> LieAlgebra:
-    """Transpose a cobracket into the Lie bracket it induces on the dual space."""
-    if labels is None:
-        labels = tuple(f"x{i}*" for i in range(d.dim))
+def cobracket_to_dual_lie(d: LieCobracket) -> LieAlgebra:
+    """Transpose a cobracket into the Lie bracket it induces on the dual basis ``x{i}*``."""
     # bracket entry (j, k, i) on the dual is the cobracket entry (i, j, k)
-    return LieAlgebra(tuple(labels), permute_axes(d.tensor, (1, 2, 0)))
+    labels = tuple(f"x{i}*" for i in range(d.dim))
+    return LieAlgebra(labels, permute_axes(d.tensor, (1, 2, 0)))
 
 
 def bracket_to_dual_cobracket(g: LieAlgebra) -> LieCobracket:

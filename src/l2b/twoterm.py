@@ -23,7 +23,6 @@ from .exact import (
     SparseTensor,
     asymmetric_entries,
     contract,
-    format_rational,
     permute_axes,
 )
 from .liecore import (
@@ -35,8 +34,8 @@ from .liecore import (
     combine,
     verify_lie,
     verify_rep,
-    _first_mismatch,
     _mismatch_witness,
+    _scalar_witness,
 )
 
 
@@ -132,18 +131,13 @@ def verify_cm(cm: CrossedModuleData) -> VerificationReport:
         permute_axes(contract(partial, bracket, [(0, 1)]), (1, 0, 2)).entries,
         cm.base.labels,
     )
-    # the first (i, j, k) with i <= j where the pairing is not antisymmetric
-    dtens = derived_bracket_tensor(cm)
-    skew = min(
-        ((min(i, j), max(i, j), k) for i, j, k in asymmetric_entries(dtens, (0, 1))),
-        default=None,
+    # entry (i, j, k) for i <= j: the coefficient of f_k in partial(f_i).f_j
+    # and in -partial(f_j).f_i
+    pairing = derived_bracket_tensor(cm).entries
+    skew_witness = _scalar_witness(
+        {(i, j, k): v for (i, j, k), v in pairing.items() if i <= j},
+        {(j, i, k): -v for (i, j, k), v in pairing.items() if j <= i},
     )
-    skew_witness = None
-    if skew is not None:
-        i, j, k = skew
-        skew_witness = Witness(
-            skew, format_rational(dtens.get(skew)), format_rational(-dtens.get((j, i, k)))
-        )
 
     return VerificationReport(
         (
@@ -184,15 +178,9 @@ def verify_full_crossed_module(
             f"core bracket dim {core_bracket.dim} vs core dim {cm.dim1}"
         )
     base = verify_cm(cm)
-    dtens = derived_bracket_tensor(cm)
-    idx = _first_mismatch(core_bracket.bracket.entries, dtens.entries)
-    cb_witness = None
-    if idx is not None:
-        cb_witness = Witness(
-            idx,
-            format_rational(core_bracket.bracket.get(idx)),
-            format_rational(dtens.get(idx)),
-        )
+    cb_witness = _scalar_witness(
+        core_bracket.bracket.entries, derived_bracket_tensor(cm).entries
+    )
 
     partial, bracket, action = cm.tvs.partial, cm.base.bracket, cm.action
     core = core_bracket.bracket

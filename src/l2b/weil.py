@@ -542,14 +542,21 @@ def square_components(*ds: GradedDerivation) -> dict[tuple[int, int], GradedDeri
     return square
 
 
+# each `twoterm.verify_cm` check id -> the `check_cm_square` check deciding it
+CM_SQUARE_CHECKS = {
+    "jacobi": "delta_h.square_zero.side",
+    "representation": "delta_h.square_zero.core",
+    "equivariance": "commute.side",
+    "skew_action": "commute.core",
+}
+
+
 def check_cm_square(dv: GradedDerivation, dh: GradedDerivation) -> VerificationReport:
     """The crossed-module checks, read from the square of ``delta_v + delta_h``.
 
     Its components (2,0) = delta_h^2, (0,2) = delta_v^2 and (1,1), each
     checked per generator family.  Componentwise this is equivalent to
-    `twoterm.verify_cm`: Jacobi is ``delta_h.square_zero.side``, the
-    representation property is ``delta_h.square_zero.core``, equivariance
-    is ``commute.side`` and the skew pairing condition is ``commute.core``.
+    `twoterm.verify_cm`, check by check as `CM_SQUARE_CHECKS` pairs them.
     """
     square = square_components(dv, dh)
     return combine(

@@ -20,7 +20,7 @@ from l2b.bicross import (
     verify_l2b_matched,
     verify_l2b_weil,
 )
-from l2b.catalog import CM_FAMILIES, L2B_FAMILIES, seeded_doc, weak_l3_example
+from l2b.catalog import CM_FAMILIES, L2B_FAMILIES, seeded_member, weak_l3_example
 from l2b.cli import main
 from l2b.documents import (
     build_crossed_module,
@@ -47,7 +47,7 @@ from l2b.twoterm import (
     verify_cm,
     verify_full_crossed_module,
 )
-from l2b.weil import verify_cm_via_weil, verify_weak_lie2
+from l2b.weil import CM_SQUARE_CHECKS, verify_cm_via_weil, verify_weak_lie2
 
 
 @contextmanager
@@ -69,9 +69,7 @@ def cm_population():
     """Criterion-2 population: >= 200 seeded crossed-module candidates, dims <= 3."""
     out = []
     for seed in range(208):
-        fam = CM_FAMILIES[seed % 3]
-        doc = seeded_doc(fam, seed, modifications=seed % 3)
-        cm = build_crossed_module(doc)
+        cm = build_crossed_module(seeded_member(CM_FAMILIES, seed))
         assert cm.dim0 <= 3 and cm.dim1 <= 3
         out.append(cm)
     return out
@@ -82,8 +80,7 @@ def l2b_population():
     """Criterion-3 population: >= 100 seeded pairs with nonzero core."""
     out = []
     for seed in range(120):
-        fam = L2B_FAMILIES[seed % 4]
-        d = build_lie2_bialgebra(seeded_doc(fam, seed, modifications=seed % 3))
+        d = build_lie2_bialgebra(seeded_member(L2B_FAMILIES, seed))
         assert d.dim1 > 0
         out.append(d)
     for entry in catalog.entries():
@@ -129,14 +126,6 @@ def test_criterion_1_catalog_soundness():
         assert elapsed < 5.0, f"catalog suite took {elapsed:.2f}s"
 
 
-_E1_MAP = {
-    "jacobi": "delta_h.square_zero.side",
-    "representation": "delta_h.square_zero.core",
-    "equivariance": "commute.side",
-    "skew_action": "commute.core",
-}
-
-
 def test_criterion_2_e1_equivalence(cm_population):
     with criterion(2, "E1 equivalence of crossed-module and differential checks"):
         start = time.perf_counter()
@@ -145,7 +134,7 @@ def test_criterion_2_e1_equivalence(cm_population):
             direct = verify_cm(cm)
             weil = verify_cm_via_weil(cm)
             assert direct.passed == weil.passed
-            for cond, wcond in _E1_MAP.items():
+            for cond, wcond in CM_SQUARE_CHECKS.items():
                 assert direct.check(cond).passed == weil.check(wcond).passed
             valid += direct.passed
         elapsed = time.perf_counter() - start

@@ -28,7 +28,7 @@ from l2b.catalog import (
     sl2,
     trace_pair,
 )
-from l2b.documents import build_lie2_bialgebra
+from l2b.documents import build_crossed_module, build_lie2_bialgebra
 from l2b.exact import SparseTensor
 from l2b.liecore import LieAlgebra, bicrossed_sum, combine, verify_lie, verify_rep
 from l2b.twoterm import CrossedModuleData, TwoVectorSpace, dual_two_vs, verify_cm
@@ -37,10 +37,7 @@ from conftest import crossed_module, small_tensor
 
 
 def seeded_l2b(seed, modifications=0):
-    doc = catalog.gen_document(catalog.L2B_FAMILIES[seed % 4], seed)
-    rng = random.Random(550007 + seed)
-    for _ in range(modifications):
-        doc = catalog.perturb_document(doc, rng)
+    doc = catalog.seeded_doc(catalog.L2B_FAMILIES[seed % 4], seed, modifications)
     return build_lie2_bialgebra(doc)
 
 
@@ -311,10 +308,7 @@ def test_e2_trace_family(seed):
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 400))
 def test_abelian_dual_closure(seed):
-    fam = ("abelian", "adjoint", "random_basis_change:adjoint")[seed % 3]
-    from l2b.documents import build_crossed_module
-
-    cm = build_crossed_module(catalog.gen_document(fam, seed))
+    cm = build_crossed_module(catalog.gen_document(catalog.CM_FAMILIES[seed % 3], seed))
     report = cross_check(abelian_dual_pair(cm))
     assert report.passed
     assert dict(report.metadata)["agreement"] == "true"

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -153,8 +154,20 @@ def test_gen_perturbed_fails_verification(tmp_path, capsys):
 
 
 def test_gen_unknown_family(capsys):
-    code, _, err = run_cli(capsys, "gen", "--family", "nope", "--seed", "1")
-    assert code == 2
+    known = ", ".join(catalog.FAMILIES)
+    for family in ("nope", "random_basis_change_scaling", "random_basis_changefoo",
+                   "random_basis_change:"):
+        code, out, err = run_cli(capsys, "gen", "--family", family, "--seed", "1")
+        assert code == 2 and out == ""
+        assert err == f"error: unknown family {family!r}; expected one of {known}\n"
+
+
+def test_gen_every_family(capsys):
+    assert len(catalog.FAMILIES) == 10
+    for family in catalog.FAMILIES:
+        code, out, _ = run_cli(capsys, "gen", "--family", family, "--seed", "0")
+        assert code == 0
+        assert parse_document(out.encode()).name == f"{family.replace(':', '-')}-0"
 
 
 def test_catalog_list(capsys):
@@ -194,6 +207,66 @@ def test_verify_oversized_dim_exit_two(tmp_path, capsys):
     assert err == f"error: spaces.g.dim: must be at most {MAX_DIM}\n"
     obj["spaces"]["g"] = {"dim": MAX_DIM}
     assert parse_document(json.dumps(obj).encode()).spaces["g"].dim == MAX_DIM
+
+
+def test_verify_witness_beyond_the_int_digit_limit(tmp_path, capsys):
+    # every literal parses; the Jacobi total at (e0, e1, e2) is -(b^2 + b),
+    # about 5000 digits, more than str() renders of an int
+    b = int("3" * 2500)
+    table = [([0, 1, 2], b), ([1, 2, 1], b), ([0, 2, 0], 1)]
+    bracket = []
+    for (i, j, k), c in table:
+        bracket += [[[i, j, k], f"{c}"], [[j, i, k], f"{-c}"]]
+    obj = {"kind": "lie_algebra", "spaces": {"g": {"dim": 3}}, "blocks": {"bracket": bracket}}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(obj))
+    outs = []
+    for _ in range(2):
+        code, out, err = run_cli(capsys, "verify", str(path))
+        assert code == 1 and err == ""
+        outs.append(out)
+    assert outs[0] == outs[1]
+    (check,) = json.loads(outs[0])["checks"]
+    witness = check["witness"]
+    assert check["id"] == "jacobi" and witness["indices"] == [0, 1, 2, 2]
+    assert len(witness["lhs"]) > sys.get_int_max_str_digits()
+    assert Decimal(witness["lhs"]) == -(b * b + b) and witness["rhs"] == "0"
+
+
+def test_verify_literal_beyond_the_int_digit_limit_exit_two(tmp_path, capsys):
+    limit = sys.get_int_max_str_digits()
+    long = "3" * (limit + 700)
+    for literal in (long, f"-{long}", f"1/{long}"):
+        obj = {"kind": "lie_algebra", "spaces": {"g": {"dim": 2}},
+               "blocks": {"bracket": [[[0, 1, 1], "1"], [[1, 0, 1], literal]]}}
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run_cli(capsys, "verify", str(path))
+        assert code == 2 and out == ""
+        assert err == (
+            "error: blocks.bracket[1]: bad rational literal: a numerator or "
+            f"denominator of more than {limit} digits\n"
+        )
+    # a literal of as many digits as the limit reads
+    bracket = [[[0, 1, 1], "3" * limit], [[1, 0, 1], "-" + "3" * limit]]
+    obj["blocks"]["bracket"] = bracket
+    assert parse_document(json.dumps(obj).encode()).blocks["bracket"][0][1] == int("3" * limit)
+
+
+def test_verify_json_integer_beyond_the_int_digit_limit_exit_two(tmp_path, capsys):
+    limit = sys.get_int_max_str_digits()
+    long = "1" * (limit + 700)
+    for text, where in (
+        ('{"kind": "lie_algebra", "spaces": {"g": {"dim": %s}}}' % long, "spaces.g.dim"),
+        ('{"kind": "lie_algebra", "spaces": {"g": {"dim": 2}}, '
+         '"blocks": {"bracket": [[[0, 1, 1], "1"], [[1, %s, %s], "-1"]]}}' % (long, long),
+         "blocks.bracket[1][0][1]"),
+    ):
+        path = tmp_path / "long.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "verify", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: {where}: integer of more than {limit} digits\n"
 
 
 @pytest.mark.parametrize("index", [[0, 0, 7], [0, -1, 2]])

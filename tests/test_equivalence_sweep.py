@@ -13,11 +13,12 @@ def test_equivalence_sweep_agrees():
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "equivalence_sweep.py"), "--count", "20"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "all characterizations agree" in proc.stdout
+    for args in (["--count", "20"], ["--count", "20", "--seed-base", "7"]):
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "equivalence_sweep.py"), *args],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "all characterizations agree" in proc.stdout

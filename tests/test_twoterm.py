@@ -43,12 +43,9 @@ from crossed_module_oracle import (
 )
 
 
-def seeded_cm(seed, modifications=0):
-    doc = catalog.gen_document(catalog.CM_FAMILIES[seed % 3], seed)
-    rng = random.Random(900001 + seed)
-    for _ in range(modifications):
-        doc = catalog.perturb_document(doc, rng)
-    return build_crossed_module(doc)
+def seeded_cm(seed):
+    """A crossed-module family member with ``seed % 2`` seeded edits."""
+    return build_crossed_module(catalog.seeded_doc(catalog.CM_FAMILIES[seed % 3], seed, seed % 2))
 
 
 # --- two-vector spaces ---------------------------------------------------------
@@ -213,7 +210,7 @@ def test_derived_structure_theorems(seed):
     # whenever the four candidate checks pass: the derived bracket is Lie,
     # the structure map is a bracket morphism, the action acts by
     # derivations, and both totals are Lie algebras
-    cm = seeded_cm(seed, modifications=seed % 2)
+    cm = seeded_cm(seed)
     if not verify_cm(cm).passed:
         return
     db = derived_bracket(cm)

@@ -15,6 +15,7 @@ from l2b.twoterm import CrossedModuleData, TwoVectorSpace, WeakLie2Data, verify_
 from l2b.weil import (
     _brackets,
     _square,
+    CM_SQUARE_CHECKS,
     GradedDerivation,
     WeilElement,
     WeilMonomial,
@@ -54,13 +55,8 @@ from monomial_oracle import (
 )
 
 
-def seeded_cm(seed, modifications=0):
-    fam = ("abelian", "adjoint", "random_basis_change:adjoint")[seed % 3]
-    doc = catalog.gen_document(fam, seed)
-    rng = random.Random(770001 + seed)
-    for _ in range(modifications):
-        doc = catalog.perturb_document(doc, rng)
-    return build_crossed_module(doc)
+def seeded_cm(seed):
+    return build_crossed_module(catalog.seeded_member(catalog.CM_FAMILIES, seed))
 
 
 def zero_jacobiator(cm):
@@ -326,22 +322,14 @@ def test_square_zero_rejects_even():
 
 # --- equivalence of the crossed-module checks with the differential checks --------
 
-_E1_MAP = {
-    "jacobi": "delta_h.square_zero.side",
-    "representation": "delta_h.square_zero.core",
-    "equivariance": "commute.side",
-    "skew_action": "commute.core",
-}
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 500))
 def test_e1_equivalence_seeded(seed):
-    cm = seeded_cm(seed, modifications=seed % 3)
+    cm = seeded_cm(seed)
     direct = verify_cm(cm)
     weil = verify_cm_via_weil(cm)
     assert direct.passed == weil.passed
-    for cond, wcond in _E1_MAP.items():
+    for cond, wcond in CM_SQUARE_CHECKS.items():
         assert direct.check(cond).passed == weil.check(wcond).passed, (cond, seed)
 
 
@@ -853,7 +841,7 @@ def test_weak_valid_l3_passes():
 
 def test_weak_strict_reduction_matches_cm():
     for seed in range(30):
-        cm = seeded_cm(seed, modifications=seed % 3)
+        cm = seeded_cm(seed)
         w = WeakLie2Data(cm, zero_jacobiator(cm))
         assert verify_weak_lie2(w).passed == verify_cm(cm).passed
 
