@@ -18,7 +18,11 @@ An error is hashed as its type and message, so a change in which inputs
 are refused also changes the digest.  Only long-standing API is used, so
 the same file runs against an older tree, where ``gen`` and ``edits``
 cover the families its ``catalog.FAMILIES`` lists (7, without the
-``random_basis_change:<base>`` names, before that became the one table):
+``random_basis_change:<base>`` names, before that became the one table;
+10, with a bare ``random_basis_change`` that duplicates
+``random_basis_change:adjoint``, until that was dropped).  To compare two
+trees whose tables differ, set ``FAMILIES`` to the same tuple on both
+sides, since ``edits`` seeds each family by its position:
 
     PYTHONPATH=<tree>/src python3 scripts/report_digest.py
 """

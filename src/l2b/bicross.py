@@ -28,8 +28,8 @@ from .liecore import (
     Section,
     VerificationReport,
     bicrossed_sum,
+    cocycle_check,
     combine,
-    verify_cocycle,
     verify_lie,
     verify_rep,
 )
@@ -157,6 +157,14 @@ def verify_l2b_def(
 
     When either crossed-module candidate fails its own checks the cocycle
     stage is skipped (the totals need not even be Lie algebras then).
+    Otherwise the stage is the one check ``bialgebra.cocycle``
+    (`liecore.cocycle_check`): Jacobi of the two totals already follows
+    from the ``cm1.`` and ``cm2.`` checks.  The primal total is
+    ``gamma_total(cm1)``, a Lie algebra for every candidate passing
+    `verify_cm` (`test_acceptance::test_criterion_4_derived_bracket_theorems`);
+    the dual bracket of `induced_cobracket` is ``gamma_total(cm2)`` with
+    its basis relabeled
+    (`test_bicross::test_induced_cobracket_dual_is_relabeled_gamma_total`).
     ``cm_reports`` passes in ``verify_cm`` of ``cm1`` and ``cm2`` when the
     caller has them already."""
     cm1, cm2 = _cm_sections(d, cm_reports)
@@ -171,9 +179,8 @@ def verify_l2b_def(
                 ),
             ),
         )
-    gamma = gamma_total(d.cm1)
-    cobr = induced_cobracket(d)
-    return combine(cm1, cm2, ("bialgebra.", verify_cocycle(gamma, cobr)))
+    cocycle = cocycle_check(gamma_total(d.cm1), induced_cobracket(d))
+    return combine(cm1, cm2, ("bialgebra.", VerificationReport((cocycle,))))
 
 
 def matched_pair_of(d: Lie2BialgebraData) -> MatchedPairData:
@@ -201,10 +208,13 @@ def verify_l2b_matched(
 def verify_l2b_weil(d: Lie2BialgebraData) -> VerificationReport:
     """Differential-calculus verifier on the bigraded algebra of cm1's spaces.
 
-    Checks that the two differentials built from ``cm1`` square to zero and
-    commute (`weil.check_cm_square`), that the bidegree (-1,-1) bracket,
-    which is ``cm2`` read as a bracket, satisfies the graded axioms, and
-    that the total differential is a derivation of the bracket.
+    Checks that ``delta_h`` built from ``cm1`` squares to zero and commutes
+    with ``delta_v`` (`weil.check_cm_square`), that the bidegree (-1,-1)
+    bracket, which is ``cm2`` read as a bracket, satisfies graded Jacobi
+    (`weil.check_gerst_axioms`), and that the total differential is a
+    derivation of the bracket (`weil.check_derivation_of_bracket`).  What
+    holds by construction is not checked: ``delta_v^2 = 0``, and the
+    bracket's graded skew and Leibniz rules.
     """
     dv, dh = cm_differentials(d.cm1)
     return combine(

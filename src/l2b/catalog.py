@@ -325,7 +325,6 @@ _BASIS_CHANGE_OF = {
     "abelian_dual": None,
     "semidirect_mp": None,
     "weak_abelian_l3": None,
-    "random_basis_change": "adjoint",
     "random_basis_change:adjoint": "adjoint",
     "random_basis_change:scaling": "scaling",
     "random_basis_change:abelian_dual": "abelian_dual",

@@ -5,10 +5,14 @@ A test oracle for `l2b.weil.check_gerst_axioms` and
 generators through the derivations ``ad_x``.  Here the bracket is
 `MonomialBracket`, a memoized Leibniz recursion on monomials that shares no
 code with the kernel's bracket.  The checks run over a list of monomials
-and the first failing sorted tuple gives the witness: over the generators
-they are the generator-level checks, and over every monomial up to a
-total-degree bound of at least 4 (every generator triple included) the
-reports must equal the generator-level ones, witnesses included.
+and the first failing sorted tuple gives the witness, over the generators
+or over every monomial up to a total-degree bound of at least 4 (every
+generator triple included).  The kernel reports only ``jacobi`` and
+``generator_pairs``, which must equal the oracle's, witnesses included.
+The oracle's other checks are the facts that make the rest redundant:
+``skew`` and ``leibniz`` pass on every table, because the kernel's bracket
+is graded skew and a biderivation by construction, and ``monomial_pairs``
+has the verdict of ``generator_pairs``.
 
 It also holds element-level oracles for `l2b.weil.apply_derivation` and
 `l2b.weil.gerst_bracket`, which compute the same values the long way,

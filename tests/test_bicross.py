@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction as Q
 
 import pytest
@@ -30,10 +31,25 @@ from l2b.catalog import (
 )
 from l2b.documents import build_crossed_module, build_lie2_bialgebra
 from l2b.exact import SparseTensor
-from l2b.liecore import LieAlgebra, bicrossed_sum, combine, verify_lie, verify_rep
-from l2b.twoterm import CrossedModuleData, TwoVectorSpace, dual_two_vs, verify_cm
+from l2b.liecore import (
+    LieAlgebra,
+    bicrossed_sum,
+    cobracket_to_dual_lie,
+    combine,
+    verify_lie,
+    verify_rep,
+)
+from l2b.twoterm import (
+    CrossedModuleData,
+    DerivedBracketError,
+    TwoVectorSpace,
+    dual_two_vs,
+    gamma_total,
+    verify_cm,
+)
 
 from conftest import crossed_module, small_tensor
+from crossed_module_oracle import random_candidate
 
 
 def seeded_l2b(seed, modifications=0):
@@ -169,6 +185,36 @@ def test_induced_cobracket_scaling():
     assert all(i != 1 for i, _, _ in cobr.tensor.entries)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**6))
+def test_induced_cobracket_dual_is_relabeled_gamma_total(seed):
+    # why `def` checks no Jacobi of its dual total: the bracket that the
+    # induced cobracket puts on the dual is gamma_total(cm2) with cm2's
+    # total basis (f*_0.., e*_0..) moved to the dual of (e_0.., f_0..)
+    cm2, _ = random_candidate(random.Random(seed))
+    tvs1 = dual_two_vs(cm2.tvs)
+    n0, n1 = tvs1.dim0, tvs1.dim1
+    cm1 = CrossedModuleData(
+        LieAlgebra.abelian(tvs1.labels0), tvs1, SparseTensor.zero((n0, n1, n1))
+    )
+    d = Lie2BialgebraData(cm1, cm2)
+    try:
+        gamma2 = gamma_total(cm2)
+    except DerivedBracketError:
+        with pytest.raises(DerivedBracketError):
+            induced_cobracket(d)
+        return
+    position = list(range(n0, n0 + n1)) + list(range(n0))
+    relabeled = {
+        (position[a], position[b], position[c]): v
+        for (a, b, c), v in gamma2.bracket.entries.items()
+    }
+    dual = cobracket_to_dual_lie(induced_cobracket(d))
+    assert dual.bracket.entries == relabeled
+    if verify_cm(cm2).passed:
+        assert verify_lie(dual).passed
+
+
 def test_verify_def_scaling_and_abelian_dual(sl2):
     assert verify_l2b_def(scaling_pair(1, 1)).passed
     assert verify_l2b_def(abelian_dual_pair(adjoint_cm(sl2))).passed
@@ -276,6 +322,20 @@ def test_cross_check_verifies_each_crossed_module_once(monkeypatch):
     assert calls == [d.cm1, d.cm2]
     n = len(rd.checks) + len(rm.checks)
     assert report.checks[:n] == combine(("def.", rd), ("matched.", rm)).checks
+
+
+def test_every_weil_and_def_bialgebra_check_can_fail():
+    # a check that passes on every member of the populations decides
+    # nothing there; checks that hold by construction are tests instead
+    docs = [e.document for e in catalog.entries() if e.kind == "lie2_bialgebra"]
+    docs += [catalog.seeded_member(catalog.L2B_FAMILIES, seed) for seed in range(600)]
+    failures = Counter()
+    for doc in docs:
+        for c in cross_check(build_lie2_bialgebra(doc)).checks:
+            if c.cond.startswith(("weil.", "def.bialgebra.")):
+                failures[c.cond] += not c.passed
+    assert "def.bialgebra.cocycle" in failures
+    assert [cond for cond, count in failures.items() if not count] == []
 
 
 # --- equivalence and closure properties ------------------------------------------------
