@@ -9,7 +9,8 @@ characterizations, implemented as three verifiers that must agree:
 * ``verify_l2b_def``: the two semidirect totals form a Lie bialgebra
   (1-cocycle condition through the natural block pairing);
 * ``verify_l2b_matched``: the side algebra and the dual core algebra form
-  a matched pair with respect to the contragredient actions;
+  a matched pair under the contragredient actions, which their bicrossed
+  sum being a Lie algebra decides alone (`verify_matched_pair`);
 * ``verify_l2b_weil``: the total differential built from ``cm1`` is a
   derivation of the bidegree (-1,-1) bracket built from ``cm2``.
 
@@ -31,7 +32,6 @@ from .liecore import (
     cocycle_check,
     combine,
     verify_lie,
-    verify_rep,
 )
 from .twoterm import CrossedModuleData, dual_two_vs, gamma_total, verify_cm
 from .weil import (
@@ -105,15 +105,17 @@ def contragredient(action: SparseTensor) -> SparseTensor:
 
 
 def verify_matched_pair(mp: MatchedPairData) -> VerificationReport:
-    """Both factors are Lie, both actions are representations, and the
-    bicrossed-sum bracket satisfies Jacobi (the matched-pair criterion)."""
-    return combine(
-        ("h.", verify_lie(mp.h)),
-        ("k.", verify_lie(mp.k)),
-        ("h_on_k.", verify_rep(mp.h, mp.act_h_on_k)),
-        ("k_on_h.", verify_rep(mp.k, mp.act_k_on_h)),
-        ("bicrossed.", verify_lie(bicrossed_sum(mp.h, mp.k, mp.act_h_on_k, mp.act_k_on_h))),
-    )
+    """The one section ``bicrossed.``: Jacobi of the bicrossed sum h ⋈ k.
+
+    It is a Lie algebra iff (h, k, >, <) is a matched pair (Majid,
+    *Foundations of Quantum Group Theory*, §8.3).  The factor and action
+    checks are blocks of that identity: ``[h, h]`` lies in ``h``, so the
+    (h,h,h) block is Jacobi of ``h``, and the k-part of the (h,h,k) block
+    is ``rho([x,y]) - [rho(x), rho(y)]`` applied to ``k``, zero iff > is a
+    representation; likewise for ``k`` and <.
+    """
+    total = bicrossed_sum(mp.h, mp.k, mp.act_h_on_k, mp.act_k_on_h)
+    return combine(("bicrossed.", verify_lie(total)))
 
 
 def induced_cobracket(d: Lie2BialgebraData) -> LieCobracket:

@@ -290,7 +290,7 @@ def _build_entries() -> tuple[CatalogEntry, ...]:
     add(
         "matched_axb_bad",
         False,
-        "same with the action moved to e1; the representation check fails",
+        "same with the action moved to e1, not a representation; bicrossed Jacobi fails",
         doc_from_matched_pair(
             semidirect_mp(axb(), SparseTensor((2, 1, 1), {(1, 0, 0): 1}), 1),
             "matched_axb_bad",

@@ -158,8 +158,54 @@ def test_verify_matched_pair_broken_rep(axb):
     mp = semidirect_mp(axb, act, 1)
     report = verify_matched_pair(mp)
     assert not report.passed
-    assert not report.check("h_on_k.representation").passed
-    assert report.check("h_on_k.representation").witness is not None
+    assert not verify_rep(mp.h, mp.act_h_on_k).passed
+    # the representation defect is the (h,h,k) block of the bicrossed Jacobi
+    assert [c.cond for c in report.checks] == ["bicrossed.jacobi"]
+    assert report.check("bicrossed.jacobi").witness.indices == (0, 1, 2, 2)
+
+
+def random_matched_pair(rng):
+    """A matched-pair candidate with factors of dims 0-3.
+
+    Half are the matched pairs of seeded Lie 2-bialgebras (`seeded_l2b`,
+    whose edits break some of them); the rest take the base, core bracket
+    and action of a crossed-module candidate (`random_candidate`) with a
+    zero or random reverse action, and half of those swap the factors.
+    """
+    if rng.random() < 0.5:
+        return matched_pair_of(seeded_l2b(rng.randrange(600), rng.randrange(3)))
+    cm, core = random_candidate(rng)
+    n0, n1 = cm.dim0, cm.dim1
+    back = {}
+    for _ in range(rng.choice((0, 0, 1, 2)) if n0 * n1 else 0):
+        idx = (rng.randrange(n1), rng.randrange(n0), rng.randrange(n0))
+        back[idx] = back.get(idx, 0) + rng.choice((-1, 1, 2))
+    back = SparseTensor((n1, n0, n0), back)
+    if rng.random() < 0.5:
+        return MatchedPairData(core, cm.base, back, cm.action)
+    return MatchedPairData(cm.base, core, cm.action, back)
+
+
+def test_failing_factor_or_action_fails_bicrossed_jacobi():
+    # [h, h] lies in h, so the (h,h,h) block of the bicrossed Jacobi identity
+    # is Jacobi of h, and the k-part of its (h,h,k) block is
+    # rho([x,y]) - [rho(x), rho(y)]; likewise for k.  So `verify_matched_pair`
+    # reports the bicrossed Jacobi check alone.
+    rng = random.Random(7)
+    failures = Counter()
+    for _ in range(600):
+        mp = random_matched_pair(rng)
+        parts = {
+            "h.jacobi": verify_lie(mp.h),
+            "k.jacobi": verify_lie(mp.k),
+            "h_on_k.representation": verify_rep(mp.h, mp.act_h_on_k),
+            "k_on_h.representation": verify_rep(mp.k, mp.act_k_on_h),
+        }
+        failing = [name for name, report in parts.items() if not report.passed]
+        failures.update(failing)
+        if failing:
+            assert not verify_matched_pair(mp).check("bicrossed.jacobi").passed, failing
+    assert set(failures) == set(parts), failures
 
 
 def test_sign_flip_calibration_probe():
@@ -326,15 +372,17 @@ def test_cross_check_verifies_each_crossed_module_once(monkeypatch):
 
 def test_every_weil_and_def_bialgebra_check_can_fail():
     # a check that passes on every member of the populations decides
-    # nothing there; checks that hold by construction are tests instead
+    # nothing there; checks that hold by construction are tests instead.
+    # `matched` adds to the `cm1.`/`cm2.` checks only its bicrossed Jacobi.
     docs = [e.document for e in catalog.entries() if e.kind == "lie2_bialgebra"]
     docs += [catalog.seeded_member(catalog.L2B_FAMILIES, seed) for seed in range(600)]
     failures = Counter()
     for doc in docs:
         for c in cross_check(build_lie2_bialgebra(doc)).checks:
-            if c.cond.startswith(("weil.", "def.bialgebra.")):
+            if c.cond.startswith(("weil.", "def.bialgebra.", "matched.mp.")):
                 failures[c.cond] += not c.passed
     assert "def.bialgebra.cocycle" in failures
+    assert [c for c in failures if c.startswith("matched.mp.")] == ["matched.mp.bicrossed.jacobi"]
     assert [cond for cond, count in failures.items() if not count] == []
 
 

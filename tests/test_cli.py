@@ -11,11 +11,11 @@ from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from l2b import catalog
 from l2b.cli import main
-from l2b.documents import KINDS, MAX_DIM, _SCHEMAS, parse_document, serialize_document
+from l2b.documents import KINDS, MAX_DIM, METHODS, _SCHEMAS, parse_document, serialize_document
 from l2b.exact import perm_parity
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -470,3 +470,82 @@ def test_verify_hostile_documents_keep_the_exit_contract(data, fuzz_path):
         assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
     else:
         assert json.loads(out.getvalue())["verdict"] == ("pass" if code == 0 else "fail")
+
+
+# --- mutated catalog documents ----------------------------------------------------
+
+# stand-ins for JSON text that `json.dumps` cannot write: nesting deeper than
+# the parser recurses, nesting it reads, and an integer past the digit limit
+_DEEP, _NESTED, _HUGE = "\x00deep", "\x00nested", "\x00huge"
+_EXPANSIONS = {
+    _DEEP: "[" * 100_000 + "]" * 100_000,
+    _NESTED: "[" * 40 + "1" + "]" * 40,
+    _HUGE: "9" * (sys.get_int_max_str_digits() + 100),
+}
+_DUALIZATIONS = ("two_vs", "dvb_vertical", "dvb_horizontal", "flip")
+# integers within -2..6 reach indices out of range of every catalog space
+# and keep a dim at most 6, since the dense Jacobi loop grows with dim^5
+_MUTANTS = st.one_of(
+    st.booleans(),
+    st.none(),
+    st.integers(-2, 6),
+    st.sampled_from(("", "x", "1", "-2/3", "1/0", " 2", 2.5, 1.0)),
+    st.sampled_from((_DEEP, _NESTED)),
+    st.sampled_from((_HUGE, "3" * sys.get_int_max_str_digits())),
+    st.sampled_from(("[]", "{}", '[[0, 0, 0], "1"]')).map(json.loads),  # fresh objects
+)
+
+
+@st.composite
+def mutated_catalog_documents(draw):
+    """A catalog document with up to three values anywhere in its tree
+    replaced: booleans or strings where integers are expected, nulls,
+    out-of-range indices, deep nesting and huge literals.  Integers and
+    rational strings in range keep some documents readable."""
+    doc = json.loads(serialize_document(draw(st.sampled_from(catalog.entries())).document))
+    for _ in range(draw(st.integers(0, 3))):
+        container, key = draw(st.sampled_from(list(_containers(doc))))
+        container[key] = draw(_MUTANTS)
+    return _expanded(doc)
+
+
+def _expanded(doc) -> bytes:
+    text = json.dumps(doc)
+    for token, expansion in _EXPANSIONS.items():
+        text = text.replace(json.dumps(token), expansion)
+    return text.encode()
+
+
+def _sl2_with_bracket(bracket) -> bytes:
+    doc = json.loads(serialize_document(catalog.get("sl2").document))
+    doc["blocks"]["bracket"] = bracket
+    return _expanded(doc)
+
+
+def _run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=mutated_catalog_documents())
+@example(data=_sl2_with_bracket(_DEEP))
+@example(data=_sl2_with_bracket([[[0, 1, 2], _HUGE]]))
+def test_mutated_catalog_documents_keep_the_cli_contract(data, fuzz_path):
+    # exit 0/1/2 under every method and dualization, never an exception, and
+    # the same bytes on a repeat
+    fuzz_path.write_bytes(data)
+    commands = [["verify", str(fuzz_path), "--method", m] for m in METHODS]
+    commands += [["dualize", str(fuzz_path), "--which", w] for w in _DUALIZATIONS]
+    for argv in commands:
+        code, out, err = result = _run_main(argv)
+        assert _run_main(argv) == result, argv
+        assert code in ((0, 1, 2) if argv[0] == "verify" else (0, 2)), argv
+        if code == 2:
+            assert out == "" and err.startswith("error:") and err.count("\n") == 1, argv
+        elif argv[0] == "verify":
+            assert err == "" and json.loads(out)["verdict"] == ("pass", "fail")[code], argv
+        else:
+            assert err == "" and parse_document(out.encode()), argv
