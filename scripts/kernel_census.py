@@ -1,0 +1,145 @@
+#!/usr/bin/env python3
+"""List the kernel functions that no CLI run enters.
+
+The CLI runs in process, under a ``sys.setprofile`` hook, over every
+catalog entry and every `gen` family at seeds 0 to N - 1, plain and
+perturbed: each document is written by ``catalog show`` or ``gen`` and
+then read back by ``verify`` under every ``--method`` and by ``dualize``
+under every ``--which``.  The hook records every Python function entered.
+The script then prints each named function of ``src/l2b`` that was never
+entered, with its line count, in source order.  Tests, the benchmark and
+the other scripts are not run, so a listed function is one that only they
+reach, or nothing does.
+
+Usage: python3 scripts/kernel_census.py [--seeds N]
+"""
+
+import argparse
+import contextlib
+import importlib
+import inspect
+import io
+import os
+import pkgutil
+import sys
+import tempfile
+import time
+import types
+
+WHICH = ("two_vs", "dvb_vertical", "dvb_horizontal", "flip")
+
+
+def kernel_functions():
+    """``(module, qualname, lines, key)`` of every named function in ``l2b``.
+
+    Nested functions are included; lambdas and comprehensions are not.
+    ``key`` identifies the function's code object.
+    """
+    import l2b
+
+    found = {}
+
+    def visit(module, code):
+        if code.co_filename != module.__file__:
+            return  # generated by dataclasses, or defined elsewhere
+        if not code.co_name.startswith("<"):
+            key = (code.co_filename, code.co_firstlineno, code.co_qualname)
+            found[key] = (module.__name__, code.co_qualname, len(inspect.getsourcelines(code)[0]))
+        for const in code.co_consts:
+            if isinstance(const, types.CodeType):
+                visit(module, const)
+
+    def visit_object(module, obj):
+        if isinstance(obj, (staticmethod, classmethod)):
+            obj = obj.__func__
+        if isinstance(obj, property):
+            obj = obj.fget
+        if isinstance(obj, types.FunctionType):
+            visit(module, obj.__code__)
+
+    for info in pkgutil.iter_modules(l2b.__path__):
+        if info.name == "__main__":
+            continue  # running it would run the CLI
+        module = importlib.import_module(f"l2b.{info.name}")
+        for obj in vars(module).values():
+            if isinstance(obj, type) and obj.__module__ == module.__name__:
+                for member in vars(obj).values():
+                    visit_object(module, member)
+            else:
+                visit_object(module, obj)
+    return sorted(
+        ((mod, qual, lines, key) for key, (mod, qual, lines) in found.items()),
+        key=lambda row: (row[0], row[3][1]),
+    )
+
+
+def run_cli(seeds: int) -> int:
+    """Run every CLI command of the census; return the number of documents."""
+    from l2b import catalog, cli
+    from l2b.documents import METHODS
+
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        out = os.path.join(tmp, "out")
+        docs = []
+        cli.main(["catalog", "list"])
+        for entry in catalog.entries():
+            path = os.path.join(tmp, f"{entry.name}.json")
+            shown = io.StringIO()
+            with contextlib.redirect_stdout(shown):
+                cli.main(["catalog", "show", entry.name])
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(shown.getvalue())
+            docs.append(path)
+        for family in catalog.FAMILIES:
+            for seed in range(seeds):
+                for flag in ([], ["--perturbed"]):
+                    path = os.path.join(tmp, f"{family.replace(':', '-')}-{seed}{''.join(flag)}.json")
+                    if cli.main(["gen", "--family", family, "--seed", str(seed), *flag,
+                                 "--out", path]) == 0:
+                        docs.append(path)
+        for path in docs:
+            for method in METHODS:
+                cli.main(["verify", path, "--method", method, "--out", out])
+            for which in WHICH:
+                cli.main(["dualize", path, "--which", which, "--out", out])
+    return len(docs)
+
+
+def census(seeds: int):
+    """The never-entered kernel functions, the number of documents run and
+    the number of kernel functions.  The hook is on before ``l2b`` is
+    imported, so that what an import runs counts as entered."""
+    entered = set()
+
+    def hook(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            entered.add((code.co_filename, code.co_firstlineno, code.co_qualname))
+
+    sys.setprofile(hook)
+    try:
+        count = run_cli(seeds)
+    finally:
+        sys.setprofile(None)
+    functions = kernel_functions()
+    return [row for row in functions if row[3] not in entered], count, len(functions)
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seeds", type=int, default=5, help="gen seeds 0..N-1 (default 5)")
+    args = parser.parse_args(argv)
+    t0 = time.perf_counter()
+    missed, docs, total = census(args.seeds)
+    dt = time.perf_counter() - t0
+    print(f"{docs} documents, seeds 0-{args.seeds - 1}, in {dt:.1f}s: "
+          f"{len(missed)} of {total} kernel functions never entered")
+    for module, qualname, lines, _ in missed:
+        print(f"  {module.removeprefix('l2b.')}.{qualname}  {lines}")
+    print(f"never entered: {sum(row[2] for row in missed)} lines")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -10,7 +10,6 @@ from .liecore import (
     VerificationReport,
     Witness,
     bicrossed_sum,
-    bracket_to_dual_cobracket,
     cobracket_to_dual_lie,
     verify_cocycle,
     verify_lie,
@@ -28,10 +27,8 @@ from .twoterm import (
     dvb_flip,
     dvb_horizontal_dual,
     dvb_vertical_dual,
-    g_action_algebroid,
     gamma_total,
     verify_cm,
-    verify_full_crossed_module,
 )
 from .weil import (
     GradedDerivation,
@@ -44,9 +41,7 @@ from .weil import (
     check_square_zero,
     gerst_bracket,
     graded_commutator,
-    verify_cm_via_weil,
     verify_weak_lie2,
-    weil_mul,
 )
 from .bicross import (
     Lie2BialgebraData,

@@ -155,9 +155,6 @@ class SparseTensor:
     def is_zero(self) -> bool:
         return not self.entries
 
-    def items_sorted(self):
-        return sorted(self.entries.items())
-
     def add(self, other: "SparseTensor") -> "SparseTensor":
         if self.dims != other.dims:
             raise DimensionMismatch(f"{self.dims} vs {other.dims}")
@@ -165,9 +162,6 @@ class SparseTensor:
         for idx, val in other.entries.items():
             out[idx] = out.get(idx, _ZERO) + val
         return SparseTensor._trusted(self.dims, {i: v for i, v in out.items() if v})
-
-    def sub(self, other: "SparseTensor") -> "SparseTensor":
-        return self.add(other.scale(-1))
 
     def scale(self, c) -> "SparseTensor":
         c = rational(c)

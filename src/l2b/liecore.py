@@ -328,11 +328,6 @@ def cobracket_to_dual_lie(d: LieCobracket) -> LieAlgebra:
     return LieAlgebra(labels, permute_axes(d.tensor, (1, 2, 0)))
 
 
-def bracket_to_dual_cobracket(g: LieAlgebra) -> LieCobracket:
-    """Transpose a Lie bracket into the cobracket it induces on the dual space."""
-    return LieCobracket(g.dim, permute_axes(g.bracket, (2, 0, 1)))
-
-
 def cocycle_check(g: LieAlgebra, d: LieCobracket) -> Check:
     """The 1-cocycle identity ``delta([e_i,e_j]) = e_i.delta(e_j) - e_j.delta(e_i)``
     on all basis pairs, as the ``cocycle`` check.

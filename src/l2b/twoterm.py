@@ -31,7 +31,6 @@ from .liecore import (
     VerificationReport,
     Witness,
     bicrossed_sum,
-    combine,
     verify_lie,
     verify_rep,
     _mismatch_witness,
@@ -164,57 +163,6 @@ def derived_bracket(cm: CrossedModuleData) -> LieAlgebra:
     return LieAlgebra(cm.tvs.labels1, dtens)
 
 
-def verify_full_crossed_module(
-    cm: CrossedModuleData, core_bracket: LieAlgebra
-) -> VerificationReport:
-    """Candidate checks for a full crossed module with an explicit core bracket.
-
-    Beyond `verify_cm`: the supplied core bracket must equal the derived
-    one, ``partial`` must be a bracket morphism, and the action must act by
-    derivations of the core bracket.
-    """
-    if core_bracket.dim != cm.dim1:
-        raise DimensionMismatch(
-            f"core bracket dim {core_bracket.dim} vs core dim {cm.dim1}"
-        )
-    base = verify_cm(cm)
-    cb_witness = _scalar_witness(
-        core_bracket.bracket.entries, derived_bracket_tensor(cm).entries
-    )
-
-    partial, bracket, action = cm.tvs.partial, cm.base.bracket, cm.action
-    core = core_bracket.bracket
-    # each side below is antisymmetric in its two core indices (so zero where
-    # they are equal), and the first difference has them increasing
-    # entry (i, j, a): the coefficient of e_a in partial([f_i, f_j]) and in
-    # [partial(f_i), partial(f_j)]
-    morph_witness = _mismatch_witness(
-        contract(core, partial, [(2, 1)]).entries,
-        contract(partial, contract(partial, bracket, [(0, 1)]), [(0, 1)]).entries,
-        cm.base.labels,
-    )
-    # entry (i, a, b, m): the coefficient of f_m in e_i . [f_a, f_b] and in
-    # [e_i . f_a, f_b] + [f_a, e_i . f_b]
-    der_witness = _mismatch_witness(
-        permute_axes(contract(core, action, [(2, 1)]), (2, 0, 1, 3)).entries,
-        contract(action, core, [(2, 0)]).add(
-            permute_axes(contract(action, core, [(2, 1)]), (0, 2, 1, 3))
-        ).entries,
-        cm.tvs.labels1,
-    )
-
-    return combine(
-        base,
-        VerificationReport(
-            (
-                Check("core_bracket", cb_witness is None, cb_witness),
-                Check("partial_morphism", morph_witness is None, morph_witness),
-                Check("action_derivation", der_witness is None, der_witness),
-            )
-        ),
-    )
-
-
 def gamma_total(cm: CrossedModuleData) -> LieAlgebra:
     """Semidirect total of g0 with the core *as a Lie algebra* (derived bracket).
 
@@ -223,14 +171,6 @@ def gamma_total(cm: CrossedModuleData) -> LieAlgebra:
     """
     no_back_action = SparseTensor.zero((cm.dim1, cm.dim0, cm.dim0))
     return bicrossed_sum(cm.base, derived_bracket(cm), cm.action, no_back_action)
-
-
-def g_action_algebroid(cm: CrossedModuleData) -> LieAlgebra:
-    """Semidirect total of g0 with the core as a plain module (no core bracket)."""
-    no_back_action = SparseTensor.zero((cm.dim1, cm.dim0, cm.dim0))
-    return bicrossed_sum(
-        cm.base, LieAlgebra.abelian(cm.tvs.labels1), cm.action, no_back_action
-    )
 
 
 @dataclass(frozen=True)

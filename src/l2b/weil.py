@@ -45,8 +45,8 @@ its index tuples are sorted, `WeilElement` that every monomial is in
 range, converting coefficients with `exact.rational` (an `int` when
 integral, else a `Fraction`) and dropping zeros, and `GradedDerivation`
 that its images have the degrees of its bidegree or total degree.
-Products, sums, scalings, brackets and derivation images are built by the
-trusted `_trusted` constructors, since they combine monomials and exact
+Sums, brackets and derivation images are built by the trusted
+`_trusted` constructors, since they combine monomials and exact
 rational coefficients of valid operands of the same dims; so are the
 three differentials the kernel reads off `CrossedModuleData` and
 `WeakLie2Data`, whose dims and antisymmetry their constructors have
@@ -68,7 +68,6 @@ from .liecore import Check, VerificationReport, Witness, combine
 from .twoterm import CrossedModuleData, WeakLie2Data
 
 _ZERO = 0
-_ONE = 1
 
 
 class WeilMonomial(tuple):
@@ -128,8 +127,6 @@ class WeilMonomial(tuple):
         return "*".join([f"a{i}" for i in ext] + [f"g{j}" for j in sym])
 
 
-ONE = WeilMonomial((), ())
-
 
 @dataclass(frozen=True)
 class WeilElement:
@@ -180,22 +177,6 @@ class WeilElement:
         return " + ".join(parts)
 
 
-def weil_zero(dims) -> WeilElement:
-    return WeilElement(tuple(dims), {})
-
-
-def weil_one(dims) -> WeilElement:
-    return WeilElement(tuple(dims), {ONE: _ONE})
-
-
-def weil_alpha(dims, i: int) -> WeilElement:
-    return WeilElement(tuple(dims), {WeilMonomial((i,), ()): _ONE})
-
-
-def weil_gamma(dims, j: int) -> WeilElement:
-    return WeilElement(tuple(dims), {WeilMonomial((), (j,)): _ONE})
-
-
 def _clean(terms: dict) -> dict:
     """``terms`` without its zero coefficients (itself when it has none)."""
     return terms if all(terms.values()) else {m: c for m, c in terms.items() if c}
@@ -212,39 +193,6 @@ def weil_add(a: WeilElement, b: WeilElement) -> WeilElement:
     out = dict(a.terms)
     for mono, coeff in b.terms.items():
         out[mono] = out.get(mono, _ZERO) + coeff
-    return _nonzero(a.dims, out)
-
-
-def weil_sub(a: WeilElement, b: WeilElement) -> WeilElement:
-    return weil_add(a, weil_scale(-1, b))
-
-
-def weil_scale(c, a: WeilElement) -> WeilElement:
-    c = rational(c)
-    if not c:
-        return WeilElement._trusted(a.dims, {})
-    return WeilElement._trusted(a.dims, {m: c * v for m, v in a.terms.items()})
-
-
-def weil_mul(a: WeilElement, b: WeilElement) -> WeilElement:
-    """The product: a pair of terms whose exterior parts share an index
-    gives nothing, the others one sign per inversion between them."""
-    if a.dims != b.dims:
-        raise DimensionMismatch(f"{a.dims} vs {b.dims}")
-    out: dict[WeilMonomial, Rational] = {}
-    for (e1, s1), c1 in a.terms.items():
-        for (e2, s2), c2 in b.terms.items():
-            c = c1 * c2
-            if e1 and e2:
-                if set(e1) & set(e2):
-                    continue
-                if sum(1 for x in e1 for y in e2 if x > y) % 2:
-                    c = -c
-                ext = tuple(sorted(e1 + e2))
-            else:
-                ext = e1 or e2
-            mono = WeilMonomial._trusted(ext, tuple(sorted(s1 + s2)) if s1 and s2 else s1 or s2)
-            out[mono] = out.get(mono, _ZERO) + c
     return _nonzero(a.dims, out)
 
 
@@ -549,11 +497,6 @@ def check_cm_square(dv: GradedDerivation, dh: GradedDerivation) -> VerificationR
         check_zero_on_generators(_square(dh), "delta_h.square_zero"),
         check_zero_on_generators(graded_commutator(dv, dh), "commute"),
     )
-
-
-def verify_cm_via_weil(cm: CrossedModuleData) -> VerificationReport:
-    """The differential-calculus characterization of the crossed-module checks."""
-    return check_cm_square(*cm_differentials(cm))
 
 
 def verify_weak_lie2(w: WeakLie2Data) -> VerificationReport:

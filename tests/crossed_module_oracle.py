@@ -1,11 +1,20 @@
 """Per-vector loop versions of the contraction-based crossed-module checks.
 
 A test oracle for the ``equivariance`` and ``skew_action`` checks of
-`l2b.twoterm.verify_cm` and the ``core_bracket``, ``partial_morphism`` and
-``action_derivation`` checks of `l2b.twoterm.verify_full_crossed_module`.
-Each check applies the maps to one basis vector at a time and scans the
-basis tuples in lexicographic order, so the first failing tuple is the
-witness; the kernel must report the same `Check`, witness text included.
+`l2b.twoterm.verify_cm`.  Each check applies the maps to one basis vector at
+a time and scans the basis tuples in lexicographic order, so the first
+failing tuple is the witness; the kernel must report the same `Check`,
+witness text included.
+
+It also owns two constructions that the kernel does not run:
+
+* the checks of a full crossed module with an explicit core bracket,
+  ``core_bracket``, ``partial_morphism`` and ``action_derivation``
+  (`verify_full_crossed_module_by_loops`), with which the tests assert the
+  derived-bracket structure theorems;
+* `g_action_algebroid`, the semidirect sum of the side with the core as a
+  plain module, whose Jacobi identity has the verdict of
+  `l2b.weil.check_gerst_axioms` on the same crossed module.
 """
 
 import itertools
@@ -13,7 +22,15 @@ from fractions import Fraction
 
 from l2b.catalog import adjoint_cm, axb, heisenberg, sl2
 from l2b.exact import SparseTensor, format_rational
-from l2b.liecore import Check, LieAlgebra, VerificationReport, Witness, verify_lie, verify_rep
+from l2b.liecore import (
+    Check,
+    LieAlgebra,
+    VerificationReport,
+    Witness,
+    bicrossed_sum,
+    verify_lie,
+    verify_rep,
+)
 from l2b.twoterm import CrossedModuleData, TwoVectorSpace, derived_bracket_tensor
 
 
@@ -149,6 +166,14 @@ def verify_full_crossed_module_by_loops(
     return VerificationReport(
         verify_cm_by_loops(cm).checks
         + (core_bracket(cm, core), partial_morphism(cm, core), action_derivation(cm, core))
+    )
+
+
+def g_action_algebroid(cm: CrossedModuleData) -> LieAlgebra:
+    """Semidirect total of g0 with the core as a plain module (no core bracket)."""
+    no_back_action = SparseTensor.zero((cm.dim1, cm.dim0, cm.dim0))
+    return bicrossed_sum(
+        cm.base, LieAlgebra.abelian(cm.tvs.labels1), cm.action, no_back_action
     )
 
 

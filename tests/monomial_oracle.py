@@ -16,26 +16,80 @@ has the verdict of ``generator_pairs``.
 
 It also holds element-level oracles for `l2b.weil.apply_derivation` and
 `l2b.weil.gerst_bracket`, which compute the same values the long way,
-through element products and sums.
+through element products and sums.  The element algebra (``weil_zero`` to
+``weil_mul``) is its own: it builds every result through the validating
+`WeilElement` and `WeilMonomial` constructors and shares no arithmetic with
+the kernel.
 """
 
 import itertools
 
+from l2b.exact import DimensionMismatch
 from l2b.liecore import Check, VerificationReport, Witness
 from l2b.twoterm import CrossedModuleData
-from l2b.weil import (
-    GradedDerivation,
-    WeilElement,
-    WeilMonomial,
-    apply_derivation,
-    weil_add,
-    weil_mul,
-    weil_scale,
-    weil_sub,
-    weil_zero,
-)
+from l2b.weil import GradedDerivation, WeilElement, WeilMonomial, apply_derivation
 
 from crossed_module_oracle import _VALUES, random_candidate
+
+
+# --- the element algebra ------------------------------------------------------------
+
+ONE = WeilMonomial((), ())
+
+
+def weil_zero(dims) -> WeilElement:
+    return WeilElement(tuple(dims), {})
+
+
+def weil_one(dims) -> WeilElement:
+    return WeilElement(tuple(dims), {ONE: 1})
+
+
+def weil_alpha(dims, i: int) -> WeilElement:
+    return WeilElement(tuple(dims), {WeilMonomial((i,), ()): 1})
+
+
+def weil_gamma(dims, j: int) -> WeilElement:
+    return WeilElement(tuple(dims), {WeilMonomial((), (j,)): 1})
+
+
+def _same_dims(a: WeilElement, b: WeilElement) -> None:
+    if a.dims != b.dims:
+        raise DimensionMismatch(f"{a.dims} vs {b.dims}")
+
+
+def weil_add(a: WeilElement, b: WeilElement) -> WeilElement:
+    _same_dims(a, b)
+    out = dict(a.terms)
+    for mono, coeff in b.terms.items():
+        out[mono] = out.get(mono, 0) + coeff
+    return WeilElement(a.dims, out)
+
+
+def weil_scale(c, a: WeilElement) -> WeilElement:
+    return WeilElement(a.dims, {m: c * v for m, v in a.terms.items()})
+
+
+def weil_sub(a: WeilElement, b: WeilElement) -> WeilElement:
+    return weil_add(a, weil_scale(-1, b))
+
+
+def weil_mul(a: WeilElement, b: WeilElement) -> WeilElement:
+    """The product: a pair of terms whose exterior parts share an index
+    gives nothing, the others one sign per inversion between them."""
+    _same_dims(a, b)
+    out = {}
+    for (e1, s1), c1 in a.terms.items():
+        for (e2, s2), c2 in b.terms.items():
+            if set(e1) & set(e2):
+                continue
+            sign = -1 if sum(1 for x in e1 for y in e2 if x > y) % 2 else 1
+            mono = WeilMonomial(sorted(e1 + e2), sorted(s1 + s2))
+            out[mono] = out.get(mono, 0) + sign * c1 * c2
+    return WeilElement(a.dims, out)
+
+
+# --- derivations and the bracket, the long way ----------------------------------------
 
 
 def apply_derivation_by_products(d: GradedDerivation, a: WeilElement) -> WeilElement:

@@ -1,6 +1,8 @@
 import random
+import sys
 from collections import Counter
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -50,6 +52,9 @@ from l2b.twoterm import (
 
 from conftest import crossed_module, small_tensor
 from crossed_module_oracle import random_candidate
+from manin_double_oracle import manin_double
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def seeded_l2b(seed, modifications=0):
@@ -427,3 +432,31 @@ def test_dual_swap_preserves_verdict():
         d = seeded_l2b(seed, modifications=seed % 2)
         swapped = Lie2BialgebraData(d.cm2, d.cm1)
         assert cross_check(d).passed == cross_check(swapped).passed
+
+
+def bench_bialgebra_pair_docs():
+    """`bench/workloads.py`'s two bialgebra pairs, where both brackets are nonzero."""
+    if str(BENCH) not in sys.path:
+        sys.path.insert(0, str(BENCH))  # workloads imports its sibling, the oracle
+    import workloads
+
+    return [workloads.bialgebra_pair_doc(name) for name in ("axb", "sl2")]
+
+
+def test_manin_double_agrees_with_matched_and_weil():
+    # `def` is left out: on the bench pairs it disagrees with the other two
+    # (the pairing sign of `induced_cobracket`), which `bench/tests` pins
+    docs = [e.document for e in catalog.entries() if e.kind == "lie2_bialgebra"]
+    docs += [catalog.seeded_member(catalog.L2B_FAMILIES, s) for s in range(300)]
+    docs += bench_bialgebra_pair_docs()
+    verdicts, minus_disagreements = Counter(), 0
+    for doc in docs:
+        d = build_lie2_bialgebra(doc)
+        matched = verify_l2b_matched(d).passed
+        assert verify_l2b_weil(d).passed == matched, doc.name
+        assert verify_cm(manin_double(d)).passed == matched, doc.name
+        minus_disagreements += verify_cm(manin_double(d, core_sign=-1)).passed != matched
+        verdicts[matched] += 1
+    assert verdicts[True] and verdicts[False]
+    # the sign of the cm2 part of the structure map matters
+    assert minus_disagreements > 0

@@ -11,7 +11,7 @@ from l2b.catalog import adjoint_cm, axb, axb_action_cm, sl2, weak_l3_example
 from l2b.documents import build_crossed_module, build_lie2_bialgebra, build_weak_lie2
 from l2b import catalog
 from l2b.exact import SparseTensor, perm_parity
-from l2b.liecore import Check, LieAlgebra, Witness
+from l2b.liecore import Check, LieAlgebra, Witness, verify_lie
 from l2b.twoterm import CrossedModuleData, TwoVectorSpace, WeakLie2Data, verify_cm
 from l2b.weil import (
     _brackets,
@@ -25,21 +25,14 @@ from l2b.weil import (
     check_derivation_of_bracket,
     check_gerst_axioms,
     check_square_zero,
+    check_cm_square,
     check_zero_on_generators,
     cm_differentials,
     derivation_sum,
     gerst_bracket,
     graded_commutator,
-    verify_cm_via_weil,
     verify_weak_lie2,
-    weil_add,
-    weil_alpha,
-    weil_gamma,
-    weil_mul,
-    weil_one,
-    weil_scale,
-    weil_sub,
-    weil_zero,
+    weil_add as kernel_add,
 )
 
 from conftest import (
@@ -49,7 +42,7 @@ from conftest import (
     nonzero_rationals,
     small_tensor,
 )
-from crossed_module_oracle import random_candidate
+from crossed_module_oracle import g_action_algebroid, random_candidate
 from monomial_oracle import (
     apply_derivation_by_products,
     check_derivation_of_bracket_bounded,
@@ -59,6 +52,14 @@ from monomial_oracle import (
     enumerate_monomials,
     gerst_bracket_by_sums,
     random_table_and_derivation,
+    weil_add,
+    weil_alpha,
+    weil_gamma,
+    weil_mul,
+    weil_one,
+    weil_scale,
+    weil_sub,
+    weil_zero,
 )
 
 
@@ -87,7 +88,7 @@ def elt(dims, *term_pairs):
     return WeilElement(dims, {m: Q(c) for m, c in term_pairs})
 
 
-# --- multiplication ------------------------------------------------------------
+# --- multiplication (the oracle's element product) ---------------------------------
 
 def test_mul_odd_generators_anticommute():
     dims = (2, 1)
@@ -371,7 +372,7 @@ def test_square_zero_rejects_even():
 def test_e1_equivalence_seeded(seed):
     cm = seeded_cm(seed)
     direct = verify_cm(cm)
-    weil = verify_cm_via_weil(cm)
+    weil = check_cm_square(*cm_differentials(cm))
     assert direct.passed == weil.passed
     for cond, wcond in CM_SQUARE_CHECKS.items():
         assert direct.check(cond).passed == weil.check(wcond).passed, (cond, seed)
@@ -385,7 +386,7 @@ def test_weak_square_components_are_the_cm_checks(seed):
     # third, [delta_h, delta_J], vanishes with the Jacobiator
     cm, _ = random_candidate(random.Random(seed))
     weak = verify_weak_lie2(WeakLie2Data(cm, zero_jacobiator(cm)))
-    strict = verify_cm_via_weil(cm)
+    strict = check_cm_square(*cm_differentials(cm))
     assert tuple(c.cond for c in weak.checks) == WEAK_SQUARES
     for tag, prefix in (("(1,1)", "commute"), ("(2,0)", "delta_h.square_zero")):
         side, core = strict.check(prefix + ".side"), strict.check(prefix + ".core")
@@ -637,6 +638,20 @@ def test_recursive_oracle_cases_reach_both_verdicts():
     assert verdicts == {(cond, passed) for cond in conds for passed in (True, False)}
 
 
+def test_gerst_jacobi_is_jacobi_of_the_action_algebroid():
+    # on generators the bracket is a Lie superalgebra: the gs even, with the
+    # base bracket, the as odd, with [g, a] the action and [a, a] = 0; its
+    # Jacobi identity on (g,g,g) is Jacobi of the base, on (g,g,a) the
+    # representation identity, and on (g,a,a) and (a,a,a) it holds
+    failing = 0
+    for seed in range(300):
+        G, _ = random_candidate(random.Random(seed))
+        passed = check_gerst_axioms(G).passed
+        assert passed == verify_lie(g_action_algebroid(G)).passed, seed
+        failing += not passed
+    assert 0 < failing < 300
+
+
 def test_gerst_jacobi_witness_at_representation_defect():
     # the axb core [g0, g1] = g1 with [g1, a0] = a0, [g0, a0] = 0 is not a
     # representation, so Jacobi first fails at a triple (a, g, g)
@@ -720,8 +735,8 @@ def assert_derivation_revalidates(d: GradedDerivation):
         assert_revalidates(img)
 
 
-# small coefficients, so that sums and products cancel often; halves make
-# integral products of Fractions
+# small coefficients, so that sums cancel often; halves make integral
+# sums of Fractions
 @settings(max_examples=100, deadline=None)
 @given(
     st.sampled_from([(0, 1), (1, 1), (2, 1), (2, 2), (3, 1)]).flatmap(
@@ -729,18 +744,11 @@ def assert_derivation_revalidates(d: GradedDerivation):
             *[weil_elements(dims, st.sampled_from((-1, 1, 2, Q(1, 2), Q(-3, 2))))] * 2
         )
     ),
-    st.sampled_from((0, 1, -1, Q(1, 2), Q(4, 2), True)),
     tables_and_derivations(),
 )
-def test_kernel_results_revalidate(pair, c, table):
+def test_kernel_results_revalidate(pair, table):
     a, b = pair
-    results = (
-        weil_add(a, b),
-        weil_add(a, weil_scale(-1, a)),
-        weil_mul(a, b),
-        weil_scale(c, a),
-        weil_sub(a, b),
-    )
+    results = (kernel_add(a, b), kernel_add(a, weil_scale(-1, a)))
     for e in results:
         assert_revalidates(e)
     # trusted monomials sort like their validated copies
@@ -868,8 +876,6 @@ def test_constructors_validate():
         assert terms == ({a0: stored} if stored is not None else {})
         for coeff in terms.values():
             assert_canonical(coeff)
-    for c in (Q(4, 2), True, 2.0):
-        assert type(weil_scale(c, e).terms[a0]) is int
 
 
 # --- weak two-term data -------------------------------------------------------------
