@@ -26,8 +26,6 @@ import tempfile
 import time
 import types
 
-WHICH = ("two_vs", "dvb_vertical", "dvb_horizontal", "flip")
-
 
 def kernel_functions():
     """``(module, qualname, lines, key)`` of every named function in ``l2b``.
@@ -76,7 +74,7 @@ def kernel_functions():
 def run_cli(seeds: int) -> int:
     """Run every CLI command of the census; return the number of documents."""
     from l2b import catalog, cli
-    from l2b.documents import METHODS
+    from l2b.documents import DUALIZATIONS, METHODS
 
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
@@ -101,7 +99,7 @@ def run_cli(seeds: int) -> int:
         for path in docs:
             for method in METHODS:
                 cli.main(["verify", path, "--method", method, "--out", out])
-            for which in WHICH:
+            for which in DUALIZATIONS:
                 cli.main(["dualize", path, "--which", which, "--out", out])
     return len(docs)
 

@@ -41,6 +41,8 @@ from l2b.documents import (
     serialize_report,
 )
 
+# spelled out rather than read from `l2b.documents` (METHODS, DUALIZATIONS),
+# so that the script runs against older source trees too
 L2B_METHODS = ("auto", "def", "matched", "weil", "all")
 FAMILIES = catalog.FAMILIES
 SEEDS = range(20)

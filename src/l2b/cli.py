@@ -14,6 +14,7 @@ import sys
 from . import catalog
 from .documents import (
     DocumentError,
+    DUALIZATIONS,
     METHODS,
     UnsupportedMethod,
     dualize_document,
@@ -55,11 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_dual = sub.add_parser("dualize", help="emit the dual document")
     p_dual.add_argument("file")
-    p_dual.add_argument(
-        "--which",
-        required=True,
-        choices=("two_vs", "dvb_vertical", "dvb_horizontal", "flip"),
-    )
+    p_dual.add_argument("--which", required=True, choices=DUALIZATIONS)
     p_dual.add_argument("--out")
 
     p_gen = sub.add_parser("gen", help="generate a seeded instance document")

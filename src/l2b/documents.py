@@ -500,6 +500,8 @@ def dualize_document(doc: StructureDocument, which: str) -> StructureDocument:
 
 
 METHODS = ("auto", "def", "matched", "weil", "all")
+# the ``which`` arguments of `dualize_document`
+DUALIZATIONS = ("two_vs", "dvb_vertical", "dvb_horizontal", "flip")
 
 
 def run_verifier(doc: StructureDocument, method: str = "auto") -> VerificationReport:

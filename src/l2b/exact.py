@@ -45,7 +45,9 @@ class MalformedPermutation(ValueError):
     """A permutation argument is not a bijection of its index range."""
 
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+# ASCII digits only: a Unicode ``\d`` such as "٠" or "０" is a digit to
+# `Fraction` but not a "0" to the zero-denominator test
+_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$", re.ASCII)
 
 
 def rational(value) -> Rational:

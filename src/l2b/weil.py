@@ -34,26 +34,28 @@ generators, whose images are those structure constants
 (Kosmann-Schwarzbach, *Derived brackets*); every bracket is a
 derivation image (`_derive`) of one of them.
 
-The checks compute on plain ``{WeilMonomial: coefficient}`` term dicts:
-a derivation is applied by `_derive`, which adds its images into a dict,
+The checks compute on plain ``{WeilMonomial: coefficient}`` term dicts.
+A `GradedDerivation` is its total degree and the zero-free term dicts of
+its images of the generators; `_derive` applies it by adding into a dict,
 and an identity is decided on one dict holding its left side minus its
-right side.  A `WeilElement` is built only for a derivation image that is
-returned, or for the witness of a failing tuple.
+right side.  Only total degrees are tracked, since `_derive` needs only
+their parity; the bidegrees above name the components.  A `WeilElement`
+is built only for the result of `apply_derivation` or `gerst_bracket`;
+witnesses are rendered from term dicts (`_render`).
 
 Validation happens at the public constructors: `WeilMonomial` checks that
 its index tuples are sorted, `WeilElement` that every monomial is in
 range, converting coefficients with `exact.rational` (an `int` when
 integral, else a `Fraction`) and dropping zeros, and `GradedDerivation`
-that its images have the degrees of its bidegree or total degree.
-Sums, brackets and derivation images are built by the trusted
-`_trusted` constructors, since they combine monomials and exact
-rational coefficients of valid operands of the same dims; so are the
-three differentials the kernel reads off `CrossedModuleData` and
-`WeakLie2Data`, whose dims and antisymmetry their constructors have
-checked, and the derivations it derives from valid ones (squares,
-commutators and sums); the images of the ``ad_x`` are term dicts read off
-``cm2`` the same way.  A monomial is an immutable ``(ext, sym)`` tuple, so
-hashing and equality run in C.
+validates each image as `WeilElement` does and checks its total degree.
+Squares, commutators, sums and the elements `apply_derivation` and
+`gerst_bracket` return are built by the trusted `_trusted` constructors,
+since they combine monomials and exact rational coefficients of valid
+operands of the same dims; so are the three differentials the kernel
+reads off `CrossedModuleData` and `WeakLie2Data`, whose dims and
+antisymmetry their constructors have checked, and the derivations
+``ad_x``, whose images are read off ``cm2`` the same way.  A monomial is
+an immutable ``(ext, sym)`` tuple, so hashing and equality run in C.
 """
 
 from __future__ import annotations
@@ -163,18 +165,8 @@ class WeilElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def bidegree(self) -> tuple[int, int] | None:
-        """The common bidegree of all terms, or None if mixed or zero."""
-        degs = {m.bidegree for m in self.terms}
-        return degs.pop() if len(degs) == 1 else None
-
     def render(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for mono in sorted(self.terms, key=WeilMonomial.sort_key):
-            parts.append(f"({format_rational(self.terms[mono])})*{mono.render()}")
-        return " + ".join(parts)
+        return _render(self.terms)
 
 
 def _clean(terms: dict) -> dict:
@@ -182,18 +174,20 @@ def _clean(terms: dict) -> dict:
     return terms if all(terms.values()) else {m: c for m, c in terms.items() if c}
 
 
-def _nonzero(dims, terms: dict) -> WeilElement:
-    """The trusted element of the nonzero ``terms``."""
-    return WeilElement._trusted(dims, _clean(terms))
+def _add_terms(out: dict, terms: dict, sign: int) -> None:
+    """Add ``sign * terms`` to the term dict ``out``, for ``sign`` +-1."""
+    for mono, coeff in terms.items():
+        out[mono] = out.get(mono, _ZERO) + (coeff if sign > 0 else -coeff)
 
 
-def weil_add(a: WeilElement, b: WeilElement) -> WeilElement:
-    if a.dims != b.dims:
-        raise DimensionMismatch(f"{a.dims} vs {b.dims}")
-    out = dict(a.terms)
-    for mono, coeff in b.terms.items():
-        out[mono] = out.get(mono, _ZERO) + coeff
-    return _nonzero(a.dims, out)
+def _render(terms: dict) -> str:
+    """The nonzero terms of ``terms`` as a sum, in monomial sort order."""
+    parts = [
+        f"({format_rational(terms[mono])})*{mono.render()}"
+        for mono in sorted(terms, key=WeilMonomial.sort_key)
+        if terms[mono]
+    ]
+    return " + ".join(parts) or "0"
 
 
 def _generators(dims) -> list[WeilMonomial]:
@@ -213,20 +207,20 @@ def _generators(dims) -> list[WeilMonomial]:
 
 @dataclass(frozen=True)
 class GradedDerivation:
-    """A derivation given by its images on the algebra generators.
+    """A derivation of total degree ``total_degree``, given by the zero-free
+    term dicts of its images of the generators ``a_i`` and ``g_j``.
 
-    Homogeneous derivations carry their bidegree; sums of different
-    bidegrees (such as a total differential) carry ``bidegree=None`` and an
-    explicit total degree.  Images extend to the whole algebra lazily by
-    the graded Leibniz rule.  The constructor checks the images' degrees;
-    derivations the kernel derives from valid ones are built by `_trusted`.
+    Images extend to the whole algebra lazily by the graded Leibniz rule
+    (`_derive`).  The constructor validates each image as `WeilElement`
+    does and checks that its monomials have the total degree of their
+    generator plus ``total_degree``; derivations the kernel derives from
+    valid data are built by `_trusted`.
     """
 
     dims: tuple[int, int]
-    bidegree: tuple[int, int] | None
-    ext_images: tuple[WeilElement, ...]
-    sym_images: tuple[WeilElement, ...]
-    total_degree: int | None = None
+    total_degree: int
+    ext_images: tuple[dict[WeilMonomial, Rational], ...]
+    sym_images: tuple[dict[WeilMonomial, Rational], ...]
 
     def __post_init__(self):
         n0, n1 = self.dims
@@ -235,67 +229,40 @@ class GradedDerivation:
                 f"generator image count {(len(self.ext_images), len(self.sym_images))} "
                 f"does not match dims {self.dims}"
             )
-        if self.bidegree is not None:
-            p, q = self.bidegree
-            object.__setattr__(self, "total_degree", p + q)
-            for gen_bid, images in (((1, 0), self.ext_images), ((1, 1), self.sym_images)):
-                want = (gen_bid[0] + p, gen_bid[1] + q)
-                for img in images:
-                    got = img.bidegree()
-                    if not img.is_zero() and got != want:
-                        raise ValueError(
-                            f"image bidegree {got} does not match expected {want}"
-                        )
-        else:
-            if self.total_degree is None:
-                raise ValueError("non-homogeneous derivation needs a total degree")
-            for gen_deg, images in ((1, self.ext_images), (2, self.sym_images)):
-                for img in images:
-                    for mono in img.terms:
-                        if mono.total_degree != gen_deg + self.total_degree:
-                            raise ValueError(
-                                "image total degree inconsistent with derivation degree"
-                            )
+        degree = index(self.total_degree)
+        for name, gen_degree in (("ext_images", 1), ("sym_images", 2)):
+            images = tuple(WeilElement(self.dims, img).terms for img in getattr(self, name))
+            if any(m.total_degree != gen_degree + degree for img in images for m in img):
+                raise ValueError("image total degree inconsistent with derivation degree")
+            object.__setattr__(self, name, images)
+        object.__setattr__(self, "total_degree", degree)
 
     @classmethod
-    def _trusted(
-        cls, dims, bidegree, ext_images, sym_images, total_degree: int
-    ) -> "GradedDerivation":
-        """A derivation whose images are known to have the right degrees, unchecked."""
+    def _trusted(cls, dims, total_degree: int, ext_images, sym_images) -> "GradedDerivation":
+        """A derivation from zero-free images of the right degrees, unchecked."""
         d = object.__new__(cls)
         object.__setattr__(d, "dims", dims)
-        object.__setattr__(d, "bidegree", bidegree)
+        object.__setattr__(d, "total_degree", total_degree)
         object.__setattr__(d, "ext_images", ext_images)
         object.__setattr__(d, "sym_images", sym_images)
-        object.__setattr__(d, "total_degree", total_degree)
         return d
 
 
-def _images(d: GradedDerivation) -> tuple[list[dict], list[dict], int]:
-    """The term dicts of ``d``'s images of ``a_i`` and of ``g_j``, and the
-    parity of its degree: the arguments of `_derive` before ``terms``."""
-    return (
-        [img.terms for img in d.ext_images],
-        [img.terms for img in d.sym_images],
-        d.total_degree % 2,
-    )
-
-
-def _derive(ext_images, sym_images, dodd: int, terms: dict, out: dict, sign: int) -> None:
+def _derive(d: GradedDerivation, terms: dict, out: dict, sign: int) -> None:
     """Add ``sign * d(terms)`` to the term dict ``out``, for ``sign`` +-1.
 
-    ``d`` is known by the term dicts of its images of the generators and
-    the parity ``dodd`` of its degree (see `_images`).  The generator at
-    each slot of a monomial ``a_ext g_sym`` is replaced by each term
-    ``a_ie g_is`` of its image in one merge.  The slot has ``shift``
-    exterior factors before it: ``pos`` for the exterior factor at
-    ``pos``, ``len(ext)`` for a symmetric one.  Passing ``d`` over them
-    gives ``(-1)**(dodd * shift)``; moving ``a_ie`` over them to the front
-    gives ``(-1)**(shift * len(ie))``, and sorting it into the remaining
-    exterior indices ``rest`` one sign per inversion, a pair of an ``ie``
-    index above a ``rest`` one.  The term vanishes if ``ie`` and ``rest``
-    share an index.  Symmetric factors are even and only get sorted.
+    The generator at each slot of a monomial ``a_ext g_sym`` is replaced by
+    each term ``a_ie g_is`` of its image in one merge.  The slot has
+    ``shift`` exterior factors before it: ``pos`` for the exterior factor
+    at ``pos``, ``len(ext)`` for a symmetric one.  Passing ``d`` over them
+    gives ``(-1)**(dodd * shift)``, for the parity ``dodd`` of ``d``'s
+    degree; moving ``a_ie`` over them to the front gives
+    ``(-1)**(shift * len(ie))``, and sorting it into the remaining exterior
+    indices ``rest`` one sign per inversion, a pair of an ``ie`` index above
+    a ``rest`` one.  The term vanishes if ``ie`` and ``rest`` share an
+    index.  Symmetric factors are even and only get sorted.
     """
+    ext_images, sym_images, dodd = d.ext_images, d.sym_images, d.total_degree % 2
     new = tuple.__new__
     for (ext, sym), coeff in terms.items():
         if sign < 0:
@@ -331,15 +298,18 @@ def _derive(ext_images, sym_images, dodd: int, terms: dict, out: dict, sign: int
                 out[m] = out.get(m, _ZERO) + v
 
 
+def _apply(d: GradedDerivation, terms: dict, sign: int = 1) -> dict:
+    """The zero-free term dict of ``sign * d(terms)``."""
+    out: dict[WeilMonomial, Rational] = {}
+    _derive(d, terms, out, sign)
+    return _clean(out)
+
+
 def apply_derivation(d: GradedDerivation, a: WeilElement) -> WeilElement:
     """Extend the generator images by the graded Leibniz rule (`_derive`)."""
     if d.dims != a.dims:
         raise DimensionMismatch(f"{d.dims} vs {a.dims}")
-    if not a.terms:
-        return a  # the zero element
-    out: dict[WeilMonomial, Rational] = {}
-    _derive(*_images(d), a.terms, out, 1)
-    return _nonzero(a.dims, out)
+    return WeilElement._trusted(a.dims, _apply(d, a.terms))
 
 
 def derivation_sum(d1: GradedDerivation, d2: GradedDerivation) -> GradedDerivation:
@@ -347,13 +317,17 @@ def derivation_sum(d1: GradedDerivation, d2: GradedDerivation) -> GradedDerivati
         raise DimensionMismatch(f"{d1.dims} vs {d2.dims}")
     if d1.total_degree != d2.total_degree:
         raise ValueError("cannot sum derivations of different total degree")
-    bid = d1.bidegree if d1.bidegree == d2.bidegree else None
+
+    def add(img1: dict, img2: dict) -> dict:
+        out = dict(img1)
+        _add_terms(out, img2, 1)
+        return _clean(out)
+
     return GradedDerivation._trusted(
         d1.dims,
-        bid,
-        tuple(map(weil_add, d1.ext_images, d2.ext_images)),
-        tuple(map(weil_add, d1.sym_images, d2.sym_images)),
         d1.total_degree,
+        tuple(map(add, d1.ext_images, d2.ext_images)),
+        tuple(map(add, d1.sym_images, d2.sym_images)),
     )
 
 
@@ -362,57 +336,39 @@ def graded_commutator(d1: GradedDerivation, d2: GradedDerivation) -> GradedDeriv
     if d1.dims != d2.dims:
         raise DimensionMismatch(f"{d1.dims} vs {d2.dims}")
     sign = -1 if (d1.total_degree * d2.total_degree) % 2 else 1
-    images1, images2 = _images(d1), _images(d2)
 
-    def comm_on(img2: WeilElement, img1: WeilElement) -> WeilElement:
+    def comm_on(img2: dict, img1: dict) -> dict:
         out: dict[WeilMonomial, Rational] = {}
-        _derive(*images1, img2.terms, out, 1)
-        _derive(*images2, img1.terms, out, -sign)
-        return _nonzero(d1.dims, out)
+        _derive(d1, img2, out, 1)
+        _derive(d2, img1, out, -sign)
+        return _clean(out)
 
-    ext = tuple(map(comm_on, d2.ext_images, d1.ext_images))
-    sym = tuple(map(comm_on, d2.sym_images, d1.sym_images))
-    bid = None
-    if d1.bidegree is not None and d2.bidegree is not None:
-        bid = (d1.bidegree[0] + d2.bidegree[0], d1.bidegree[1] + d2.bidegree[1])
     return GradedDerivation._trusted(
-        d1.dims, bid, ext, sym, d1.total_degree + d2.total_degree
+        d1.dims,
+        d1.total_degree + d2.total_degree,
+        tuple(map(comm_on, d2.ext_images, d1.ext_images)),
+        tuple(map(comm_on, d2.sym_images, d1.sym_images)),
     )
 
 
 def check_zero_on_generators(d: GradedDerivation, prefix: str) -> VerificationReport:
-    """Two checks ({prefix}.side / {prefix}.core): d vanishes on each generator family."""
-    side_witness = None
-    for i, img in enumerate(d.ext_images):
-        if not img.is_zero() and side_witness is None:
-            side_witness = Witness((i,), img.render(), "0", at=f"a{i}")
-    core_witness = None
-    for j, img in enumerate(d.sym_images):
-        if not img.is_zero() and core_witness is None:
-            core_witness = Witness((j,), img.render(), "0", at=f"g{j}")
-    return VerificationReport(
-        (
-            Check(f"{prefix}.side", side_witness is None, side_witness),
-            Check(f"{prefix}.core", core_witness is None, core_witness),
-        )
-    )
+    """Two checks ({prefix}.side / {prefix}.core): d vanishes on each generator
+    family, each failing with its first generator of nonzero image."""
+    checks = []
+    for family, gen, images in (("side", "a", d.ext_images), ("core", "g", d.sym_images)):
+        i = next((i for i, img in enumerate(images) if img), None)
+        witness = None if i is None else Witness((i,), _render(images[i]), "0", at=f"{gen}{i}")
+        checks.append(Check(f"{prefix}.{family}", witness is None, witness))
+    return VerificationReport(tuple(checks))
 
 
 def _square(d: GradedDerivation) -> GradedDerivation:
     """``d o d`` on the generators; for odd ``d`` it is the derivation ``[d, d] / 2``."""
-    images = _images(d)
-
-    def square_on(img: WeilElement) -> WeilElement:
-        out: dict[WeilMonomial, Rational] = {}
-        _derive(*images, img.terms, out, 1)
-        return _nonzero(d.dims, out)
-
     return GradedDerivation._trusted(
         d.dims,
-        None,
-        tuple(map(square_on, d.ext_images)),
-        tuple(map(square_on, d.sym_images)),
         2 * d.total_degree,
+        tuple(_apply(d, img) for img in d.ext_images),
+        tuple(_apply(d, img) for img in d.sym_images),
     )
 
 
@@ -424,18 +380,6 @@ def check_square_zero(d: GradedDerivation) -> VerificationReport:
 
 
 # --- the three differentials --------------------------------------------------
-
-
-def _derivation(dims, bidegree, ext_terms, sym_terms) -> GradedDerivation:
-    """The homogeneous derivation whose generator images have the given
-    zero-free terms, unchecked: the callers read the terms off valid data."""
-    return GradedDerivation._trusted(
-        dims,
-        bidegree,
-        tuple(WeilElement._trusted(dims, t) for t in ext_terms),
-        tuple(WeilElement._trusted(dims, t) for t in sym_terms),
-        sum(bidegree),
-    )
 
 
 def cm_differentials(cm: CrossedModuleData) -> tuple[GradedDerivation, GradedDerivation]:
@@ -459,8 +403,8 @@ def cm_differentials(cm: CrossedModuleData) -> tuple[GradedDerivation, GradedDer
     for (i, j, k), v in cm.action.entries.items():
         dh_sym[k][trusted((i,), (j,))] = -v
     return (
-        _derivation(dims, (0, 1), dv, [{}] * n1),
-        _derivation(dims, (1, 0), dh_ext, dh_sym),
+        GradedDerivation._trusted(dims, 1, tuple(dv), ({},) * n1),
+        GradedDerivation._trusted(dims, 1, tuple(dh_ext), tuple(dh_sym)),
     )
 
 
@@ -471,7 +415,7 @@ def build_delta_j(w: WeakLie2Data) -> GradedDerivation:
     for (i, j, k, b), v in w.jacobiator.entries.items():
         if i < j < k:
             sym[b][WeilMonomial._trusted((i, j, k), ())] = -v
-    return _derivation(dims, (2, -1), [{}] * n0, sym)
+    return GradedDerivation._trusted(dims, 1, ({},) * n0, tuple(sym))
 
 
 # each `twoterm.verify_cm` check id -> the `check_cm_square` check deciding it
@@ -551,26 +495,25 @@ def _brackets(cm2: CrossedModuleData) -> list[list[dict]]:
     return br
 
 
-def _ad_images(br: list[list[dict]], n0: int) -> list[tuple[list[dict], list[dict], int]]:
-    """The `_derive` arguments of every ``ad_{x_p}``: ``br[p]`` split into
-    its ``a`` and ``g`` images, and the parity of ``|x_p| - 2``, which is
-    odd exactly for the ``a`` generators."""
-    return [(row[:n0], row[n0:], int(p < n0)) for p, row in enumerate(br)]
+def _bracket_table(cm2: CrossedModuleData):
+    """What every bracket computation reads off ``cm2``: the Weil dims, the
+    generators ``x_p`` in `_generators` order, their total degrees, the
+    table ``br`` of `_brackets` and the derivations ``ad_{x_p}``, of degree
+    ``|x_p| - 2``, whose images are the rows ``br[p]``."""
+    dims = n0, _ = (cm2.dim1, cm2.dim0)
+    gens = _generators(dims)
+    deg = [m.total_degree for m in gens]
+    br = _brackets(cm2)
+    ads = [
+        GradedDerivation._trusted(dims, t - 2, tuple(row[:n0]), tuple(row[n0:]))
+        for t, row in zip(deg, br)
+    ]
+    return dims, gens, deg, br, ads
 
 
 def _swap_sign(deg_a: int, deg_b: int) -> int:
     """The sign of ``[a, b] = sign * [b, a]``, by graded skew."""
     return 1 if (deg_a * deg_b) % 2 else -1
-
-
-def _add_terms(out: dict, terms: dict, sign: int) -> None:
-    """Add ``sign * terms`` to the term dict ``out``, for ``sign`` +-1."""
-    for mono, coeff in terms.items():
-        out[mono] = out.get(mono, _ZERO) + (coeff if sign > 0 else -coeff)
-
-
-def _render(dims, terms: dict) -> str:
-    return _nonzero(dims, terms).render()
 
 
 def gerst_bracket(cm2: CrossedModuleData, a: WeilElement, b: WeilElement) -> WeilElement:
@@ -581,24 +524,19 @@ def gerst_bracket(cm2: CrossedModuleData, a: WeilElement, b: WeilElement) -> Wei
     ``[a, y] = -(-1)^(t|y|) ad_y(a)``; an ``a`` of several total degrees is
     split by degree.
     """
-    dims = (cm2.dim1, cm2.dim0)
+    dims, _, deg, _, ads = _bracket_table(cm2)
     if a.dims != dims or b.dims != dims:
         raise DimensionMismatch(f"{a.dims}/{b.dims} vs structure dims {dims}")
-    n0 = cm2.dim1
-    ads = _ad_images(_brackets(cm2), n0)
-    degrees = [m.total_degree for m in _generators(dims)]
+    n0 = dims[0]
     parts: dict[int, dict[WeilMonomial, Rational]] = {}
     for mono, coeff in a.terms.items():
         parts.setdefault(mono.total_degree, {})[mono] = coeff
     out: dict[WeilMonomial, Rational] = {}
     for t, terms in parts.items():
-        images = []
-        for ad, deg in zip(ads, degrees):
-            image: dict[WeilMonomial, Rational] = {}
-            _derive(*ad, terms, image, _swap_sign(t, deg))
-            images.append(_clean(image))
-        _derive(images[:n0], images[n0:], t % 2, b.terms, out, 1)
-    return _nonzero(dims, out)
+        images = [_apply(ad, terms, _swap_sign(t, dy)) for ad, dy in zip(ads, deg)]
+        ad_a = GradedDerivation._trusted(dims, t - 2, tuple(images[:n0]), tuple(images[n0:]))
+        _derive(ad_a, b.terms, out, 1)
+    return WeilElement._trusted(dims, _clean(out))
 
 
 def check_gerst_axioms(cm2: CrossedModuleData) -> VerificationReport:
@@ -620,17 +558,13 @@ def check_gerst_axioms(cm2: CrossedModuleData) -> VerificationReport:
     A triple is decided on one term dict, the left side minus the right;
     only a failing one is evaluated again, side by side, for its witness.
     """
-    dims = (cm2.dim1, cm2.dim0)
-    gens = _generators(dims)
-    deg = [m.total_degree for m in gens]
-    br = _brackets(cm2)  # br[p][q] = [x_p, x_q]
-    ads = _ad_images(br, dims[0])
+    _, gens, deg, br, ads = _bracket_table(cm2)  # br[p][q] = [x_p, x_q]
 
     def sides(p, q, r, lhs, rhs, rsign):
         """Add the left side to ``lhs`` and ``rsign`` times the right to ``rhs``."""
-        _derive(*ads[p], br[q][r], lhs, 1)
-        _derive(*ads[r], br[p][q], rhs, rsign * _swap_sign(deg[p] + deg[q], deg[r]))
-        _derive(*ads[q], br[p][r], rhs, -rsign * _swap_sign(deg[p], deg[q]))
+        _derive(ads[p], br[q][r], lhs, 1)
+        _derive(ads[r], br[p][q], rhs, rsign * _swap_sign(deg[p] + deg[q], deg[r]))
+        _derive(ads[q], br[p][r], rhs, -rsign * _swap_sign(deg[p], deg[q]))
 
     witness = None
     for p, q, r in itertools.combinations_with_replacement(range(len(gens)), 3):
@@ -643,7 +577,7 @@ def check_gerst_axioms(cm2: CrossedModuleData) -> VerificationReport:
             rhs: dict[WeilMonomial, Rational] = {}
             sides(p, q, r, lhs, rhs, 1)
             at = f"({gens[p].render()}, {gens[q].render()}, {gens[r].render()})"
-            witness = Witness((), _render(dims, lhs), _render(dims, rhs), at=at)
+            witness = Witness((), _render(lhs), _render(rhs), at=at)
             break
     return VerificationReport((Check("jacobi", witness is None, witness),))
 
@@ -664,34 +598,22 @@ def check_derivation_of_bracket(
     """
     if d.total_degree % 2 == 0:
         raise ValueError("derivation compatibility check requires an odd derivation")
-    dims = (cm2.dim1, cm2.dim0)
+    dims, gens, deg, br, ads = _bracket_table(cm2)  # br[p][q] = [x_p, x_q]
     if d.dims != dims:
         raise DimensionMismatch(f"{d.dims} vs {dims}")
-    gens = _generators(dims)
-    deg = [m.total_degree for m in gens]
-    br = _brackets(cm2)  # br[p][q] = [x_p, x_q]
-    ads = _ad_images(br, dims[0])
-    images = _images(d)
-    d_gens = images[0] + images[1]  # d x_q, as term dicts
-    ad_d = []  # ad_d[p][q] = ad_{x_p}(d x_q)
-    for ad in ads:
-        row = []
-        for dy in d_gens:
-            out: dict[WeilMonomial, Rational] = {}
-            _derive(*ad, dy, out, 1)
-            row.append(_clean(out))
-        ad_d.append(row)
+    d_gens = d.ext_images + d.sym_images  # d x_q
+    ad_d = [[_apply(ad, dy) for dy in d_gens] for ad in ads]  # ad_d[p][q] = ad_{x_p}(d x_q)
     witness = None
     for p, q in itertools.product(range(len(gens)), repeat=2):
         if not (br[p][q] or ad_d[q][p] or ad_d[p][q]):
             continue  # all three parts are zero
         # d[x_p, x_q] - [d x_p, x_q] - (-1)^|x_p| [x_p, d x_q]
         dft: dict[WeilMonomial, Rational] = {}
-        _derive(*images, br[p][q], dft, 1)
+        _derive(d, br[p][q], dft, 1)
         _add_terms(dft, ad_d[q][p], -_swap_sign(deg[p] + 1, deg[q]))
         _add_terms(dft, ad_d[p][q], 1 if deg[p] % 2 else -1)
         if any(dft.values()):
             at = f"({gens[p].render()}, {gens[q].render()})"
-            witness = Witness((), _render(dims, dft), "0", at=at)
+            witness = Witness((), _render(dft), "0", at=at)
             break
     return VerificationReport((Check("generator_pairs", witness is None, witness),))

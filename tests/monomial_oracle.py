@@ -4,7 +4,9 @@ A test oracle for `l2b.weil.check_gerst_axioms` and
 `l2b.weil.check_derivation_of_bracket`, which decide the same conditions on
 generators through the derivations ``ad_x``.  Here the bracket is
 `MonomialBracket`, a memoized Leibniz recursion on monomials that shares no
-code with the kernel's bracket.  The checks run over a list of monomials
+code with the kernel's bracket, and a derivation is applied by
+`apply_derivation_by_products`, which shares none with the kernel's
+`_derive`.  The checks run over a list of monomials
 and the first failing sorted tuple gives the witness, over the generators
 or over every monomial up to a total-degree bound of at least 4 (every
 generator triple included).  The kernel reports only ``jacobi`` and
@@ -27,7 +29,7 @@ import itertools
 from l2b.exact import DimensionMismatch
 from l2b.liecore import Check, VerificationReport, Witness
 from l2b.twoterm import CrossedModuleData
-from l2b.weil import GradedDerivation, WeilElement, WeilMonomial, apply_derivation
+from l2b.weil import GradedDerivation, WeilElement, WeilMonomial
 
 from crossed_module_oracle import _VALUES, random_candidate
 
@@ -105,7 +107,7 @@ def apply_derivation_by_products(d: GradedDerivation, a: WeilElement) -> WeilEle
         prefix_deg = 0
         for pos, (kind, idx) in enumerate(gens):
             img = d.ext_images[idx] if kind == "ext" else d.sym_images[idx]
-            if not img.is_zero():
+            if img:
                 sign = -1 if (dodd and prefix_deg % 2) else 1
                 pre_ext = mono.ext[:pos] if kind == "ext" else mono.ext
                 pre_sym = () if kind == "ext" else mono.sym[: pos - len(mono.ext)]
@@ -113,7 +115,7 @@ def apply_derivation_by_products(d: GradedDerivation, a: WeilElement) -> WeilEle
                 suf_sym = mono.sym if kind == "ext" else mono.sym[pos - len(mono.ext) + 1 :]
                 prefix = WeilElement(a.dims, {WeilMonomial(pre_ext, pre_sym): 1})
                 suffix = WeilElement(a.dims, {WeilMonomial(suf_ext, suf_sym): 1})
-                term = weil_mul(weil_mul(prefix, img), suffix)
+                term = weil_mul(weil_mul(prefix, WeilElement(a.dims, img)), suffix)
                 out = weil_add(out, weil_scale(sign * coeff, term))
             prefix_deg += 1 if kind == "ext" else 2
     return out
@@ -315,10 +317,10 @@ def derivation_of_bracket_over(
 
     def defect(m1: WeilMonomial, m2: WeilMonomial) -> WeilElement:
         e1, e2 = _elt(G, m1), _elt(G, m2)
-        lhs = apply_derivation(d, B.mono(m1, m2))
-        rhs = B.bracket(apply_derivation(d, e1), e2)
+        lhs = apply_derivation_by_products(d, B.mono(m1, m2))
+        rhs = B.bracket(apply_derivation_by_products(d, e1), e2)
         sign = -1 if m1.total_degree % 2 else 1
-        rhs = weil_add(rhs, weil_scale(sign, B.bracket(e1, apply_derivation(d, e2))))
+        rhs = weil_add(rhs, weil_scale(sign, B.bracket(e1, apply_derivation_by_products(d, e2))))
         return weil_sub(lhs, rhs)
 
     gens = generators(weil_dims(G))
@@ -373,20 +375,17 @@ def random_table_and_derivation(rng):
     kind = rng.choice(("zero", "ad", "random", "random"))
     if kind == "ad" and n0:
         i = rng.randrange(n0)
-        ext = tuple(weil_zero(dims) for _ in range(n0))
-        sym = tuple(MonomialBracket(G).table(("ext", i), ("sym", j)) for j in range(n1))
-        return G, GradedDerivation(dims, None, ext, sym, total_degree=-1)
+        sym = tuple(MonomialBracket(G).table(("ext", i), ("sym", j)).terms for j in range(n1))
+        return G, GradedDerivation(dims, -1, ({},) * n0, sym)
     degree = rng.choice((-1, 1))
     monos = enumerate_monomials(dims, 2 + degree)
 
-    def image(gen_degree: int) -> WeilElement:
+    def image(gen_degree: int) -> dict:
         of_degree = [m for m in monos if m.total_degree == gen_degree + degree]
         if kind == "zero" or not of_degree:
-            return weil_zero(dims)
-        return WeilElement(
-            dims, {rng.choice(of_degree): rng.choice(_VALUES) for _ in range(rng.randrange(3))}
-        )
+            return {}
+        return {rng.choice(of_degree): rng.choice(_VALUES) for _ in range(rng.randrange(3))}
 
     ext = tuple(image(1) for _ in range(n0))
     sym = tuple(image(2) for _ in range(n1))
-    return G, GradedDerivation(dims, None, ext, sym, total_degree=degree)
+    return G, GradedDerivation(dims, degree, ext, sym)

@@ -434,13 +434,18 @@ def test_dual_swap_preserves_verdict():
         assert cross_check(d).passed == cross_check(swapped).passed
 
 
-def bench_bialgebra_pair_docs():
-    """`bench/workloads.py`'s two bialgebra pairs, where both brackets are nonzero."""
+def bench_workloads():
+    """`bench/workloads.py`, which builds the bialgebra pairs and their twins."""
     if str(BENCH) not in sys.path:
         sys.path.insert(0, str(BENCH))  # workloads imports its sibling, the oracle
     import workloads
 
-    return [workloads.bialgebra_pair_doc(name) for name in ("axb", "sl2")]
+    return workloads
+
+
+def bench_bialgebra_pair_docs():
+    """`bench/workloads.py`'s two bialgebra pairs, where both brackets are nonzero."""
+    return [bench_workloads().bialgebra_pair_doc(name) for name in ("axb", "sl2")]
 
 
 def test_manin_double_agrees_with_matched_and_weil():
@@ -460,3 +465,24 @@ def test_manin_double_agrees_with_matched_and_weil():
     assert verdicts[True] and verdicts[False]
     # the sign of the cm2 part of the structure map matters
     assert minus_disagreements > 0
+
+
+def test_manin_double_on_bench_pair_twins_and_edits():
+    # both brackets nonzero: per bench pair, 20 basis-changed twins (valid)
+    # and 100 seeded single-entry edits (each invalid); the double with
+    # -∂2 gets every twin wrong
+    workloads = bench_workloads()
+    verdicts = Counter()
+    for pair in bench_bialgebra_pair_docs():
+        twins = [workloads.basis_changed(pair, random.Random(s), f"{pair.name}-twin{s}", 1)
+                 for s in range(20)]
+        edits = [catalog.perturb_document(pair, random.Random(s)) for s in range(100)]
+        for doc, is_twin in [(t, True) for t in twins] + [(e, False) for e in edits]:
+            d = build_lie2_bialgebra(doc)
+            matched = verify_l2b_matched(d).passed
+            assert verify_l2b_weil(d).passed == matched, doc.name
+            assert verify_cm(manin_double(d)).passed == matched, doc.name
+            if is_twin:
+                assert verify_cm(manin_double(d, core_sign=-1)).passed != matched, doc.name
+            verdicts[is_twin, matched] += 1
+    assert verdicts == {(True, True): 40, (False, False): 200}

@@ -15,7 +15,15 @@ from hypothesis import example, given, settings
 
 from l2b import catalog
 from l2b.cli import main
-from l2b.documents import KINDS, MAX_DIM, METHODS, _SCHEMAS, parse_document, serialize_document
+from l2b.documents import (
+    DUALIZATIONS,
+    KINDS,
+    MAX_DIM,
+    METHODS,
+    _SCHEMAS,
+    parse_document,
+    serialize_document,
+)
 from l2b.exact import perm_parity
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -253,6 +261,21 @@ def test_verify_literal_beyond_the_int_digit_limit_exit_two(tmp_path, capsys):
     assert parse_document(json.dumps(obj).encode()).blocks["bracket"][0][1] == int("3" * limit)
 
 
+@pytest.mark.parametrize("literal", ["1/\u0660", "\uff11/\uff10", "\u0663"])
+def test_verify_non_ascii_digits_exit_two(tmp_path, capsys, literal):
+    # Arabic-Indic and fullwidth digits are no rational literal, zero
+    # denominators included
+    obj = {"kind": "lie_algebra", "spaces": {"g": {"dim": 2}},
+           "blocks": {"bracket": [[[0, 1, 1], literal], [[1, 0, 1], "1"]]}}
+    path = tmp_path / "digits.json"
+    path.write_text(json.dumps(obj, ensure_ascii=False), encoding="utf-8")
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 2 and out == ""
+    assert err == (
+        f"error: blocks.bracket[0]: bad rational literal {literal!r}: expected 'p' or 'p/q'\n"
+    )
+
+
 def test_verify_json_integer_beyond_the_int_digit_limit_exit_two(tmp_path, capsys):
     limit = sys.get_int_max_str_digits()
     long = "1" * (limit + 700)
@@ -482,7 +505,6 @@ _EXPANSIONS = {
     _NESTED: "[" * 40 + "1" + "]" * 40,
     _HUGE: "9" * (sys.get_int_max_str_digits() + 100),
 }
-_DUALIZATIONS = ("two_vs", "dvb_vertical", "dvb_horizontal", "flip")
 # integers within -2..6 reach indices out of range of every catalog space
 # and keep a dim at most 6, since the dense Jacobi loop grows with dim^5
 _MUTANTS = st.one_of(
@@ -538,7 +560,7 @@ def test_mutated_catalog_documents_keep_the_cli_contract(data, fuzz_path):
     # the same bytes on a repeat
     fuzz_path.write_bytes(data)
     commands = [["verify", str(fuzz_path), "--method", m] for m in METHODS]
-    commands += [["dualize", str(fuzz_path), "--which", w] for w in _DUALIZATIONS]
+    commands += [["dualize", str(fuzz_path), "--which", w] for w in DUALIZATIONS]
     for argv in commands:
         code, out, err = result = _run_main(argv)
         assert _run_main(argv) == result, argv

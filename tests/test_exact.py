@@ -34,7 +34,11 @@ def test_parse_rational_forms():
     assert parse_rational("4/2") == Q(2)
 
 
-@pytest.mark.parametrize("bad", ["1/0", "0/0", "1.5", "a", "1/-2", "", "1//2"])
+# digits of other scripts are refused too: "٠" and "０" are zeros that the
+# zero-denominator test would miss
+@pytest.mark.parametrize(
+    "bad", ["1/0", "0/0", "1.5", "a", "1/-2", "", "1//2", "1/\u0660", "\uff11/\uff10", "\u0663"]
+)
 def test_parse_rational_rejects(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)

@@ -21,8 +21,9 @@ from l2b.weil import (
     GradedDerivation,
     WeilElement,
     apply_derivation,
+    derivation_sum,
     gerst_bracket,
-    weil_add,
+    graded_commutator,
 )
 from conftest import assert_canonical, assert_exact, crossed_module, rationals
 from monomial_oracle import enumerate_monomials
@@ -46,8 +47,21 @@ def tensor_as_fractions(t: SparseTensor) -> SparseTensor:
     return SparseTensor._trusted(t.dims, {i: Q(v) for i, v in t.entries.items()})
 
 
+def terms_as_fractions(terms: dict) -> dict:
+    return {m: Q(c) for m, c in terms.items()}
+
+
 def element_as_fractions(e: WeilElement) -> WeilElement:
-    return WeilElement._trusted(e.dims, {m: Q(c) for m, c in e.terms.items()})
+    return WeilElement._trusted(e.dims, terms_as_fractions(e.terms))
+
+
+def derivation_as_fractions(d: GradedDerivation) -> GradedDerivation:
+    return GradedDerivation._trusted(
+        d.dims,
+        d.total_degree,
+        tuple(map(terms_as_fractions, d.ext_images)),
+        tuple(map(terms_as_fractions, d.sym_images)),
+    )
 
 
 def mixed_element(dims, degree_bound=3):
@@ -76,17 +90,11 @@ def table_and_derivation(draw):
     def image(gen_degree):
         of_degree = [m for m in monos if m.total_degree == gen_degree + degree]
         if not of_degree:
-            return WeilElement._trusted(dims, {})
-        return WeilElement._trusted(
-            dims, draw(st.dictionaries(st.sampled_from(of_degree), mixed, max_size=2))
-        )
+            return {}
+        return draw(st.dictionaries(st.sampled_from(of_degree), mixed, max_size=2))
 
-    d = GradedDerivation(
-        dims,
-        None,
-        tuple(image(1) for _ in range(n0)),
-        tuple(image(2) for _ in range(n1)),
-        total_degree=degree,
+    d = GradedDerivation._trusted(
+        dims, degree, tuple(image(1) for _ in range(n0)), tuple(image(2) for _ in range(n1))
     )
     return G, d
 
@@ -121,19 +129,19 @@ def test_weil_ops_on_mixed_operands_equal_all_fraction_copies(case, data):
     fG = crossed_module(
         (G.dim0, G.dim1), tensor_as_fractions(G.base.bracket), tensor_as_fractions(G.action)
     )
-    fd = GradedDerivation(
-        d.dims,
-        None,
-        tuple(map(element_as_fractions, d.ext_images)),
-        tuple(map(element_as_fractions, d.sym_images)),
-        total_degree=d.total_degree,
-    )
+    fd = derivation_as_fractions(d)
     for got, want in (
-        (weil_add(a, b), weil_add(fa, fb)),
         (apply_derivation(d, a), apply_derivation(fd, fa)),
         (gerst_bracket(G, a, b), gerst_bracket(fG, fa, fb)),
     ):
         assert_same_exact(got, want, lambda e: e.terms.values())
+    for got, want in (
+        (derivation_sum(d, fd), derivation_sum(fd, fd)),
+        (graded_commutator(d, d), graded_commutator(fd, fd)),
+    ):
+        assert_same_exact(
+            got, want, lambda g: (c for img in g.ext_images + g.sym_images for c in img.values())
+        )
 
 
 def test_from_table_and_parsed_documents_store_canonical_values():

@@ -10,11 +10,11 @@ import hypothesis.strategies as st
 from l2b.catalog import adjoint_cm, axb, axb_action_cm, sl2, weak_l3_example
 from l2b.documents import build_crossed_module, build_lie2_bialgebra, build_weak_lie2
 from l2b import catalog
-from l2b.exact import SparseTensor, perm_parity
+from l2b.exact import DimensionMismatch, SparseTensor, perm_parity
 from l2b.liecore import Check, LieAlgebra, Witness, verify_lie
 from l2b.twoterm import CrossedModuleData, TwoVectorSpace, WeakLie2Data, verify_cm
 from l2b.weil import (
-    _brackets,
+    _bracket_table,
     _square,
     CM_SQUARE_CHECKS,
     GradedDerivation,
@@ -32,7 +32,6 @@ from l2b.weil import (
     gerst_bracket,
     graded_commutator,
     verify_weak_lie2,
-    weil_add as kernel_add,
 )
 
 from conftest import (
@@ -59,7 +58,6 @@ from monomial_oracle import (
     weil_one,
     weil_scale,
     weil_sub,
-    weil_zero,
 )
 
 
@@ -128,13 +126,13 @@ def test_mul_associative_graded_commutative(m1, m2, m3):
 
 def test_delta_v_zero_map():
     dv = cm_differentials(crossed_module((2, 1)))[0]
-    assert all(img.is_zero() for img in dv.ext_images + dv.sym_images)
+    assert not any(dv.ext_images + dv.sym_images)
 
 
 def test_delta_v_identity_map():
     dv = cm_differentials(crossed_module((1, 1), partial=SparseTensor((1, 1), {(0, 0): 1})))[0]
-    assert dv.ext_images[0] == weil_gamma((1, 1), 0)
-    assert dv.sym_images[0].is_zero()
+    assert dv.ext_images[0] == weil_gamma((1, 1), 0).terms
+    assert not dv.sym_images[0]
 
 
 def test_delta_v_leibniz_on_wedge():
@@ -155,20 +153,20 @@ def test_delta_h_axb():
     # [e0,e1] = e1 gives delta_h(a1) = -a0 a1 and delta_h(a0) = 0
     dh = cm_differentials(crossed_module((2, 0), axb().bracket))[1]
     dims = (2, 0)
-    assert dh.ext_images[0].is_zero()
-    assert dh.ext_images[1] == elt(dims, (WeilMonomial((0, 1), ()), -1))
+    assert not dh.ext_images[0]
+    assert dh.ext_images[1] == elt(dims, (WeilMonomial((0, 1), ()), -1)).terms
 
 
 def test_delta_h_scaling_action():
     # abelian side, action e.f = f gives delta_h(g0) = -a0 g0
     dh = cm_differentials(crossed_module((1, 1), action=SparseTensor((1, 1, 1), {(0, 0, 0): 1})))[1]
-    assert dh.sym_images[0] == elt((1, 1), (WeilMonomial((0,), (0,)), -1))
+    assert dh.sym_images[0] == elt((1, 1), (WeilMonomial((0,), (0,)), -1)).terms
 
 
 def test_delta_j_single_entry():
     dj = build_delta_j(weak_l3_example())
-    assert dj.sym_images[0] == elt((3, 1), (WeilMonomial((0, 1, 2), ()), -1))
-    assert all(img.is_zero() for img in dj.ext_images)
+    assert dj.sym_images[0] == elt((3, 1), (WeilMonomial((0, 1, 2), ()), -1)).terms
+    assert not any(dj.ext_images)
 
 
 def test_delta_j_rejects_symmetry_violation():
@@ -189,7 +187,7 @@ def test_delta_j_leibniz_on_gamma_square():
 def test_apply_derivation_on_constant_and_generator():
     dh = cm_differentials(adjoint_cm(sl2()))[1]
     assert apply_derivation(dh, weil_one((3, 3))).is_zero()
-    assert apply_derivation(dh, weil_alpha((3, 3), 1)) == dh.ext_images[1]
+    assert apply_derivation(dh, weil_alpha((3, 3), 1)).terms == dh.ext_images[1]
 
 
 def test_apply_derivation_delta_v_gamma_alpha():
@@ -249,11 +247,9 @@ def derivations_and_elements(draw):
     def images(gen_degree, count):
         of_degree = [m for m in candidates if m.total_degree == gen_degree + degree]
         terms = st.dictionaries(st.sampled_from(of_degree), mixed_coeffs, max_size=3)
-        return tuple(WeilElement(dims, draw(terms)) for _ in range(count))
+        return tuple(draw(terms) for _ in range(count))
 
-    d = GradedDerivation(
-        dims, None, images(1, dims[0]), images(2, dims[1]), total_degree=degree
-    )
+    d = GradedDerivation(dims, degree, images(1, dims[0]), images(2, dims[1]))
     element = draw(
         st.dictionaries(st.sampled_from(monomials_of(dims, 3, 3)), mixed_coeffs, max_size=4)
     )
@@ -272,15 +268,7 @@ def test_apply_derivation_repeated_exterior_index_vanishes():
     # term a1 g0 a1 vanishes, leaving a0 d(a1) = a0 a2 g0
     dims = (3, 1)
     d = GradedDerivation(
-        dims,
-        None,
-        (
-            elt(dims, (WeilMonomial((1,), (0,)), 1)),
-            elt(dims, (WeilMonomial((2,), (0,)), 1)),
-            weil_zero(dims),
-        ),
-        (weil_zero(dims),),
-        total_degree=2,
+        dims, 2, ({WeilMonomial((1,), (0,)): 1}, {WeilMonomial((2,), (0,)): 1}, {}), ({},)
     )
     a0a1 = elt(dims, (WeilMonomial((0, 1), ()), 1))
     expected = elt(dims, (WeilMonomial((0, 2), (0,)), 1))
@@ -292,8 +280,8 @@ def test_commutator_of_odd_with_itself_is_twice_square():
     dv = cm_differentials(adjoint_cm(sl2()))[0]
     comm = graded_commutator(dv, dv)
     for i in range(3):
-        sq = apply_derivation(dv, dv.ext_images[i])
-        assert comm.ext_images[i] == weil_scale(2, sq)
+        sq = apply_derivation(dv, WeilElement(dv.dims, dv.ext_images[i]))
+        assert comm.ext_images[i] == weil_scale(2, sq).terms
 
 
 def test_commutator_delta_h_delta_v_adjoint_vanishes():
@@ -404,21 +392,17 @@ def test_e1_commutator_component_shapes():
         axb(), TwoVectorSpace(2, 1, SparseTensor((2, 1), {(1, 0): 1})), SparseTensor((2, 1, 1))
     )
     comm = graded_commutator(*delta_h_and_v(a))
-    bad_side = [img for img in comm.ext_images if not img.is_zero()]
-    assert bad_side and all(
-        (len(m.ext), len(m.sym)) == (1, 1) for img in bad_side for m in img.terms
-    )
+    bad_side = [img for img in comm.ext_images if img]
+    assert bad_side and all((len(m.ext), len(m.sym)) == (1, 1) for img in bad_side for m in img)
     b = CrossedModuleData(
         LieAlgebra.abelian(("e",)),
         TwoVectorSpace(1, 2, SparseTensor((1, 2), {(0, 0): 1}), ("e",)),
         SparseTensor((1, 2, 2), {(0, 1, 1): 1}),
     )
     comm = graded_commutator(*delta_h_and_v(b))
-    assert all(img.is_zero() for img in comm.ext_images)
-    bad_core = [img for img in comm.sym_images if not img.is_zero()]
-    assert bad_core and all(
-        (len(m.ext), len(m.sym)) == (0, 2) for img in bad_core for m in img.terms
-    )
+    assert not any(comm.ext_images)
+    bad_core = [img for img in comm.sym_images if img]
+    assert bad_core and all((len(m.ext), len(m.sym)) == (0, 2) for img in bad_core for m in img)
 
 
 # --- the bidegree (-1,-1) bracket ---------------------------------------------------
@@ -495,7 +479,7 @@ def test_gerst_bracket_bidegree(m1, m2):
     if out.is_zero():
         return
     (p, q), (r, s) = m1.bidegree, m2.bidegree
-    assert out.bidegree() == (p + r - 1, q + s - 1)
+    assert {m.bidegree for m in out.terms} == {(p + r - 1, q + s - 1)}
 
 
 def test_derivation_of_bracket_trivial_cases():
@@ -564,11 +548,11 @@ def tables_and_derivations(draw, degrees=(-1, 1)):
     def images(gen_degree, count):
         of_degree = [m for m in monos if m.total_degree == gen_degree + degree]
         if not of_degree:
-            return tuple(WeilElement(dims) for _ in range(count))
+            return ({},) * count
         terms = st.dictionaries(st.sampled_from(of_degree), nonzero_rationals, max_size=2)
-        return tuple(WeilElement(dims, draw(terms)) for _ in range(count))
+        return tuple(draw(terms) for _ in range(count))
 
-    d = GradedDerivation(dims, None, images(1, n0), images(2, n1), total_degree=degree)
+    d = GradedDerivation(dims, degree, images(1, n0), images(2, n1))
     return G, d
 
 
@@ -691,9 +675,7 @@ def test_derivation_witness_after_all_zero_pairs():
     # three zero defect parts, and the first failing pair is (a1, a1)
     dims = (2, 1)
     G = crossed_module((1, 2), action=SparseTensor((1, 2, 2), {(0, 1, 1): 1}))
-    d = GradedDerivation(
-        dims, None, (weil_zero(dims), weil_gamma(dims, 0)), (weil_zero(dims),), total_degree=1
-    )
+    d = GradedDerivation(dims, 1, ({}, weil_gamma(dims, 0).terms), ({},))
     witness = Witness((), "(-2)*a1", "0", at="(a1, a1)")
     assert check_derivation_of_bracket(d, G).checks == (Check("generator_pairs", False, witness),)
 
@@ -701,21 +683,19 @@ def test_derivation_witness_after_all_zero_pairs():
 def test_apply_derivation_sign_past_odd_exterior_prefix():
     # d(g0) = a1 with deg d = -1: d(a0 g0) = d(a0) g0 - a0 d(g0) = -a0 a1
     dims = (2, 1)
-    d = GradedDerivation(
-        dims, None, (weil_zero(dims),) * 2, (weil_alpha(dims, 1),), total_degree=-1
-    )
+    d = GradedDerivation(dims, -1, ({},) * 2, (weil_alpha(dims, 1).terms,))
     a0g0 = elt(dims, (WeilMonomial((0,), (0,)), 1))
     expected = elt(dims, (WeilMonomial((0, 1), ()), -1))
     assert apply_derivation(d, a0g0) == expected
     assert apply_derivation_by_products(d, a0g0) == expected
 
 
-def assert_revalidates(e: WeilElement):
+def assert_revalidates(dims, terms: dict):
     """Kernel results are exact and equal their re-validated copies, which
     store every coefficient canonically."""
-    copy = WeilElement(e.dims, dict(e.terms))
-    assert e == copy
-    for mono, coeff in e.terms.items():
+    copy = WeilElement(dims, dict(terms))
+    assert terms == copy.terms
+    for mono, coeff in terms.items():
         assert_exact(coeff)
         assert_canonical(copy.terms[mono])
         checked = WeilMonomial(mono.ext, mono.sym)
@@ -726,44 +706,53 @@ def assert_revalidates(e: WeilElement):
 
 def assert_derivation_revalidates(d: GradedDerivation):
     """A trusted derivation equals its copy through the public constructor,
-    which checks the degrees of its images."""
-    copy = GradedDerivation(
-        d.dims, d.bidegree, d.ext_images, d.sym_images, total_degree=d.total_degree
-    )
-    assert d == copy
+    which validates its images and checks their total degrees."""
+    assert d == GradedDerivation(d.dims, d.total_degree, d.ext_images, d.sym_images)
     for img in d.ext_images + d.sym_images:
-        assert_revalidates(img)
+        assert_revalidates(d.dims, img)
 
 
-# small coefficients, so that sums cancel often; halves make integral
-# sums of Fractions
+def image_bidegrees(d: GradedDerivation) -> set[tuple[int, int]]:
+    """The bidegrees that ``d``'s image monomials give it: each monomial's
+    bidegree minus its generator's, (1,0) for an ``a`` and (1,1) for a ``g``."""
+    return {
+        (p - gp, q - gq)
+        for (gp, gq), images in (((1, 0), d.ext_images), ((1, 1), d.sym_images))
+        for img in images
+        for p, q in (m.bidegree for m in img)
+    }
+
+
 @settings(max_examples=100, deadline=None)
-@given(
-    st.sampled_from([(0, 1), (1, 1), (2, 1), (2, 2), (3, 1)]).flatmap(
-        lambda dims: st.tuples(
-            *[weil_elements(dims, st.sampled_from((-1, 1, 2, Q(1, 2), Q(-3, 2))))] * 2
-        )
-    ),
-    tables_and_derivations(),
-)
-def test_kernel_results_revalidate(pair, table):
-    a, b = pair
-    results = (kernel_add(a, b), kernel_add(a, weil_scale(-1, a)))
+@given(tables_and_derivations(), st.data())
+def test_kernel_results_revalidate(table, data):
+    G, d = table
+    # small coefficients, so that results cancel often; halves make
+    # integral sums of Fractions
+    small = st.sampled_from((-1, 1, 2, Q(1, 2), Q(-3, 2)))
+    a, b = (data.draw(weil_elements(d.dims, small)) for _ in range(2))
+    results = (apply_derivation(d, a), gerst_bracket(G, a, b), gerst_bracket(G, b, a))
     for e in results:
-        assert_revalidates(e)
+        assert_revalidates(e.dims, e.terms)
     # trusted monomials sort like their validated copies
     monos = [m for e in results for m in e.terms]
     checked = [WeilMonomial(m.ext, m.sym) for m in monos]
     key = WeilMonomial.sort_key
     assert sorted(monos, key=key) == sorted(checked, key=key)
-    # derivations: homogeneous (the ad_x) and of mixed bidegree (d)
-    G, d = table
+    # d's twin scales each coefficient by -1, -1/2 or 1, so that d + twin
+    # drops, halves or doubles it
+    factors = st.sampled_from((-1, Q(-1, 2), 1))
+
+    def twin(images):
+        return tuple({m: c * data.draw(factors) for m, c in img.items()} for img in images)
+
+    e = GradedDerivation(d.dims, d.total_degree, twin(d.ext_images), twin(d.sym_images))
     ads = adjoints_by_public_constructors(G)
     for result in (
         _square(d),
         graded_commutator(d, ads[0]),
         graded_commutator(ads[0], ads[-1]),
-        derivation_sum(d, d),
+        derivation_sum(d, e),
         derivation_sum(ads[0], ads[0]),
         derivation_sum(ads[-1], ads[-1]),
     ):
@@ -771,20 +760,20 @@ def test_kernel_results_revalidate(pair, table):
 
 
 def adjoints_by_public_constructors(G: CrossedModuleData) -> list[GradedDerivation]:
-    """``ad_x`` for each generator, built through the validating constructors
+    """``ad_x`` for each generator, built through the validating constructor
     from the kernel's bracket table, whose rows must come through unchanged:
-    zero-free, in range and of the degrees of ``ad_{a_i}`` (bidegree
-    (0,-1)) and ``ad_{g_i}`` (bidegree (0,0))."""
-    dims = n0, _ = (G.dim1, G.dim0)
+    zero-free, in range and of the degrees of ``ad_{a_i}`` (total degree -1,
+    bidegree (0,-1)) and ``ad_{g_i}`` (total degree 0, bidegree (0,0)).
+    They are the kernel's own ``ad_x``."""
+    dims, _, _, br, kernel_ads = _bracket_table(G)
+    n0 = dims[0]
     ads = []
-    for p, row in enumerate(_brackets(G)):
-        ad = GradedDerivation(
-            dims,
-            (0, -1) if p < n0 else (0, 0),
-            tuple(WeilElement(dims, t) for t in row[:n0]),
-            tuple(WeilElement(dims, t) for t in row[n0:]),
-        )
-        assert [img.terms for img in ad.ext_images + ad.sym_images] == row
+    for p, row in enumerate(br):
+        odd = p < n0
+        ad = GradedDerivation(dims, -1 if odd else 0, row[:n0], row[n0:])
+        assert ad == kernel_ads[p]
+        assert list(ad.ext_images + ad.sym_images) == row
+        assert image_bidegrees(ad) <= {(0, -1) if odd else (0, 0)}
         for coeff in (c for terms in row for c in terms.values()):
             assert_exact(coeff)
         ads.append(ad)
@@ -792,39 +781,33 @@ def adjoints_by_public_constructors(G: CrossedModuleData) -> list[GradedDerivati
 
 
 def differentials_by_public_constructors(w: WeakLie2Data):
-    """``(delta_v, delta_h, delta_J)`` of weak two-term data, built through
-    the validating constructors from the formulas of the `l2b.weil`
-    docstring, one structure constant at a time."""
+    """``(delta_v, delta_h, delta_J)`` of weak two-term data, each of total
+    degree 1, built through the validating constructor from the formulas of
+    the `l2b.weil` docstring, one structure constant at a time."""
     cm, l3 = w.cm, w.jacobiator
     dims = (cm.dim0, cm.dim1)
     side, core = range(cm.dim0), range(cm.dim1)
     partial, bracket, action = cm.tvs.partial, cm.base.bracket, cm.action
     pairs = list(itertools.combinations(side, 2))
     triples = list(itertools.combinations(side, 3))
-
-    def derivation(bidegree, ext, sym):
-        return GradedDerivation(
-            dims,
-            bidegree,
-            tuple(WeilElement(dims, t) for t in ext),
-            tuple(WeilElement(dims, t) for t in sym),
-        )
-
-    dv = derivation(
-        (0, 1),
+    dv = GradedDerivation(
+        dims,
+        1,
         [{WeilMonomial((), (b,)): partial.get((i, b)) for b in core} for i in side],
         [{} for _ in core],
     )
-    dh = derivation(
-        (1, 0),
+    dh = GradedDerivation(
+        dims,
+        1,
         [{WeilMonomial(pq, ()): -bracket.get((*pq, k)) for pq in pairs} for k in side],
         [
             {WeilMonomial((i,), (j,)): -action.get((i, j, b)) for i in side for j in core}
             for b in core
         ],
     )
-    dj = derivation(
-        (2, -1),
+    dj = GradedDerivation(
+        dims,
+        1,
         [{} for _ in side],
         [{WeilMonomial(ijk, ()): -l3.get((*ijk, b)) for ijk in triples} for b in core],
     )
@@ -834,6 +817,7 @@ def differentials_by_public_constructors(w: WeakLie2Data):
 def test_kernel_differentials_revalidate():
     # the differentials are read off crossed-module and weak data by the
     # trusted constructors; they equal their copies through the public ones
+    # and have bidegrees (0,1), (1,0) and (2,-1)
     cms = []
     for entry in catalog.entries():
         doc = entry.document
@@ -848,12 +832,16 @@ def test_kernel_differentials_revalidate():
     weak = [WeakLie2Data(cm, zero_jacobiator(cm)) for cm in cms]
     weak += [build_weak_lie2(e.document) for e in catalog.entries() if e.kind == "weak_lie2"]
     weak += [build_weak_lie2(catalog.gen_document("weak_abelian_l3", s)) for s in range(20)]
+    bidegrees = [set(), set(), set()]
     for w in weak:
         got = (*cm_differentials(w.cm), build_delta_j(w))
-        assert [d.bidegree for d in got] == [(0, 1), (1, 0), (2, -1)]
+        assert [d.total_degree for d in got] == [1, 1, 1]
+        for seen, d in zip(bidegrees, got):
+            seen |= image_bidegrees(d)
         assert got == differentials_by_public_constructors(w)
         for d in got:
             assert_derivation_revalidates(d)
+    assert bidegrees == [{(0, 1)}, {(1, 0)}, {(2, -1)}]
 
 
 def test_constructors_validate():
@@ -876,6 +864,19 @@ def test_constructors_validate():
         assert terms == ({a0: stored} if stored is not None else {})
         for coeff in terms.values():
             assert_canonical(coeff)
+    # GradedDerivation validates each image as WeilElement does, then checks
+    # its total degree: 1 + 1 for the image of an a, 2 + 1 for that of a g
+    d = GradedDerivation((2, 1), 1, ({g0: Q(4, 2)}, {g0: Q(0)}), ({a0: 0},))
+    assert (d.ext_images, d.sym_images) == (({g0: 2}, {}), ({},))
+    assert type(d.ext_images[0][g0]) is int
+    for ext, sym in (
+        (({a0: 1}, {}), ({},)),  # a0 is of total degree 1, not 2
+        (({WeilMonomial((), (1,)): 1}, {}), ({},)),  # g1 is out of range
+    ):
+        with pytest.raises(ValueError):
+            GradedDerivation((2, 1), 1, ext, sym)
+    with pytest.raises(DimensionMismatch):
+        GradedDerivation((2, 1), 1, ({},), ({},))
 
 
 # --- weak two-term data -------------------------------------------------------------
