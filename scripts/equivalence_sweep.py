@@ -13,7 +13,7 @@ Both draw member ``seed`` of a catalog population (`catalog.seeded_member`)
 for each seed from B to B + N - 1, so the seed picks the family: from
 ``--seed-base 0`` the populations are those of `tests/test_acceptance.py`.
 
-Usage: python3 scripts/equivalence_sweep.py [--count N] [--seed-base B] [--verbose]
+Usage: PYTHONPATH=src python3 scripts/equivalence_sweep.py [--count N] [--seed-base B] [--verbose]
 """
 
 import argparse

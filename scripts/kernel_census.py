@@ -11,7 +11,7 @@ entered, with its line count, in source order.  Tests, the benchmark and
 the other scripts are not run, so a listed function is one that only they
 reach, or nothing does.
 
-Usage: python3 scripts/kernel_census.py [--seeds N]
+Usage: PYTHONPATH=src python3 scripts/kernel_census.py [--seeds N]
 """
 
 import argparse

@@ -72,38 +72,15 @@ Section = tuple[str, "VerificationReport"]
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Checks in order, and the metadata of the whole report.
+    """Checks in order, each with its full id, and the metadata of the whole
+    report.  Reports compare by value, however `combine` assembled them."""
 
-    ``parts`` are checks and ``(prefix, report)`` sections, whose checks'
-    ids get ``prefix`` (see `combine`).  `checks` reads the tree out, so a
-    check is given its full id once, however deep its section, and only
-    when it is read.  Two assemblies of the same checks are different
-    trees: compare reports by `checks`.
-    """
-
-    parts: tuple[Check | Section, ...]
+    checks: tuple[Check, ...]
     metadata: tuple[tuple[str, str], ...] = ()
 
     @property
-    def checks(self) -> tuple[Check, ...]:
-        """The checks with their full ids, built anew at each read."""
-        out: list[Check] = []
-
-        def collect(report: VerificationReport, prefix: str):
-            for part in report.parts:
-                if isinstance(part, Check):
-                    out.append(
-                        Check(prefix + part.cond, part.passed, part.witness) if prefix else part
-                    )
-                else:
-                    collect(part[1], prefix + part[0])
-
-        collect(self, "")
-        return tuple(out)
-
-    @property
     def passed(self) -> bool:
-        return all(p.passed if isinstance(p, Check) else p[1].passed for p in self.parts)
+        return all(c.passed for c in self.checks)
 
     def check(self, cond: str) -> Check:
         for c in self.checks:
@@ -116,18 +93,19 @@ def combine(*parts: VerificationReport | Section) -> VerificationReport:
     """The checks and metadata of ``parts``, in order.
 
     A report adds its checks as they are; a ``(prefix, report)`` section
-    adds the report's checks with ``prefix`` before each id.
+    adds each of the report's checks with ``prefix`` before its id.  This is
+    the one place ids get prefixes, once per level of nesting.
     """
-    out: list[Check | Section] = []
+    checks: list[Check] = []
     metadata: list[tuple[str, str]] = []
     for part in parts:
         if isinstance(part, VerificationReport):
-            out.extend(part.parts)
-            metadata.extend(part.metadata)
+            checks.extend(part.checks)
         else:
-            out.append(part)
-            metadata.extend(part[1].metadata)
-    return VerificationReport(tuple(out), tuple(metadata))
+            prefix, part = part
+            checks.extend(Check(prefix + c.cond, c.passed, c.witness) for c in part.checks)
+        metadata.extend(part.metadata)
+    return VerificationReport(tuple(checks), tuple(metadata))
 
 
 def _first_mismatch(lhs: dict, rhs: dict):

@@ -145,7 +145,7 @@ class WeilElement:
         n0, n1 = self.dims
         clean = {}
         for mono, coeff in self.terms.items():
-            ext, sym = mono
+            ext, sym = mono = WeilMonomial(*mono)
             if any(not 0 <= i < n0 for i in ext) or any(not 0 <= j < n1 for j in sym):
                 raise ValueError(f"monomial {mono.render()} out of range for {self.dims}")
             q = rational(coeff)

@@ -31,7 +31,7 @@ from l2b.catalog import (
     sl2,
     trace_pair,
 )
-from l2b.documents import build_crossed_module, build_lie2_bialgebra
+from l2b.documents import build_crossed_module, build_lie2_bialgebra, parse_document
 from l2b.exact import SparseTensor
 from l2b.liecore import (
     LieAlgebra,
@@ -486,3 +486,19 @@ def test_manin_double_on_bench_pair_twins_and_edits():
                 assert verify_cm(manin_double(d, core_sign=-1)).passed != matched, doc.name
             verdicts[is_twin, matched] += 1
     assert verdicts == {(True, True): 40, (False, False): 200}
+
+
+def test_manin_double_on_bench_populations():
+    # every `l2b_population` document of bench seeds 1-3, as the benchmark
+    # serializes it: its members, their edits and twins, and the bench pairs
+    workloads = bench_workloads()
+    verdicts = Counter()
+    for seed in (1, 2, 3):
+        for op in workloads.build_population(workloads.plan_population(seed)):
+            doc = parse_document(op.data)
+            d = build_lie2_bialgebra(doc)
+            matched = verify_l2b_matched(d).passed
+            assert verify_l2b_weil(d).passed == matched, (seed, doc.name)
+            assert verify_cm(manin_double(d)).passed == matched, (seed, doc.name)
+            verdicts[matched] += 1
+    assert verdicts == {True: 90, False: 66}

@@ -9,10 +9,15 @@ from l2b.bicross import abelian_dual_pair, matched_pair_of
 from l2b.catalog import adjoint_cm, axb, heisenberg, sl2, transform_lie, _unimodular
 from l2b.exact import DimensionMismatch, SparseTensor, permute_axes
 from l2b.liecore import (
+    Check,
     LieAlgebra,
     LieCobracket,
+    VerificationReport,
+    Witness,
     bicrossed_sum,
     cobracket_to_dual_lie,
+    cocycle_check,
+    combine,
     verify_cocycle,
     verify_lie,
     verify_rep,
@@ -53,6 +58,32 @@ def brute_force_jacobi(g):
         if any(v != 0 for v in acc.values()):
             return False
     return True
+
+
+def test_reports_compare_by_value():
+    # nested sections and one section with the joined prefix give equal
+    # reports, checks and metadata included
+    w = Witness((0, 1), "1", "0", at="e0")
+    r = VerificationReport((Check("x", True), Check("y", False, w)), (("note", "n"),))
+    nested = combine(("a.", combine(("b.", r))))
+    expected = VerificationReport(
+        (Check("a.b.x", True), Check("a.b.y", False, w)), (("note", "n"),)
+    )
+    assert nested == combine(("a.b.", r)) == expected
+    assert hash(nested) == hash(expected)
+    assert not nested.passed and nested.check("a.b.y") == expected.checks[1]
+    assert combine(r) == r == combine(("", r))
+    assert combine(r, ("c.", VerificationReport((), (("m", "v"),)))).metadata == (
+        ("note", "n"),
+        ("m", "v"),
+    )
+    # a verifier's report equals the same checks assembled by hand
+    g, d = sl2(), dual_cobracket(sl2())
+    assert verify_cocycle(g, d) == combine(
+        ("lie.primal.", verify_lie(g)),
+        ("lie.dual.", verify_lie(cobracket_to_dual_lie(d))),
+        VerificationReport((cocycle_check(g, d),)),
+    )
 
 
 def test_antisymmetry_enforced():

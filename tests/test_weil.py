@@ -879,6 +879,26 @@ def test_constructors_validate():
         GradedDerivation((2, 1), 1, ({},), ({},))
 
 
+def test_constructors_validate_plain_tuple_keys():
+    # a plain (ext, sym) tuple key is validated as a `WeilMonomial` is
+    for mono in (((1, 0), ()), ((0, 0), ()), ((), (1, 0)), ((5,), ()), ((), (3,))):
+        with pytest.raises(ValueError):
+            WeilElement((2, 2), {mono: 1})
+        with pytest.raises(ValueError):
+            GradedDerivation((2, 2), -1, ({mono: 1}, {}), ({}, {}))
+    e = WeilElement((2, 1), {((0, 1), ()): Q(2, 2), ((), (0,)): 0})
+    assert e.terms == {WeilMonomial((0, 1), ()): 1}
+    assert all(type(m) is WeilMonomial for m in e.terms)
+    assert e.render() == "(1)*a0*a1"
+    a1, a0g0 = ((1,), ()), ((0,), (0,))
+    d = GradedDerivation((2, 1), 1, ({((0, 1), ()): 1}, {}), ({a0g0: 3},))
+    assert d.ext_images == ({WeilMonomial((0, 1), ()): 1}, {})
+    assert d.sym_images == ({WeilMonomial(*a0g0): 3},)
+    assert all(type(m) is WeilMonomial for img in d.ext_images + d.sym_images for m in img)
+    with pytest.raises(ValueError):  # a1 is of total degree 1, not 2
+        GradedDerivation((2, 1), 1, ({a1: 1}, {}), ({},))
+
+
 # --- weak two-term data -------------------------------------------------------------
 
 def test_weak_valid_l3_passes():
