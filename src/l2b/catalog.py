@@ -512,7 +512,7 @@ def perturb_document(doc: StructureDocument, rng: random.Random) -> StructureDoc
         raise RetryExhaustion(f"no perturbable blocks in kind {doc.kind}")
     key, dims, sym = usable[rng.randrange(len(usable))]
     delta = _DELTAS[rng.randrange(len(_DELTAS))]
-    entries = dict(doc.blocks.get(key, ()))
+    entries = dict(doc.block_tensor(key).entries)
 
     def bump(idx, val):
         cur = entries.get(idx, Fraction(0)) + val
@@ -548,8 +548,7 @@ def perturb_document(doc: StructureDocument, rng: random.Random) -> StructureDoc
     else:
         idx = tuple(rng.randrange(d) for d in dims)
         bump(idx, delta)
-    blocks = dict(doc.blocks)
-    blocks[key] = tuple(sorted(entries.items()))
+    blocks = {**doc.blocks, key: SparseTensor(dims, entries)}
     return StructureDocument(doc.kind, doc.name, doc.spaces, blocks)
 
 

@@ -126,20 +126,22 @@ class SpaceDecl:
 
 @dataclass(frozen=True)
 class StructureDocument:
+    """A document: each block is a `SparseTensor` in its block's index
+    convention, and a zero block is absent."""
+
     kind: str
     name: str
     spaces: dict[str, SpaceDecl]
-    blocks: dict[str, tuple[tuple[tuple[int, ...], Rational], ...]] = field(
-        default_factory=dict
-    )
+    blocks: dict[str, SparseTensor] = field(default_factory=dict)
 
-    def space(self, key: str) -> SpaceDecl:
-        return self.spaces[key]
+    def __post_init__(self):
+        object.__setattr__(self, "blocks", {k: t for k, t in self.blocks.items() if t.entries})
 
     def block_tensor(self, key: str) -> SparseTensor:
+        if key in self.blocks:
+            return self.blocks[key]
         axes = _SCHEMAS[self.kind]["blocks"][key]
-        dims = tuple(self.spaces[s].dim for s in axes)
-        return SparseTensor(dims, dict(self.blocks.get(key, ())))
+        return SparseTensor._trusted(tuple(self.spaces[s].dim for s in axes), {})
 
 
 # --- parsing ------------------------------------------------------------------
@@ -246,17 +248,15 @@ def parse_document(data: bytes) -> StructureDocument:
     _expect(isinstance(raw_blocks, dict), "blocks", "must be an object")
     unknown = set(raw_blocks) - set(schema["blocks"])
     _expect(not unknown, f"blocks.{sorted(unknown)[0]}" if unknown else "", "unknown block")
-    blocks: dict[str, tuple] = {}
+    blocks: dict[str, SparseTensor] = {}
     for key, axes in schema["blocks"].items():
         if key not in raw_blocks:
-            blocks[key] = ()
             continue
         entries_raw = raw_blocks[key]
         path = f"blocks.{key}"
         _expect(isinstance(entries_raw, list), path, "must be a list of [indices, rational] pairs")
         dims = tuple(spaces[s].dim for s in axes)
-        seen = set()
-        entries = []
+        entries: dict[tuple[int, ...], Rational] = {}
         for pos, item in enumerate(entries_raw):
             ipath = f"{path}[{pos}]"
             _expect(
@@ -282,15 +282,12 @@ def parse_document(data: bytes) -> StructureDocument:
                     f"index {i} out of range on axis {ax} (space {axes[ax]}, dim {dlim})",
                 )
             idx = tuple(idx_raw)
-            _expect(idx not in seen, ipath, f"duplicate index {list(idx)}")
-            seen.add(idx)
+            _expect(idx not in entries, ipath, f"duplicate index {list(idx)}")
             try:
-                val = parse_rational(val_raw)
+                entries[idx] = parse_rational(val_raw)
             except (ValueError, TypeError) as e:
                 raise DocumentError(ipath, str(e)) from e
-            if val:
-                entries.append((idx, val))
-        blocks[key] = tuple(sorted(entries))
+        blocks[key] = SparseTensor._trusted(dims, {i: v for i, v in entries.items() if v})
     return StructureDocument(kind, name, spaces, blocks)
 
 
@@ -303,10 +300,8 @@ def serialize_document(doc: StructureDocument) -> bytes:
         else:
             obj["spaces"][key] = {"dim": decl.dim, "labels": list(decl.labels)}
     for key in _SCHEMAS[doc.kind]["blocks"]:
-        entries = sorted(doc.blocks.get(key, ()))
-        obj["blocks"][key] = [
-            [list(idx), format_rational(val)] for idx, val in entries
-        ]
+        entries = sorted(doc.block_tensor(key).entries.items())
+        obj["blocks"][key] = [[list(idx), format_rational(val)] for idx, val in entries]
     return (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode("utf-8")
 
 
@@ -314,12 +309,12 @@ def serialize_document(doc: StructureDocument) -> bytes:
 
 
 def build_lie_algebra(doc: StructureDocument) -> LieAlgebra:
-    return LieAlgebra(doc.space("g").labels, doc.block_tensor("bracket"))
+    return LieAlgebra(doc.spaces["g"].labels, doc.block_tensor("bracket"))
 
 
 def build_bialgebra(doc: StructureDocument) -> tuple[LieAlgebra, LieCobracket]:
-    g = LieAlgebra(doc.space("g").labels, doc.block_tensor("bracket"))
-    d = LieCobracket(doc.space("g").dim, doc.block_tensor("cobracket"))
+    g = LieAlgebra(doc.spaces["g"].labels, doc.block_tensor("bracket"))
+    d = LieCobracket(doc.spaces["g"].dim, doc.block_tensor("cobracket"))
     return g, d
 
 
@@ -334,7 +329,7 @@ def _read_cm(doc: StructureDocument) -> CrossedModuleData:
 
     The ``build_*`` functions call this rather than each other, so that a
     document is built by one public call."""
-    g0, g1 = doc.space("g0"), doc.space("g1")
+    g0, g1 = doc.spaces["g0"], doc.spaces["g1"]
     base = LieAlgebra(g0.labels, doc.block_tensor("bracket0"))
     tvs = TwoVectorSpace(g0.dim, g1.dim, doc.block_tensor("partial"), g0.labels, g1.labels)
     return CrossedModuleData(base, tvs, doc.block_tensor(_action_block(doc.kind)))
@@ -358,15 +353,15 @@ def build_lie2_bialgebra(doc: StructureDocument) -> Lie2BialgebraData:
 
 def build_dvb(doc: StructureDocument) -> SplitDvb:
     def desc(key: str) -> SpaceDescriptor:
-        decl = doc.space(key)
+        decl = doc.spaces[key]
         return SpaceDescriptor(decl.name, decl.dim, decl.dual)
 
     return SplitDvb(desc("side_h"), desc("side_v"), desc("core"))
 
 
 def build_matched_pair(doc: StructureDocument) -> MatchedPairData:
-    h = LieAlgebra(doc.space("h").labels, doc.block_tensor("bracket_h"))
-    k = LieAlgebra(doc.space("k").labels, doc.block_tensor("bracket_k"))
+    h = LieAlgebra(doc.spaces["h"].labels, doc.block_tensor("bracket_h"))
+    k = LieAlgebra(doc.spaces["k"].labels, doc.block_tensor("bracket_k"))
     return MatchedPairData(
         h, k, doc.block_tensor("act_h_on_k"), doc.block_tensor("act_k_on_h")
     )
@@ -375,16 +370,12 @@ def build_matched_pair(doc: StructureDocument) -> MatchedPairData:
 # --- document constructors -------------------------------------------------------
 
 
-def _tensor_block(t: SparseTensor) -> tuple:
-    return tuple(sorted(t.entries.items()))
-
-
 def doc_from_lie_algebra(g: LieAlgebra, name: str = "") -> StructureDocument:
     return StructureDocument(
         "lie_algebra",
         name,
         {"g": SpaceDecl(g.dim, g.labels)},
-        {"bracket": _tensor_block(g.bracket)},
+        {"bracket": g.bracket},
     )
 
 
@@ -393,7 +384,7 @@ def doc_from_bialgebra(g: LieAlgebra, d: LieCobracket, name: str = "") -> Struct
         "bialgebra",
         name,
         {"g": SpaceDecl(g.dim, g.labels)},
-        {"bracket": _tensor_block(g.bracket), "cobracket": _tensor_block(d.tensor)},
+        {"bracket": g.bracket, "cobracket": d.tensor},
     )
 
 
@@ -408,9 +399,9 @@ def _cm_document(kind: str, name: str, cm: CrossedModuleData, **blocks) -> Struc
             "g1": SpaceDecl(cm.dim1, cm.tvs.labels1),
         },
         {
-            "bracket0": _tensor_block(cm.base.bracket),
-            "partial": _tensor_block(cm.tvs.partial),
-            _action_block(kind): _tensor_block(cm.action),
+            "bracket0": cm.base.bracket,
+            "partial": cm.tvs.partial,
+            _action_block(kind): cm.action,
             **blocks,
         },
     )
@@ -421,7 +412,7 @@ def doc_from_crossed_module(cm: CrossedModuleData, name: str = "") -> StructureD
 
 
 def doc_from_weak_lie2(w: WeakLie2Data, name: str = "") -> StructureDocument:
-    return _cm_document("weak_lie2", name, w.cm, jacobiator=_tensor_block(w.jacobiator))
+    return _cm_document("weak_lie2", name, w.cm, jacobiator=w.jacobiator)
 
 
 def doc_from_lie2_bialgebra(d: Lie2BialgebraData, name: str = "") -> StructureDocument:
@@ -429,8 +420,8 @@ def doc_from_lie2_bialgebra(d: Lie2BialgebraData, name: str = "") -> StructureDo
         "lie2_bialgebra",
         name,
         d.cm1,
-        dual_bracket=_tensor_block(d.cm2.base.bracket),
-        dual_action=_tensor_block(d.cm2.action),
+        dual_bracket=d.cm2.base.bracket,
+        dual_action=d.cm2.action,
     )
 
 
@@ -455,10 +446,10 @@ def doc_from_matched_pair(mp: MatchedPairData, name: str = "") -> StructureDocum
             "k": SpaceDecl(mp.k.dim, mp.k.labels),
         },
         {
-            "bracket_h": _tensor_block(mp.h.bracket),
-            "bracket_k": _tensor_block(mp.k.bracket),
-            "act_h_on_k": _tensor_block(mp.act_h_on_k),
-            "act_k_on_h": _tensor_block(mp.act_k_on_h),
+            "bracket_h": mp.h.bracket,
+            "bracket_k": mp.k.bracket,
+            "act_h_on_k": mp.act_h_on_k,
+            "act_k_on_h": mp.act_k_on_h,
         },
     )
 
@@ -474,7 +465,7 @@ def dualize_document(doc: StructureDocument, which: str) -> StructureDocument:
             swapped = Lie2BialgebraData(d.cm2, d.cm1)
             return doc_from_lie2_bialgebra(swapped, doc.name)
         if doc.kind == "crossed_module":
-            if doc.blocks.get("bracket0") or doc.blocks.get("action"):
+            if "bracket0" in doc.blocks or "action" in doc.blocks:
                 raise UnsupportedMethod(
                     "two_vs dualization of a crossed_module document requires zero "
                     "bracket and action (a bare 2-vector space); dualize the full "

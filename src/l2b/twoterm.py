@@ -154,13 +154,10 @@ def derived_bracket(cm: CrossedModuleData) -> LieAlgebra:
     Raises `DerivedBracketError` when the skew pairing condition fails,
     since the result would not be antisymmetric.
     """
-    dtens = derived_bracket_tensor(cm)
-    if (bad := next(asymmetric_entries(dtens, (0, 1)), None)) is not None:
-        raise DerivedBracketError(
-            f"skew_action fails at {bad}: the pairing "
-            "partial(f_i).f_j is not antisymmetric"
-        )
-    return LieAlgebra(cm.tvs.labels1, dtens)
+    try:
+        return LieAlgebra(cm.tvs.labels1, derived_bracket_tensor(cm))
+    except ValueError as e:
+        raise DerivedBracketError(f"skew_action fails: {e}") from e
 
 
 def gamma_total(cm: CrossedModuleData) -> LieAlgebra:

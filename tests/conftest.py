@@ -1,4 +1,6 @@
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -10,6 +12,17 @@ from l2b.twoterm import CrossedModuleData, TwoVectorSpace
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 nonzero_rationals = rationals.filter(bool)
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def bench_workloads():
+    """`bench/workloads.py`, which builds the benchmark's documents."""
+    if str(BENCH) not in sys.path:
+        sys.path.insert(0, str(BENCH))  # workloads imports its sibling, the oracle
+    import workloads
+
+    return workloads
 
 
 def assert_exact(value):

@@ -1,8 +1,6 @@
 import random
-import sys
 from collections import Counter
 from fractions import Fraction as Q
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -31,7 +29,14 @@ from l2b.catalog import (
     sl2,
     trace_pair,
 )
-from l2b.documents import build_crossed_module, build_lie2_bialgebra, parse_document
+from l2b.documents import (
+    _SCHEMAS,
+    SpaceDecl,
+    StructureDocument,
+    build_crossed_module,
+    build_lie2_bialgebra,
+    parse_document,
+)
 from l2b.exact import SparseTensor
 from l2b.liecore import (
     LieAlgebra,
@@ -50,11 +55,9 @@ from l2b.twoterm import (
     verify_cm,
 )
 
-from conftest import crossed_module, small_tensor
+from conftest import bench_workloads, crossed_module, small_tensor
 from crossed_module_oracle import random_candidate
 from manin_double_oracle import manin_double
-
-BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def seeded_l2b(seed, modifications=0):
@@ -434,15 +437,6 @@ def test_dual_swap_preserves_verdict():
         assert cross_check(d).passed == cross_check(swapped).passed
 
 
-def bench_workloads():
-    """`bench/workloads.py`, which builds the bialgebra pairs and their twins."""
-    if str(BENCH) not in sys.path:
-        sys.path.insert(0, str(BENCH))  # workloads imports its sibling, the oracle
-    import workloads
-
-    return workloads
-
-
 def bench_bialgebra_pair_docs():
     """`bench/workloads.py`'s two bialgebra pairs, where both brackets are nonzero."""
     return [bench_workloads().bialgebra_pair_doc(name) for name in ("axb", "sl2")]
@@ -486,6 +480,45 @@ def test_manin_double_on_bench_pair_twins_and_edits():
                 assert verify_cm(manin_double(d, core_sign=-1)).passed != matched, doc.name
             verdicts[is_twin, matched] += 1
     assert verdicts == {(True, True): 40, (False, False): 200}
+
+
+def l2b_direct_sum(docs) -> StructureDocument:
+    """The direct sum of `lie2_bialgebra` documents: the space dims add, each
+    label gets its summand's position, and each block's indices shift by the
+    summand's offset on each axis."""
+    offsets, labels, blocks = {"g0": 0, "g1": 0}, {"g0": [], "g1": []}, {}
+    schema = _SCHEMAS["lie2_bialgebra"]["blocks"]
+    for pos, doc in enumerate(docs):
+        for key, axes in schema.items():
+            for idx, v in doc.block_tensor(key).entries.items():
+                shifted = tuple(i + offsets[s] for i, s in zip(idx, axes))
+                blocks.setdefault(key, {})[shifted] = v
+        for s in offsets:
+            offsets[s] += doc.spaces[s].dim
+            labels[s] += [f"{label}{pos}" for label in doc.spaces[s].labels]
+    spaces = {s: SpaceDecl(offsets[s], tuple(labels[s])) for s in offsets}
+    tensors = {
+        key: SparseTensor(tuple(offsets[s] for s in axes), blocks.get(key, {}))
+        for key, axes in schema.items()
+    }
+    return StructureDocument("lie2_bialgebra", "+".join(d.name for d in docs), spaces, tensors)
+
+
+def test_manin_double_on_direct_sums_of_bench_pairs():
+    # both brackets nonzero on every summand; `def` is left out, as in
+    # `test_manin_double_agrees_with_matched_and_weil`: it fails every sum
+    axb_pair, sl2_pair = bench_bialgebra_pair_docs()
+    sums = [l2b_direct_sum(s) for s in ([sl2_pair], [axb_pair, sl2_pair], [sl2_pair, sl2_pair])]
+    assert [(d.spaces["g0"].dim, d.spaces["g1"].dim) for d in sums] == [(3, 3), (5, 5), (6, 6)]
+    for doc in sums:
+        edits = [catalog.perturb_document(doc, random.Random(s)) for s in range(2)]
+        for candidate in [doc] + edits:
+            d = build_lie2_bialgebra(candidate)
+            matched = verify_l2b_matched(d).passed
+            assert verify_l2b_weil(d).passed == matched, candidate.name
+            assert verify_cm(manin_double(d)).passed == matched, candidate.name
+            # the sum is valid and each of its two edits breaks it
+            assert matched == (candidate is doc), candidate.name
 
 
 def test_manin_double_on_bench_populations():

@@ -258,7 +258,8 @@ def test_verify_literal_beyond_the_int_digit_limit_exit_two(tmp_path, capsys):
     # a literal of as many digits as the limit reads
     bracket = [[[0, 1, 1], "3" * limit], [[1, 0, 1], "-" + "3" * limit]]
     obj["blocks"]["bracket"] = bracket
-    assert parse_document(json.dumps(obj).encode()).blocks["bracket"][0][1] == int("3" * limit)
+    parsed = parse_document(json.dumps(obj).encode())
+    assert parsed.blocks["bracket"].entries[(0, 1, 1)] == int("3" * limit)
 
 
 @pytest.mark.parametrize("literal", ["1/\u0660", "\uff11/\uff10", "\u0663"])

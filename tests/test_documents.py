@@ -15,6 +15,7 @@ from l2b.documents import (
     build_crossed_module,
     build_lie2_bialgebra,
     build_weak_lie2,
+    doc_from_crossed_module,
     doc_from_lie2_bialgebra,
     doc_from_weak_lie2,
     dualize_document,
@@ -30,9 +31,19 @@ def doc_bytes(name):
 
 
 def test_round_trip_identity_on_catalog():
-    for entry in catalog.entries():
-        data = serialize_document(entry.document)
-        assert serialize_document(parse_document(data)) == data
+    # every catalog entry and every `gen` member at seeds 0-4, plain and perturbed
+    docs = [entry.document for entry in catalog.entries()]
+    for family in catalog.FAMILIES:
+        for seed in range(5):
+            docs.append(catalog.gen_document(family, seed))
+            try:
+                docs.append(catalog.gen_document(family, seed, perturbed=True))
+            except catalog.RetryExhaustion:
+                pass
+    for doc in docs:
+        data = serialize_document(doc)
+        back = parse_document(data)
+        assert back == doc and serialize_document(back) == data, doc.name
 
 
 def test_weak_lie2_round_trip_through_weak_data():
@@ -120,9 +131,16 @@ def test_parse_syntax_error_carries_position():
 def test_missing_blocks_mean_zero():
     data = b'{"kind": "crossed_module", "name": "bare", "spaces": {"g0": {"dim": 2}, "g1": {"dim": 1}}, "blocks": {"partial": [[[0, 0], "3"]]}}'
     doc = parse_document(data)
+    assert set(doc.blocks) == {"partial"}
+    assert doc.block_tensor("action") == SparseTensor.zero((2, 1, 1))
     cm = build_crossed_module(doc)
     assert cm.base.bracket.is_zero() and cm.action.is_zero()
     assert cm.tvs.partial == SparseTensor((2, 1), {(0, 0): 3})
+    # a block of zero entries is absent too, after parse and after a constructor
+    obj = json.loads(data)
+    obj["blocks"]["action"] = [[[0, 0, 0], "0"], [[1, 0, 0], "0/3"]]
+    assert parse_document(json.dumps(obj).encode()) == doc
+    assert doc_from_crossed_module(cm, doc.name) == doc
 
 
 def test_dualize_two_vs_bare_crossed_module():

@@ -1,4 +1,6 @@
+import contextlib
 import itertools
+from collections import Counter
 from fractions import Fraction as Q
 
 import pytest
@@ -22,10 +24,12 @@ from l2b.liecore import (
     verify_lie,
     verify_rep,
 )
-from l2b.twoterm import gamma_total
+from l2b.documents import build_crossed_module, build_lie2_bialgebra, parse_document
+from l2b.twoterm import DerivedBracketError, gamma_total
 
 import random
 
+from conftest import bench_workloads
 from cocycle_oracle import random_bialgebra_candidate, verify_cocycle_by_pairs
 from jacobi_oracle import verify_lie_by_fold
 
@@ -168,6 +172,36 @@ def test_verify_lie_fold_oracle_on_the_sl2_sl2_ladder_totals():
     for t in totals:
         assert t.dim == 12
         assert verify_lie(t).checks == verify_lie_by_fold(t).checks
+
+
+def test_verify_lie_fold_oracle_on_every_benchmark_algebra():
+    # every Lie algebra the verifiers build from the distinct documents of
+    # the l2b_population seeds 1-3 and the dim_ladder seed 1: the base of
+    # each crossed module, the matched pair's bicrossed sum and the def
+    # totals that exist
+    workloads = bench_workloads()
+    ops = [op for s in (1, 2, 3) for op in workloads.build_population(workloads.plan_population(s))]
+    ops += workloads.build_ladder(workloads.plan_ladder(1))
+    algebras = []
+    for data in dict.fromkeys(op.data for op in ops):
+        doc = parse_document(data)
+        if doc.kind == "crossed_module":
+            algebras.append(build_crossed_module(doc).base)
+            continue
+        d = build_lie2_bialgebra(doc)
+        mp = matched_pair_of(d)
+        bicrossed = bicrossed_sum(mp.h, mp.k, mp.act_h_on_k, mp.act_k_on_h)
+        algebras += [d.cm1.base, d.cm2.base, bicrossed]
+        for cm in (d.cm1, d.cm2):
+            with contextlib.suppress(DerivedBracketError):
+                algebras.append(gamma_total(cm))
+    verdicts = Counter()
+    for g in algebras:
+        report = verify_lie(g)
+        assert report.checks == verify_lie_by_fold(g).checks, g.labels
+        verdicts[report.passed] += 1
+    assert verdicts == {True: 690, False: 30}
+    assert max(g.dim for g in algebras) == 12
 
 
 def test_verify_rep_zero_matrices():

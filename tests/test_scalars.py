@@ -149,9 +149,15 @@ def test_from_table_and_parsed_documents_store_canonical_values():
     d = LieCobracket.from_table(3, {0: {(1, 2): 2.0}, 1: {(0, 2): Q(-3, 2)}})
     assert g.bracket.entries[(1, 0, 1)] == -2 and d.tensor.entries[(0, 2, 1)] == -2
     values = [*g.bracket.entries.values(), *d.tensor.entries.values()]
-    for entry in catalog.entries():
-        doc = parse_document(serialize_document(entry.document))
-        values += [v for block in doc.blocks.values() for _, v in block]
+    docs = [parse_document(serialize_document(entry.document)) for entry in catalog.entries()]
+    # the in-memory documents of seeded edits, whose values are sums of Fractions
+    for family in catalog.FAMILIES:
+        for seed in range(5):
+            try:
+                docs.append(catalog.gen_document(family, seed, perturbed=True))
+            except catalog.RetryExhaustion:
+                pass
+    values += [v for doc in docs for block in doc.blocks.values() for v in block.entries.values()]
     for v in values:
         assert_canonical(v)
 
