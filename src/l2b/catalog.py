@@ -17,13 +17,13 @@ from fractions import Fraction
 
 from .bicross import Lie2BialgebraData, MatchedPairData, abelian_dual_pair
 from .documents import (
+    SpaceDecl,
     StructureDocument,
     _SCHEMAS,
     build_crossed_module,
     build_lie2_bialgebra,
     doc_from_bialgebra,
     doc_from_crossed_module,
-    doc_from_dvb,
     doc_from_lie2_bialgebra,
     doc_from_lie_algebra,
     doc_from_matched_pair,
@@ -34,8 +34,6 @@ from .exact import SparseTensor, contract, perm_parity, permute_axes
 from .liecore import LieAlgebra, LieCobracket
 from .twoterm import (
     CrossedModuleData,
-    SpaceDescriptor,
-    SplitDvb,
     TwoVectorSpace,
     WeakLie2Data,
     dual_two_vs,
@@ -271,11 +269,14 @@ def _build_entries() -> tuple[CatalogEntry, ...]:
         "dvb_231",
         True,
         "split double vector space with dims (2,3,1)",
-        doc_from_dvb(
-            SplitDvb(
-                SpaceDescriptor("A", 2), SpaceDescriptor("B", 3), SpaceDescriptor("C", 1)
-            ),
+        StructureDocument(
+            "dvb",
             "dvb_231",
+            {
+                "side_h": SpaceDecl(2, name="A"),
+                "side_v": SpaceDecl(3, name="B"),
+                "core": SpaceDecl(1, name="C"),
+            },
         ),
     )
     add(

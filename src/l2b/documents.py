@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import __version__
 from .bicross import (
@@ -27,23 +27,19 @@ from .bicross import (
 )
 from .exact import Rational, SparseTensor, format_rational, parse_rational
 from .liecore import (
+    Check,
     LieAlgebra,
     LieCobracket,
     VerificationReport,
+    Witness,
     verify_cocycle,
     verify_lie,
 )
 from .twoterm import (
     CrossedModuleData,
-    SpaceDescriptor,
-    SplitDvb,
     TwoVectorSpace,
     WeakLie2Data,
-    check_duality_identity,
     dual_two_vs,
-    dvb_flip,
-    dvb_horizontal_dual,
-    dvb_vertical_dual,
     verify_cm,
 )
 from .weil import verify_weak_lie2
@@ -308,13 +304,22 @@ def serialize_document(doc: StructureDocument) -> bytes:
 # --- kernel object builders ----------------------------------------------------
 
 
+def _from_block(doc: StructureDocument, key: str, make, first):
+    """``make(first, tensor of block key)``, the kernel object that the block
+    feeds; a `ValueError` it raises is refused at the block's path."""
+    try:
+        return make(first, doc.block_tensor(key))
+    except ValueError as e:
+        raise DocumentError(f"blocks.{key}", str(e)) from e
+
+
 def build_lie_algebra(doc: StructureDocument) -> LieAlgebra:
-    return LieAlgebra(doc.spaces["g"].labels, doc.block_tensor("bracket"))
+    return _from_block(doc, "bracket", LieAlgebra, doc.spaces["g"].labels)
 
 
 def build_bialgebra(doc: StructureDocument) -> tuple[LieAlgebra, LieCobracket]:
-    g = LieAlgebra(doc.spaces["g"].labels, doc.block_tensor("bracket"))
-    d = LieCobracket(doc.spaces["g"].dim, doc.block_tensor("cobracket"))
+    g = _from_block(doc, "bracket", LieAlgebra, doc.spaces["g"].labels)
+    d = _from_block(doc, "cobracket", LieCobracket, doc.spaces["g"].dim)
     return g, d
 
 
@@ -330,7 +335,7 @@ def _read_cm(doc: StructureDocument) -> CrossedModuleData:
     The ``build_*`` functions call this rather than each other, so that a
     document is built by one public call."""
     g0, g1 = doc.spaces["g0"], doc.spaces["g1"]
-    base = LieAlgebra(g0.labels, doc.block_tensor("bracket0"))
+    base = _from_block(doc, "bracket0", LieAlgebra, g0.labels)
     tvs = TwoVectorSpace(g0.dim, g1.dim, doc.block_tensor("partial"), g0.labels, g1.labels)
     return CrossedModuleData(base, tvs, doc.block_tensor(_action_block(doc.kind)))
 
@@ -340,28 +345,26 @@ def build_crossed_module(doc: StructureDocument) -> CrossedModuleData:
 
 
 def build_weak_lie2(doc: StructureDocument) -> WeakLie2Data:
-    return WeakLie2Data(_read_cm(doc), doc.block_tensor("jacobiator"))
+    return _from_block(doc, "jacobiator", WeakLie2Data, _read_cm(doc))
 
 
 def build_lie2_bialgebra(doc: StructureDocument) -> Lie2BialgebraData:
     cm1 = _read_cm(doc)
     tvs2 = dual_two_vs(cm1.tvs)
-    base2 = LieAlgebra(tvs2.labels0, doc.block_tensor("dual_bracket"))
+    base2 = _from_block(doc, "dual_bracket", LieAlgebra, tvs2.labels0)
     cm2 = CrossedModuleData(base2, tvs2, doc.block_tensor("dual_action"))
     return Lie2BialgebraData(cm1, cm2)
 
 
-def build_dvb(doc: StructureDocument) -> SplitDvb:
-    def desc(key: str) -> SpaceDescriptor:
-        decl = doc.spaces[key]
-        return SpaceDescriptor(decl.name, decl.dim, decl.dual)
-
-    return SplitDvb(desc("side_h"), desc("side_v"), desc("core"))
+def build_dvb(doc: StructureDocument) -> dict[str, SpaceDecl]:
+    """The declarations of the ``(side_h, side_v, core)`` spaces: a dvb
+    document holds no tensors, so they are its whole content."""
+    return doc.spaces
 
 
 def build_matched_pair(doc: StructureDocument) -> MatchedPairData:
-    h = LieAlgebra(doc.spaces["h"].labels, doc.block_tensor("bracket_h"))
-    k = LieAlgebra(doc.spaces["k"].labels, doc.block_tensor("bracket_k"))
+    h = _from_block(doc, "bracket_h", LieAlgebra, doc.spaces["h"].labels)
+    k = _from_block(doc, "bracket_k", LieAlgebra, doc.spaces["k"].labels)
     return MatchedPairData(
         h, k, doc.block_tensor("act_h_on_k"), doc.block_tensor("act_k_on_h")
     )
@@ -425,18 +428,6 @@ def doc_from_lie2_bialgebra(d: Lie2BialgebraData, name: str = "") -> StructureDo
     )
 
 
-def doc_from_dvb(d: SplitDvb, name: str = "") -> StructureDocument:
-    def decl(s: SpaceDescriptor) -> SpaceDecl:
-        return SpaceDecl(s.dim, (), s.dualized, s.name)
-
-    return StructureDocument(
-        "dvb",
-        name,
-        {"side_h": decl(d.side_h), "side_v": decl(d.side_v), "core": decl(d.core)},
-        {},
-    )
-
-
 def doc_from_matched_pair(mp: MatchedPairData, name: str = "") -> StructureDocument:
     return StructureDocument(
         "matched_pair",
@@ -456,6 +447,46 @@ def doc_from_matched_pair(mp: MatchedPairData, name: str = "") -> StructureDocum
 
 # --- dualization on documents -----------------------------------------------------
 
+# The dualizations of a split double vector space ``(A, B, C)`` = (side_h,
+# side_v, core): for each result slot, in that order, the slot it is read
+# from and whether it is starred.  A star toggles, so each is an involution.
+_DVB_DUALS = {
+    "dvb_vertical": (("core", True), ("side_v", False), ("side_h", True)),  # (C*, B, A*)
+    "dvb_horizontal": (("side_h", False), ("core", True), ("side_v", True)),  # (A, C*, B*)
+    "flip": (("side_v", False), ("side_h", False), ("core", False)),  # (B, A, C)
+}
+
+
+def dvb_dual(spaces: dict[str, SpaceDecl], which: str) -> dict[str, SpaceDecl]:
+    """The declarations of the ``which`` dual of a dvb document's spaces."""
+    return {
+        slot: replace(spaces[src], dual=spaces[src].dual != star)
+        for slot, (src, star) in zip(_SCHEMAS["dvb"]["spaces"], _DVB_DUALS[which])
+    }
+
+
+def check_duality_identity(spaces: dict[str, SpaceDecl]) -> VerificationReport:
+    """flip(vertical dual) agrees with the vertical dual of the horizontal dual.
+
+    The identification is the identity on the side spaces and minus the
+    identity on the core; the core sign is recorded as report metadata
+    (over a point there is no pairing tensor for it to act on).
+    """
+    left = dvb_dual(dvb_dual(spaces, "dvb_vertical"), "flip")
+    right = dvb_dual(dvb_dual(spaces, "dvb_horizontal"), "dvb_vertical")
+    ok = left == right
+    witness = None
+    if not ok:
+
+        def render(triple: dict[str, SpaceDecl]) -> str:
+            return "(" + ",".join(d.name + ("*" if d.dual else "") for d in triple.values()) + ")"
+
+        witness = Witness((), render(left), render(right))
+    return VerificationReport(
+        (Check("triple_identity", ok, witness),),
+        metadata=(("core_identification_sign", "-1"),),
+    )
+
 
 def dualize_document(doc: StructureDocument, which: str) -> StructureDocument:
     """Emit the dual document; applying the same dualization twice is the identity."""
@@ -474,16 +505,10 @@ def dualize_document(doc: StructureDocument, which: str) -> StructureDocument:
             dual = abelian_dual_pair(_read_cm(doc)).cm2
             return doc_from_crossed_module(dual, doc.name)
         raise UnsupportedMethod(f"two_vs dualization does not apply to kind {doc.kind!r}")
-    if which in ("dvb_vertical", "dvb_horizontal", "flip"):
+    if which in _DVB_DUALS:
         if doc.kind != "dvb":
             raise UnsupportedMethod(f"{which} dualization requires a dvb document")
-        d = build_dvb(doc)
-        op = {
-            "dvb_vertical": dvb_vertical_dual,
-            "dvb_horizontal": dvb_horizontal_dual,
-            "flip": dvb_flip,
-        }[which]
-        return doc_from_dvb(op(d), doc.name)
+        return StructureDocument("dvb", doc.name, dvb_dual(doc.spaces, which))
     raise UnsupportedMethod(f"unknown dualization {which!r}")
 
 
@@ -492,7 +517,7 @@ def dualize_document(doc: StructureDocument, which: str) -> StructureDocument:
 
 METHODS = ("auto", "def", "matched", "weil", "all")
 # the ``which`` arguments of `dualize_document`
-DUALIZATIONS = ("two_vs", "dvb_vertical", "dvb_horizontal", "flip")
+DUALIZATIONS = ("two_vs", *_DVB_DUALS)
 
 
 def run_verifier(doc: StructureDocument, method: str = "auto") -> VerificationReport:

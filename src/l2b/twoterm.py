@@ -1,4 +1,4 @@
-"""Two-term structures: 2-vector spaces, crossed-module data, split DVB duals.
+"""Two-term structures: 2-vector spaces, crossed-module data, weak two-term data.
 
 A 2-vector space is a linear map ``partial: g1 -> g0`` between finite
 dimensional spaces (``g0`` the side, ``g1`` the core), stored as a tensor
@@ -29,7 +29,6 @@ from .liecore import (
     Check,
     LieAlgebra,
     VerificationReport,
-    Witness,
     bicrossed_sum,
     verify_lie,
     verify_rep,
@@ -190,66 +189,3 @@ class WeakLie2Data:
             raise DimensionMismatch(f"jacobiator dims {self.jacobiator.dims}")
         if (bad := next(asymmetric_entries(self.jacobiator, (0, 1, 2)), None)) is not None:
             raise ValueError(f"jacobiator not antisymmetric at {bad}")
-
-
-# --- split double-vector-space bookkeeping -----------------------------------
-
-
-@dataclass(frozen=True)
-class SpaceDescriptor:
-    name: str
-    dim: int
-    dualized: bool = False
-
-    def dual(self) -> "SpaceDescriptor":
-        return SpaceDescriptor(self.name, self.dim, not self.dualized)
-
-    def render(self) -> str:
-        return self.name + ("*" if self.dualized else "")
-
-
-@dataclass(frozen=True)
-class SplitDvb:
-    """A split double vector space: horizontal side, vertical side, core."""
-
-    side_h: SpaceDescriptor
-    side_v: SpaceDescriptor
-    core: SpaceDescriptor
-
-
-def dvb_vertical_dual(d: SplitDvb) -> SplitDvb:
-    """(A, B, C) -> (C*, B, A*)."""
-    return SplitDvb(d.core.dual(), d.side_v, d.side_h.dual())
-
-
-def dvb_horizontal_dual(d: SplitDvb) -> SplitDvb:
-    """(A, B, C) -> (A, C*, B*)."""
-    return SplitDvb(d.side_h, d.core.dual(), d.side_v.dual())
-
-
-def dvb_flip(d: SplitDvb) -> SplitDvb:
-    """(A, B, C) -> (B, A, C)."""
-    return SplitDvb(d.side_v, d.side_h, d.core)
-
-
-def check_duality_identity(d: SplitDvb) -> VerificationReport:
-    """flip(vertical dual) agrees with the vertical dual of the horizontal dual.
-
-    The identification is the identity on the side spaces and minus the
-    identity on the core; the core sign is recorded as report metadata
-    (over a point there is no pairing tensor for it to act on).
-    """
-    left = dvb_flip(dvb_vertical_dual(d))
-    right = dvb_vertical_dual(dvb_horizontal_dual(d))
-    ok = left == right
-    witness = None
-    if not ok:
-        witness = Witness(
-            (),
-            f"({left.side_h.render()},{left.side_v.render()},{left.core.render()})",
-            f"({right.side_h.render()},{right.side_v.render()},{right.core.render()})",
-        )
-    return VerificationReport(
-        (Check("triple_identity", ok, witness),),
-        metadata=(("core_identification_sign", "-1"),),
-    )

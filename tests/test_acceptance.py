@@ -23,9 +23,12 @@ from l2b.bicross import (
 from l2b.catalog import CM_FAMILIES, L2B_FAMILIES, seeded_member, weak_l3_example
 from l2b.cli import main
 from l2b.documents import (
+    SpaceDecl,
     build_crossed_module,
     build_lie2_bialgebra,
+    check_duality_identity,
     doc_from_crossed_module,
+    dvb_dual,
     run_verifier,
     serialize_document,
     serialize_report,
@@ -33,16 +36,10 @@ from l2b.documents import (
 from l2b.exact import SparseTensor
 from l2b.liecore import verify_lie
 from l2b.twoterm import (
-    SpaceDescriptor,
-    SplitDvb,
     TwoVectorSpace,
     WeakLie2Data,
-    check_duality_identity,
     derived_bracket,
     dual_two_vs,
-    dvb_flip,
-    dvb_horizontal_dual,
-    dvb_vertical_dual,
     gamma_total,
     verify_cm,
 )
@@ -205,17 +202,16 @@ def test_criterion_6_duality_bookkeeping():
     with criterion(6, "split double vector space duality bookkeeping"):
         rng = random.Random(606)
         for _ in range(50):
-            d = SplitDvb(
-                SpaceDescriptor("A", rng.randrange(7)),
-                SpaceDescriptor("B", rng.randrange(7)),
-                SpaceDescriptor("C", rng.randrange(7)),
-            )
+            d = {
+                "side_h": SpaceDecl(rng.randrange(7), name="A"),
+                "side_v": SpaceDecl(rng.randrange(7), name="B"),
+                "core": SpaceDecl(rng.randrange(7), name="C"),
+            }
             report = check_duality_identity(d)
             assert report.passed
             assert ("core_identification_sign", "-1") in report.metadata
-            assert dvb_vertical_dual(dvb_vertical_dual(d)) == d
-            assert dvb_horizontal_dual(dvb_horizontal_dual(d)) == d
-            assert dvb_flip(dvb_flip(d)) == d
+            for which in ("dvb_vertical", "dvb_horizontal", "flip"):
+                assert dvb_dual(dvb_dual(d, which), which) == d
         for _ in range(25):
             n0, n1 = 1 + rng.randrange(3), 1 + rng.randrange(3)
             partial = SparseTensor(

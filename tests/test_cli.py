@@ -315,7 +315,9 @@ def test_verify_weak_lie2_bracket_not_antisymmetric_exit_two(tmp_path, capsys):
         code, out, err = run_cli(capsys, "verify", str(path))
         assert code == 2 and out == ""
         messages.append(err)
-    assert messages[0] == messages[1] == "error: bracket tensor not antisymmetric at (0, 1, 0)\n"
+    assert messages[0] == messages[1] == (
+        "error: blocks.bracket0: bracket tensor not antisymmetric at (0, 1, 0)\n"
+    )
 
 
 def test_verify_unwritable_out_exit_two(doc_file, tmp_path, capsys):
@@ -402,6 +404,25 @@ _NEGATED = {"1": "-1", "-1": "1", "2/3": "-2/3", "0": "0"}
 _ANTISYMMETRIC = {"bracket": (0, 1), "bracket0": (0, 1), "bracket_h": (0, 1),
                   "bracket_k": (0, 1), "dual_bracket": (0, 1), "cobracket": (1, 2),
                   "jacobiator": (0, 1, 2)}
+
+
+@pytest.mark.parametrize("key", sorted(_ANTISYMMETRIC))
+def test_verify_block_refused_by_its_builder_names_its_path(key, tmp_path, capsys):
+    # parse does not check antisymmetry; the kernel constructor the block
+    # feeds refuses it, and the refusal names the block
+    kind = next(k for k in KINDS if key in _SCHEMAS[k]["blocks"])
+    schema = _SCHEMAS[kind]
+    idx = [0, 1, 2, 0][: len(schema["blocks"][key])]
+    obj = {
+        "kind": kind,
+        "spaces": {space: {"dim": 3} for space in schema["spaces"]},
+        "blocks": {key: [[idx, "1"]]},
+    }
+    path = tmp_path / f"{key}.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: blocks.{key}: ") and err.count("\n") == 1
 
 
 def _index(draw, dim, damaged):

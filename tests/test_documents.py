@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import json
 import sys
 
@@ -8,17 +9,20 @@ from l2b import catalog
 from l2b.bicross import abelian_dual_pair
 from l2b.exact import SparseTensor
 from l2b.liecore import LieAlgebra
-from l2b.twoterm import CrossedModuleData, TwoVectorSpace
+from l2b.twoterm import CrossedModuleData, TwoVectorSpace, star_label
 from l2b.documents import (
     DocumentError,
+    StructureDocument,
     UnsupportedMethod,
     build_crossed_module,
     build_lie2_bialgebra,
     build_weak_lie2,
+    check_duality_identity,
     doc_from_crossed_module,
     doc_from_lie2_bialgebra,
     doc_from_weak_lie2,
     dualize_document,
+    dvb_dual,
     parse_document,
     run_verifier,
     serialize_document,
@@ -175,6 +179,50 @@ def test_dualize_dvb_ops():
     assert serialize_document(dualize_document(vd, "dvb_vertical")) == serialize_document(doc)
     fl = dualize_document(doc, "flip")
     assert (fl.spaces["side_h"].dim, fl.spaces["side_v"].dim) == (3, 2)
+
+
+def _rendered(spaces):
+    """Each declared space as ``(name, dim)``, the name starred if dual."""
+    return tuple((d.name + ("*" if d.dual else ""), d.dim) for d in spaces.values())
+
+
+def _star(space):
+    name, dim = space
+    return star_label(name), dim
+
+
+def test_dualize_dvb_from_every_declaration():
+    # dims in {0, 1, 2} and every dual flag; the names are given where the
+    # dims sum to an even number and otherwise default to the slot keys
+    slots = ("side_h", "side_v", "core")
+    declarations = itertools.product(
+        itertools.product(range(3), repeat=3), itertools.product((False, True), repeat=3)
+    )
+    for n, (dims, duals) in enumerate(declarations):
+        named = sum(dims) % 2 == 0
+        spaces = {
+            slot: {"dim": dim, "dual": dual, **({"name": "ABC"[i]} if named else {})}
+            for i, (slot, dim, dual) in enumerate(zip(slots, dims, duals))
+        }
+        obj = {"kind": "dvb", "name": f"d{n}", "spaces": spaces}
+        doc = parse_document(json.dumps(obj).encode())
+        a, b, c = _rendered(doc.spaces)
+        expected = {
+            "dvb_vertical": (_star(c), b, _star(a)),
+            "dvb_horizontal": (a, _star(c), _star(b)),
+            "flip": (b, a, c),
+        }
+        if named and duals == (True, False, False):
+            # a starred start stays consistent: from A*, the vertical dual is (C*, B, A)
+            assert [s for s, _ in expected["dvb_vertical"]] == ["C*", "B", "A"]
+        report = check_duality_identity(doc.spaces)
+        assert report.passed and ("core_identification_sign", "-1") in report.metadata
+        for which, triple in expected.items():
+            dual = dualize_document(doc, which)
+            assert dual == StructureDocument("dvb", doc.name, dvb_dual(doc.spaces, which))
+            assert parse_document(serialize_document(dual)) == dual
+            assert dualize_document(dual, which) == doc
+            assert _rendered(dual.spaces) == triple, (which, spaces)
 
 
 def test_dualize_kind_mismatch():

@@ -12,24 +12,18 @@ from l2b.catalog import (
     axb_action_cm,
     sl2,
 )
-from l2b.documents import build_crossed_module
+from l2b.documents import SpaceDecl, build_crossed_module, check_duality_identity, dvb_dual
 from l2b import catalog
 from l2b.exact import DimensionMismatch, SparseTensor
 from l2b.liecore import LieAlgebra, verify_lie
 from l2b.twoterm import (
     CrossedModuleData,
     DerivedBracketError,
-    SpaceDescriptor,
-    SplitDvb,
     TwoVectorSpace,
     WeakLie2Data,
-    check_duality_identity,
     derived_bracket,
     derived_bracket_tensor,
     dual_two_vs,
-    dvb_flip,
-    dvb_horizontal_dual,
-    dvb_vertical_dual,
     gamma_total,
     verify_cm,
 )
@@ -273,37 +267,43 @@ def test_weak_data_jacobiator_dims_validated():
 
 
 # --- split double vector spaces ---------------------------------------------------
+# (the dvb kind's bookkeeping, which `documents` holds on its space declarations)
 
 def _dvb(da=2, db=3, dc=1):
-    return SplitDvb(
-        SpaceDescriptor("A", da), SpaceDescriptor("B", db), SpaceDescriptor("C", dc)
-    )
+    return {
+        "side_h": SpaceDecl(da, name="A"),
+        "side_v": SpaceDecl(db, name="B"),
+        "core": SpaceDecl(dc, name="C"),
+    }
+
+
+def _render(spaces):
+    return tuple(d.name + ("*" if d.dual else "") for d in spaces.values())
 
 
 def test_dvb_vertical_dual_triple():
-    d = dvb_vertical_dual(_dvb())
-    assert (d.side_h.render(), d.side_v.render(), d.core.render()) == ("C*", "B", "A*")
-    assert (d.side_h.dim, d.side_v.dim, d.core.dim) == (1, 3, 2)
+    d = dvb_dual(_dvb(), "dvb_vertical")
+    assert _render(d) == ("C*", "B", "A*")
+    assert tuple(s.dim for s in d.values()) == (1, 3, 2)
 
 
 def test_dvb_horizontal_dual_triple():
-    d = dvb_horizontal_dual(_dvb())
-    assert (d.side_h.render(), d.side_v.render(), d.core.render()) == ("A", "C*", "B*")
+    d = dvb_dual(_dvb(), "dvb_horizontal")
+    assert _render(d) == ("A", "C*", "B*")
 
 
 def test_dvb_flip_involution():
     d = _dvb()
-    assert dvb_flip(dvb_flip(d)) == d
-    assert dvb_vertical_dual(dvb_vertical_dual(d)) == d
-    assert dvb_horizontal_dual(dvb_horizontal_dual(d)) == d
+    for which in ("flip", "dvb_vertical", "dvb_horizontal"):
+        assert dvb_dual(dvb_dual(d, which), which) == d
 
 
 def test_duality_identity_dims_231():
     report = check_duality_identity(_dvb(2, 3, 1))
     assert report.passed
     assert ("core_identification_sign", "-1") in report.metadata
-    left = dvb_flip(dvb_vertical_dual(_dvb(2, 3, 1)))
-    assert (left.side_h.dim, left.side_v.dim, left.core.dim) == (3, 1, 2)
+    left = dvb_dual(dvb_dual(_dvb(2, 3, 1), "dvb_vertical"), "flip")
+    assert tuple(s.dim for s in left.values()) == (3, 1, 2)
 
 
 def test_duality_identity_zero_core():
