@@ -5,7 +5,10 @@ The CLI runs in process, under a ``sys.setprofile`` hook, over every
 catalog entry and every `gen` family at seeds 0 to N - 1, plain and
 perturbed: each document is written by ``catalog show`` or ``gen`` and
 then read back by ``verify`` under every ``--method`` and by ``dualize``
-under every ``--which``.  The hook records every Python function entered.
+under every ``--which``.  ``verify`` also reads one malformed document per
+refusal path (`refusals`), each of which must exit 2, so that the code
+that refuses a document counts as entered.  The hook records every Python
+function entered.
 The script then prints each named function of ``src/l2b`` that was never
 entered, with its line count, in source order.  Tests, the benchmark and
 the other scripts are not run, so a listed function is one that only they
@@ -71,6 +74,33 @@ def kernel_functions():
     )
 
 
+def refusals() -> dict[str, bytes]:
+    """One malformed document per refusal path, by name."""
+    # one digit more than int() reads from text; with the limit off, a dim
+    # above `MAX_DIM`
+    long_int = "1" + "0" * max(sys.get_int_max_str_digits(), 3)
+
+    def lie(dim: str, bracket: str) -> bytes:
+        return ('{"kind": "lie_algebra", "spaces": {"g": {"dim": %s}}, '
+                '"blocks": {"bracket": %s}}' % (dim, bracket)).encode()
+
+    return {
+        "not-utf8": b'{"kind": "\xff"}',
+        "syntax": b'{"kind": ',
+        "top-level": b"[]",
+        "unknown-kind": b'{"kind": "sheaf"}',
+        "unknown-field": b'{"kind": "lie_algebra", "extra": 1}',
+        "missing-space": b'{"kind": "lie_algebra", "spaces": {}}',
+        "long-int": lie(long_int, "[]"),
+        "dim": lie("-1", "[]"),
+        "not-a-pair": lie("2", '[[[0, 1, 1]]]'),
+        "out-of-range": lie("2", '[[[0, 1, 2], "1"]]'),
+        "duplicate": lie("2", '[[[0, 1, 1], "1"], [[0, 1, 1], "1"]]'),
+        "literal": lie("2", '[[[0, 1, 1], "1/0"]]'),
+        "not-antisymmetric": lie("2", '[[[0, 1, 1], "1"]]'),
+    }
+
+
 def run_cli(seeds: int) -> int:
     """Run every CLI command of the census; return the number of documents."""
     from l2b import catalog, cli
@@ -101,6 +131,13 @@ def run_cli(seeds: int) -> int:
                 cli.main(["verify", path, "--method", method, "--out", out])
             for which in DUALIZATIONS:
                 cli.main(["dualize", path, "--which", which, "--out", out])
+        for name, data in refusals().items():
+            path = os.path.join(tmp, f"refusal-{name}.json")
+            with open(path, "wb") as fh:
+                fh.write(data)
+            code = cli.main(["verify", path, "--out", out])
+            if code != 2:
+                raise RuntimeError(f"refusal document {name!r} exited {code}, not 2")
     return len(docs)
 
 

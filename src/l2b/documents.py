@@ -254,35 +254,30 @@ def parse_document(data: bytes) -> StructureDocument:
         dims = tuple(spaces[s].dim for s in axes)
         entries: dict[tuple[int, ...], Rational] = {}
         for pos, item in enumerate(entries_raw):
-            ipath = f"{path}[{pos}]"
-            _expect(
-                isinstance(item, list) and len(item) == 2,
-                ipath,
-                "must be a pair [indices, rational]",
-            )
+            # the conditions are tested first, so that only a refused entry
+            # pays for its path and message
+            if not (isinstance(item, list) and len(item) == 2):
+                raise DocumentError(f"{path}[{pos}]", "must be a pair [indices, rational]")
             idx_raw, val_raw = item
-            _expect(
-                isinstance(idx_raw, list) and all(_is_int(i) for i in idx_raw),
-                ipath,
-                "indices must be a list of integers",
-            )
-            _expect(
-                len(idx_raw) == len(dims),
-                ipath,
-                f"expected {len(dims)} indices for block {key}",
-            )
-            for ax, (i, dlim) in enumerate(zip(idx_raw, dims)):
-                _expect(
-                    0 <= i < dlim,
-                    ipath,
-                    f"index {i} out of range on axis {ax} (space {axes[ax]}, dim {dlim})",
+            if not (isinstance(idx_raw, list) and all(_is_int(i) for i in idx_raw)):
+                raise DocumentError(f"{path}[{pos}]", "indices must be a list of integers")
+            if len(idx_raw) != len(dims):
+                raise DocumentError(
+                    f"{path}[{pos}]", f"expected {len(dims)} indices for block {key}"
                 )
+            for ax, (i, dlim) in enumerate(zip(idx_raw, dims)):
+                if not 0 <= i < dlim:
+                    raise DocumentError(
+                        f"{path}[{pos}]",
+                        f"index {i} out of range on axis {ax} (space {axes[ax]}, dim {dlim})",
+                    )
             idx = tuple(idx_raw)
-            _expect(idx not in entries, ipath, f"duplicate index {list(idx)}")
+            if idx in entries:
+                raise DocumentError(f"{path}[{pos}]", f"duplicate index {list(idx)}")
             try:
                 entries[idx] = parse_rational(val_raw)
             except (ValueError, TypeError) as e:
-                raise DocumentError(ipath, str(e)) from e
+                raise DocumentError(f"{path}[{pos}]", str(e)) from e
         blocks[key] = SparseTensor._trusted(dims, {i: v for i, v in entries.items() if v})
     return StructureDocument(kind, name, spaces, blocks)
 

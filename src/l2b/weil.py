@@ -34,17 +34,21 @@ generators, whose images are those structure constants
 (Kosmann-Schwarzbach, *Derived brackets*); every bracket is a
 derivation image (`_derive`) of one of them.
 
-The checks compute on plain ``{WeilMonomial: coefficient}`` term dicts.
-A `GradedDerivation` is its total degree and the zero-free term dicts of
-its images of the generators; `_derive` applies it by adding into a dict,
-and an identity is decided on one dict holding its left side minus its
-right side.  Only total degrees are tracked, since `_derive` needs only
-their parity; the bidegrees above name the components.  A `WeilElement`
-is built only for the result of `apply_derivation` or `gerst_bracket`;
-witnesses are rendered from term dicts (`_render`).
+The checks compute on plain ``{(ext, sym): coefficient}`` term dicts.  A
+monomial ``a_ext g_sym`` is the tuple ``(ext, sym)`` of a strictly
+increasing tuple of exterior indices and a non-decreasing one of symmetric
+indices, so hashing and equality run in C; `_total_degree`, `_sort_key`
+and `_render_monomial` read it.  A `GradedDerivation` is its total degree
+and the zero-free term dicts of its images of the generators; `_derive`
+applies it by adding into a dict, and an identity is decided on one dict
+holding its left side minus its right side.  Only total degrees are
+tracked, since `_derive` needs only their parity; the bidegrees above name
+the components.  A `WeilElement` is built only for the result of
+`apply_derivation` or `gerst_bracket`; witnesses are rendered from term
+dicts (`_render`).
 
-Validation happens at the public constructors: `WeilMonomial` checks that
-its index tuples are sorted, `WeilElement` that every monomial is in
+Validation happens at the public constructors: `WeilElement` checks each
+monomial (`_monomial`: integer indices, sorted as above) and that it is in
 range, converting coefficients with `exact.rational` (an `int` when
 integral, else a `Fraction`) and dropping zeros, and `GradedDerivation`
 validates each image as `WeilElement` does and checks its total degree.
@@ -54,8 +58,7 @@ since they combine monomials and exact rational coefficients of valid
 operands of the same dims; so are the three differentials the kernel
 reads off `CrossedModuleData` and `WeakLie2Data`, whose dims and
 antisymmetry their constructors have checked, and the derivations
-``ad_x``, whose images are read off ``cm2`` the same way.  A monomial is
-an immutable ``(ext, sym)`` tuple, so hashing and equality run in C.
+``ad_x``, whose images are read off ``cm2`` the same way.
 """
 
 from __future__ import annotations
@@ -71,63 +74,37 @@ from .twoterm import CrossedModuleData, WeakLie2Data
 
 _ZERO = 0
 
+# ``a_ext g_sym``: strictly increasing exterior and non-decreasing symmetric indices
+Monomial = tuple[tuple[int, ...], tuple[int, ...]]
 
-class WeilMonomial(tuple):
-    """The monomial ``a_ext * g_sym``, stored as the tuple ``(ext, sym)``.
 
-    ``ext`` is strictly increasing and ``sym`` non-decreasing.  As a tuple
-    subclass without instance dict, hashing and equality run in C.
-    """
+def _monomial(ext, sym) -> Monomial:
+    """The monomial ``(ext, sym)`` with int indices, or `ValueError` when
+    ``ext`` is not strictly increasing or ``sym`` not sorted."""
+    ext = tuple(map(index, ext))
+    sym = tuple(map(index, sym))
+    if any(ext[i] >= ext[i + 1] for i in range(len(ext) - 1)):
+        raise ValueError(f"exterior indices not strictly increasing: {ext}")
+    if any(sym[i] > sym[i + 1] for i in range(len(sym) - 1)):
+        raise ValueError(f"symmetric indices not sorted: {sym}")
+    return (ext, sym)
 
-    __slots__ = ()
 
-    def __new__(cls, ext, sym):
-        ext = tuple(map(index, ext))
-        sym = tuple(map(index, sym))
-        if any(ext[i] >= ext[i + 1] for i in range(len(ext) - 1)):
-            raise ValueError(f"exterior indices not strictly increasing: {ext}")
-        if any(sym[i] > sym[i + 1] for i in range(len(sym) - 1)):
-            raise ValueError(f"symmetric indices not sorted: {sym}")
-        return tuple.__new__(cls, (ext, sym))
+def _total_degree(mono: Monomial) -> int:
+    ext, sym = mono
+    return len(ext) + 2 * len(sym)
 
-    @classmethod
-    def _trusted(cls, ext: tuple[int, ...], sym: tuple[int, ...]) -> "WeilMonomial":
-        """A monomial from already sorted int tuples, unchecked."""
-        return tuple.__new__(cls, (ext, sym))
 
-    def __getnewargs__(self):
-        return tuple(self)
+def _sort_key(mono: Monomial):
+    """Total degree first, then the index tuples."""
+    return (_total_degree(mono), *mono)
 
-    def __repr__(self) -> str:
-        return f"WeilMonomial(ext={self[0]!r}, sym={self[1]!r})"
 
-    @property
-    def ext(self) -> tuple[int, ...]:
-        return self[0]
-
-    @property
-    def sym(self) -> tuple[int, ...]:
-        return self[1]
-
-    @property
-    def bidegree(self) -> tuple[int, int]:
-        ext, sym = self
-        return (len(ext) + len(sym), len(sym))
-
-    @property
-    def total_degree(self) -> int:
-        ext, sym = self
-        return len(ext) + 2 * len(sym)
-
-    def sort_key(self):
-        return (self.total_degree, *self)
-
-    def render(self) -> str:
-        ext, sym = self
-        if not ext and not sym:
-            return "1"
-        return "*".join([f"a{i}" for i in ext] + [f"g{j}" for j in sym])
-
+def _render_monomial(mono: Monomial) -> str:
+    ext, sym = mono
+    if not ext and not sym:
+        return "1"
+    return "*".join([f"a{i}" for i in ext] + [f"g{j}" for j in sym])
 
 
 @dataclass(frozen=True)
@@ -139,15 +116,15 @@ class WeilElement:
     """
 
     dims: tuple[int, int]
-    terms: dict[WeilMonomial, Rational] = field(default_factory=dict)
+    terms: dict[Monomial, Rational] = field(default_factory=dict)
 
     def __post_init__(self):
         n0, n1 = self.dims
         clean = {}
         for mono, coeff in self.terms.items():
-            ext, sym = mono = WeilMonomial(*mono)
+            ext, sym = mono = _monomial(*mono)
             if any(not 0 <= i < n0 for i in ext) or any(not 0 <= j < n1 for j in sym):
-                raise ValueError(f"monomial {mono.render()} out of range for {self.dims}")
+                raise ValueError(f"monomial {_render_monomial(mono)} out of range for {self.dims}")
             q = rational(coeff)
             if q:
                 clean[mono] = q
@@ -183,23 +160,22 @@ def _add_terms(out: dict, terms: dict, sign: int) -> None:
 def _render(terms: dict) -> str:
     """The nonzero terms of ``terms`` as a sum, in monomial sort order."""
     parts = [
-        f"({format_rational(terms[mono])})*{mono.render()}"
-        for mono in sorted(terms, key=WeilMonomial.sort_key)
+        f"({format_rational(terms[mono])})*{_render_monomial(mono)}"
+        for mono in sorted(terms, key=_sort_key)
         if terms[mono]
     ]
     return " + ".join(parts) or "0"
 
 
-def _generators(dims) -> list[WeilMonomial]:
+def _generators(dims) -> list[Monomial]:
     """The generators ``a0..a{n0-1}, g0..g{n1-1}``, in monomial sort order.
 
-    Under `WeilMonomial.sort_key` every generator sorts before every
-    product of two or more generators (``a_i a_j`` has the same total degree
-    as ``g_k`` but a non-empty exterior part).
+    Under `_sort_key` every generator sorts before every product of two or
+    more generators (``a_i a_j`` has the same total degree as ``g_k`` but a
+    non-empty exterior part).
     """
     n0, n1 = dims
-    trusted = WeilMonomial._trusted
-    return [trusted((i,), ()) for i in range(n0)] + [trusted((), (j,)) for j in range(n1)]
+    return [((i,), ()) for i in range(n0)] + [((), (j,)) for j in range(n1)]
 
 
 # --- graded derivations -------------------------------------------------------
@@ -219,8 +195,8 @@ class GradedDerivation:
 
     dims: tuple[int, int]
     total_degree: int
-    ext_images: tuple[dict[WeilMonomial, Rational], ...]
-    sym_images: tuple[dict[WeilMonomial, Rational], ...]
+    ext_images: tuple[dict[Monomial, Rational], ...]
+    sym_images: tuple[dict[Monomial, Rational], ...]
 
     def __post_init__(self):
         n0, n1 = self.dims
@@ -232,7 +208,7 @@ class GradedDerivation:
         degree = index(self.total_degree)
         for name, gen_degree in (("ext_images", 1), ("sym_images", 2)):
             images = tuple(WeilElement(self.dims, img).terms for img in getattr(self, name))
-            if any(m.total_degree != gen_degree + degree for img in images for m in img):
+            if any(_total_degree(m) != gen_degree + degree for img in images for m in img):
                 raise ValueError("image total degree inconsistent with derivation degree")
             object.__setattr__(self, name, images)
         object.__setattr__(self, "total_degree", degree)
@@ -263,7 +239,6 @@ def _derive(d: GradedDerivation, terms: dict, out: dict, sign: int) -> None:
     index.  Symmetric factors are even and only get sorted.
     """
     ext_images, sym_images, dodd = d.ext_images, d.sym_images, d.total_degree % 2
-    new = tuple.__new__
     for (ext, sym), coeff in terms.items():
         if sign < 0:
             coeff = -coeff
@@ -291,16 +266,16 @@ def _derive(d: GradedDerivation, terms: dict, out: dict, sign: int) -> None:
                             break
                         odd += k
                     else:
-                        m = new(WeilMonomial, (tuple(sorted(rest + ie)), sm))
+                        m = (tuple(sorted(rest + ie)), sm)
                         out[m] = out.get(m, _ZERO) + (-v if odd & 1 else v)
                     continue
-                m = new(WeilMonomial, (rest or ie, sm))
+                m = (rest or ie, sm)
                 out[m] = out.get(m, _ZERO) + v
 
 
 def _apply(d: GradedDerivation, terms: dict, sign: int = 1) -> dict:
     """The zero-free term dict of ``sign * d(terms)``."""
-    out: dict[WeilMonomial, Rational] = {}
+    out: dict[Monomial, Rational] = {}
     _derive(d, terms, out, sign)
     return _clean(out)
 
@@ -338,7 +313,7 @@ def graded_commutator(d1: GradedDerivation, d2: GradedDerivation) -> GradedDeriv
     sign = -1 if (d1.total_degree * d2.total_degree) % 2 else 1
 
     def comm_on(img2: dict, img1: dict) -> dict:
-        out: dict[WeilMonomial, Rational] = {}
+        out: dict[Monomial, Rational] = {}
         _derive(d1, img2, out, 1)
         _derive(d2, img1, out, -sign)
         return _clean(out)
@@ -391,17 +366,16 @@ def cm_differentials(cm: CrossedModuleData) -> tuple[GradedDerivation, GradedDer
     ``delta_h(g_b)`` on ``x (x) c`` to ``-g_b(x.c)``.
     """
     n0, n1 = dims = (cm.dim0, cm.dim1)
-    trusted = WeilMonomial._trusted
-    dv: list[dict[WeilMonomial, Rational]] = [{} for _ in range(n0)]
+    dv: list[dict[Monomial, Rational]] = [{} for _ in range(n0)]
     for (a, b), v in cm.tvs.partial.entries.items():
-        dv[a][trusted((), (b,))] = v
-    dh_ext: list[dict[WeilMonomial, Rational]] = [{} for _ in range(n0)]
+        dv[a][((), (b,))] = v
+    dh_ext: list[dict[Monomial, Rational]] = [{} for _ in range(n0)]
     for (p, q, k), v in cm.base.bracket.entries.items():
         if p < q:
-            dh_ext[k][trusted((p, q), ())] = -v
-    dh_sym: list[dict[WeilMonomial, Rational]] = [{} for _ in range(n1)]
+            dh_ext[k][((p, q), ())] = -v
+    dh_sym: list[dict[Monomial, Rational]] = [{} for _ in range(n1)]
     for (i, j, k), v in cm.action.entries.items():
-        dh_sym[k][trusted((i,), (j,))] = -v
+        dh_sym[k][((i,), (j,))] = -v
     return (
         GradedDerivation._trusted(dims, 1, tuple(dv), ({},) * n1),
         GradedDerivation._trusted(dims, 1, tuple(dh_ext), tuple(dh_sym)),
@@ -411,10 +385,10 @@ def cm_differentials(cm: CrossedModuleData) -> tuple[GradedDerivation, GradedDer
 def build_delta_j(w: WeakLie2Data) -> GradedDerivation:
     """The bidegree (2,-1) component dual to the Jacobiator l3: wedge^3 g0 -> g1."""
     n0, n1 = dims = (w.cm.dim0, w.cm.dim1)
-    sym: list[dict[WeilMonomial, Rational]] = [{} for _ in range(n1)]
+    sym: list[dict[Monomial, Rational]] = [{} for _ in range(n1)]
     for (i, j, k, b), v in w.jacobiator.entries.items():
         if i < j < k:
-            sym[b][WeilMonomial._trusted((i, j, k), ())] = -v
+            sym[b][((i, j, k), ())] = -v
     return GradedDerivation._trusted(dims, 1, ({},) * n0, tuple(sym))
 
 
@@ -485,13 +459,12 @@ def _brackets(cm2: CrossedModuleData) -> list[list[dict]]:
     skew because `LieAlgebra` refuses a bracket that is not antisymmetric.
     """
     n0, n1 = cm2.dim1, cm2.dim0
-    trusted = WeilMonomial._trusted
     br = [[{} for _ in range(n0 + n1)] for _ in range(n0 + n1)]
     for (i, j, k), v in cm2.action.entries.items():
-        br[n0 + i][j][trusted((k,), ())] = v
-        br[j][n0 + i][trusted((k,), ())] = -v
+        br[n0 + i][j][((k,), ())] = v
+        br[j][n0 + i][((k,), ())] = -v
     for (i, j, k), v in cm2.base.bracket.entries.items():
-        br[n0 + i][n0 + j][trusted((), (k,))] = v
+        br[n0 + i][n0 + j][((), (k,))] = v
     return br
 
 
@@ -502,7 +475,7 @@ def _bracket_table(cm2: CrossedModuleData):
     ``|x_p| - 2``, whose images are the rows ``br[p]``."""
     dims = n0, _ = (cm2.dim1, cm2.dim0)
     gens = _generators(dims)
-    deg = [m.total_degree for m in gens]
+    deg = [_total_degree(m) for m in gens]
     br = _brackets(cm2)
     ads = [
         GradedDerivation._trusted(dims, t - 2, tuple(row[:n0]), tuple(row[n0:]))
@@ -528,10 +501,10 @@ def gerst_bracket(cm2: CrossedModuleData, a: WeilElement, b: WeilElement) -> Wei
     if a.dims != dims or b.dims != dims:
         raise DimensionMismatch(f"{a.dims}/{b.dims} vs structure dims {dims}")
     n0 = dims[0]
-    parts: dict[int, dict[WeilMonomial, Rational]] = {}
+    parts: dict[int, dict[Monomial, Rational]] = {}
     for mono, coeff in a.terms.items():
-        parts.setdefault(mono.total_degree, {})[mono] = coeff
-    out: dict[WeilMonomial, Rational] = {}
+        parts.setdefault(_total_degree(mono), {})[mono] = coeff
+    out: dict[Monomial, Rational] = {}
     for t, terms in parts.items():
         images = [_apply(ad, terms, _swap_sign(t, dy)) for ad, dy in zip(ads, deg)]
         ad_a = GradedDerivation._trusted(dims, t - 2, tuple(images[:n0]), tuple(images[n0:]))
@@ -570,13 +543,13 @@ def check_gerst_axioms(cm2: CrossedModuleData) -> VerificationReport:
     for p, q, r in itertools.combinations_with_replacement(range(len(gens)), 3):
         if not (br[q][r] or br[p][q] or br[p][r]):
             continue  # all three brackets are zero, and so both sides
-        diff: dict[WeilMonomial, Rational] = {}
+        diff: dict[Monomial, Rational] = {}
         sides(p, q, r, diff, diff, -1)
         if any(diff.values()):
-            lhs: dict[WeilMonomial, Rational] = {}
-            rhs: dict[WeilMonomial, Rational] = {}
+            lhs: dict[Monomial, Rational] = {}
+            rhs: dict[Monomial, Rational] = {}
             sides(p, q, r, lhs, rhs, 1)
-            at = f"({gens[p].render()}, {gens[q].render()}, {gens[r].render()})"
+            at = f"({', '.join(_render_monomial(gens[x]) for x in (p, q, r))})"
             witness = Witness((), _render(lhs), _render(rhs), at=at)
             break
     return VerificationReport((Check("jacobi", witness is None, witness),))
@@ -608,12 +581,12 @@ def check_derivation_of_bracket(
         if not (br[p][q] or ad_d[q][p] or ad_d[p][q]):
             continue  # all three parts are zero
         # d[x_p, x_q] - [d x_p, x_q] - (-1)^|x_p| [x_p, d x_q]
-        dft: dict[WeilMonomial, Rational] = {}
+        dft: dict[Monomial, Rational] = {}
         _derive(d, br[p][q], dft, 1)
         _add_terms(dft, ad_d[q][p], -_swap_sign(deg[p] + 1, deg[q]))
         _add_terms(dft, ad_d[p][q], 1 if deg[p] % 2 else -1)
         if any(dft.values()):
-            at = f"({gens[p].render()}, {gens[q].render()})"
+            at = f"({', '.join(_render_monomial(gens[x]) for x in (p, q))})"
             witness = Witness((), _render(dft), "0", at=at)
             break
     return VerificationReport((Check("generator_pairs", witness is None, witness),))

@@ -20,8 +20,8 @@ It also holds element-level oracles for `l2b.weil.apply_derivation` and
 `l2b.weil.gerst_bracket`, which compute the same values the long way,
 through element products and sums.  The element algebra (``weil_zero`` to
 ``weil_mul``) is its own: it builds every result through the validating
-`WeilElement` and `WeilMonomial` constructors and shares no arithmetic with
-the kernel.
+`WeilElement` constructor, which checks each ``(ext, sym)`` monomial key,
+and shares no arithmetic with the kernel.
 """
 
 import itertools
@@ -29,14 +29,21 @@ import itertools
 from l2b.exact import DimensionMismatch
 from l2b.liecore import Check, VerificationReport, Witness
 from l2b.twoterm import CrossedModuleData
-from l2b.weil import GradedDerivation, WeilElement, WeilMonomial
+from l2b.weil import (
+    GradedDerivation,
+    Monomial,
+    WeilElement,
+    _render_monomial as render,
+    _sort_key,
+    _total_degree as total_degree,
+)
 
 from crossed_module_oracle import _VALUES, random_candidate
 
 
 # --- the element algebra ------------------------------------------------------------
 
-ONE = WeilMonomial((), ())
+ONE = ((), ())
 
 
 def weil_zero(dims) -> WeilElement:
@@ -48,11 +55,11 @@ def weil_one(dims) -> WeilElement:
 
 
 def weil_alpha(dims, i: int) -> WeilElement:
-    return WeilElement(tuple(dims), {WeilMonomial((i,), ()): 1})
+    return WeilElement(tuple(dims), {((i,), ()): 1})
 
 
 def weil_gamma(dims, j: int) -> WeilElement:
-    return WeilElement(tuple(dims), {WeilMonomial((), (j,)): 1})
+    return WeilElement(tuple(dims), {((), (j,)): 1})
 
 
 def _same_dims(a: WeilElement, b: WeilElement) -> None:
@@ -86,7 +93,7 @@ def weil_mul(a: WeilElement, b: WeilElement) -> WeilElement:
             if set(e1) & set(e2):
                 continue
             sign = -1 if sum(1 for x in e1 for y in e2 if x > y) % 2 else 1
-            mono = WeilMonomial(sorted(e1 + e2), sorted(s1 + s2))
+            mono = (tuple(sorted(e1 + e2)), tuple(sorted(s1 + s2)))
             out[mono] = out.get(mono, 0) + sign * c1 * c2
     return WeilElement(a.dims, out)
 
@@ -102,19 +109,19 @@ def apply_derivation_by_products(d: GradedDerivation, a: WeilElement) -> WeilEle
     """
     dodd = d.total_degree % 2
     out = weil_zero(a.dims)
-    for mono, coeff in a.terms.items():
-        gens = [("ext", i) for i in mono.ext] + [("sym", j) for j in mono.sym]
+    for (ext, sym), coeff in a.terms.items():
+        gens = [("ext", i) for i in ext] + [("sym", j) for j in sym]
         prefix_deg = 0
         for pos, (kind, idx) in enumerate(gens):
             img = d.ext_images[idx] if kind == "ext" else d.sym_images[idx]
             if img:
                 sign = -1 if (dodd and prefix_deg % 2) else 1
-                pre_ext = mono.ext[:pos] if kind == "ext" else mono.ext
-                pre_sym = () if kind == "ext" else mono.sym[: pos - len(mono.ext)]
-                suf_ext = mono.ext[pos + 1 :] if kind == "ext" else ()
-                suf_sym = mono.sym if kind == "ext" else mono.sym[pos - len(mono.ext) + 1 :]
-                prefix = WeilElement(a.dims, {WeilMonomial(pre_ext, pre_sym): 1})
-                suffix = WeilElement(a.dims, {WeilMonomial(suf_ext, suf_sym): 1})
+                pre_ext = ext[:pos] if kind == "ext" else ext
+                pre_sym = () if kind == "ext" else sym[: pos - len(ext)]
+                suf_ext = ext[pos + 1 :] if kind == "ext" else ()
+                suf_sym = sym if kind == "ext" else sym[pos - len(ext) + 1 :]
+                prefix = WeilElement(a.dims, {(pre_ext, pre_sym): 1})
+                suffix = WeilElement(a.dims, {(suf_ext, suf_sym): 1})
                 term = weil_mul(weil_mul(prefix, WeilElement(a.dims, img)), suffix)
                 out = weil_add(out, weil_scale(sign * coeff, term))
             prefix_deg += 1 if kind == "ext" else 2
@@ -141,7 +148,7 @@ class MonomialBracket:
         self.dims = weil_dims(cm2)
         self.cache: dict = {}
 
-    def _elt(self, m: WeilMonomial) -> WeilElement:
+    def _elt(self, m: Monomial) -> WeilElement:
         return WeilElement(self.dims, {m: 1})
 
     def table(self, g1, g2) -> WeilElement:
@@ -153,24 +160,24 @@ class MonomialBracket:
         if kind1 == "sym" and kind2 == "sym":
             return WeilElement(
                 dims,
-                {WeilMonomial((), (k,)): v for (a, b, k), v in self.cm2.base.bracket.entries.items()
+                {((), (k,)): v for (a, b, k), v in self.cm2.base.bracket.entries.items()
                  if (a, b) == (i, j)},
             )
         if kind1 == "sym":
             return WeilElement(
                 dims,
-                {WeilMonomial((k,), ()): v for (a, b, k), v in self.cm2.action.entries.items()
+                {((k,), ()): v for (a, b, k), v in self.cm2.action.entries.items()
                  if (a, b) == (i, j)},
             )
         # [a_i, g_j] = -(-1)^(1*2) [g_j, a_i] = -[g_j, a_i]
         return weil_scale(-1, self.table(g2, g1))
 
-    def mono(self, m1: WeilMonomial, m2: WeilMonomial) -> WeilElement:
+    def mono(self, m1: Monomial, m2: Monomial) -> WeilElement:
         key = (m1, m2)
         if key in self.cache:
             return self.cache[key]
-        k1 = len(m1.ext) + len(m1.sym)
-        k2 = len(m2.ext) + len(m2.sym)
+        k1 = len(m1[0]) + len(m1[1])
+        k2 = len(m2[0]) + len(m2[1])
         if k1 == 0 or k2 == 0:
             result = weil_zero(self.dims)
         elif k1 == 1 and k2 == 1:
@@ -179,14 +186,14 @@ class MonomialBracket:
             g, rest = _peel(m1)
             g_mono = _gen_mono(*g)
             first = weil_mul(self._elt(g_mono), self.mono(rest, m2))
-            sign = -1 if (rest.total_degree * m2.total_degree) % 2 else 1
+            sign = -1 if (total_degree(rest) * total_degree(m2)) % 2 else 1
             second = weil_mul(self.mono(g_mono, m2), self._elt(rest))
             result = weil_add(first, weil_scale(sign, second))
         else:
             h, rest2 = _peel(m2)
             h_mono = _gen_mono(*h)
             first = weil_mul(self.mono(m1, h_mono), self._elt(rest2))
-            sign = -1 if (m1.total_degree * h_mono.total_degree) % 2 else 1
+            sign = -1 if (total_degree(m1) * total_degree(h_mono)) % 2 else 1
             second = weil_mul(self._elt(h_mono), self.mono(m1, rest2))
             result = weil_add(first, weil_scale(sign, second))
         self.cache[key] = result
@@ -200,15 +207,16 @@ class MonomialBracket:
         return out
 
 
-def _gen_mono(kind: str, idx: int) -> WeilMonomial:
-    return WeilMonomial((idx,), ()) if kind == "ext" else WeilMonomial((), (idx,))
+def _gen_mono(kind: str, idx: int) -> Monomial:
+    return ((idx,), ()) if kind == "ext" else ((), (idx,))
 
 
-def _peel(m: WeilMonomial):
+def _peel(m: Monomial):
     """Split off the first generator in canonical order."""
-    if m.ext:
-        return ("ext", m.ext[0]), WeilMonomial(m.ext[1:], m.sym)
-    return ("sym", m.sym[0]), WeilMonomial((), m.sym[1:])
+    ext, sym = m
+    if ext:
+        return ("ext", ext[0]), (ext[1:], sym)
+    return ("sym", sym[0]), ((), sym[1:])
 
 
 def gerst_bracket_by_sums(G: CrossedModuleData, a: WeilElement, b: WeilElement) -> WeilElement:
@@ -224,20 +232,18 @@ def enumerate_monomials(dims, degree_bound: int):
         for ext in itertools.combinations(range(n0), r):
             for s in range((degree_bound - r) // 2 + 1):
                 for sym in itertools.combinations_with_replacement(range(n1), s):
-                    out.append(WeilMonomial(ext, sym))
-    out.sort(key=WeilMonomial.sort_key)
+                    out.append((ext, sym))
+    out.sort(key=_sort_key)
     return out
 
 
 def generators(dims):
     """The generators ``a0..a{n0-1}, g0..g{n1-1}``, in monomial sort order."""
     n0, n1 = dims
-    return [WeilMonomial((i,), ()) for i in range(n0)] + [
-        WeilMonomial((), (j,)) for j in range(n1)
-    ]
+    return [((i,), ()) for i in range(n0)] + [((), (j,)) for j in range(n1)]
 
 
-def _elt(G: CrossedModuleData, m: WeilMonomial) -> WeilElement:
+def _elt(G: CrossedModuleData, m: Monomial) -> WeilElement:
     return WeilElement(weil_dims(G), {m: 1})
 
 
@@ -251,43 +257,43 @@ def gerst_axioms_over(G: CrossedModuleData, monos, degree_bound: int) -> Verific
     skew_witness = None
     for m1, m2 in itertools.combinations_with_replacement(monos, 2):
         lhs = B.mono(m1, m2)
-        sign = -1 if (m1.total_degree * m2.total_degree) % 2 else 1
+        sign = -1 if (total_degree(m1) * total_degree(m2)) % 2 else 1
         rhs = weil_scale(-sign, B.mono(m2, m1))
         if lhs != rhs and skew_witness is None:
             skew_witness = Witness(
-                (), lhs.render(), rhs.render(), at=f"({m1.render()}, {m2.render()})"
+                (), lhs.render(), rhs.render(), at=f"({render(m1)}, {render(m2)})"
             )
 
     jacobi_witness = None
     for m1, m2, m3 in itertools.combinations_with_replacement(monos, 3):
         lhs = B.bracket(_elt(G, m1), B.mono(m2, m3))
         rhs = B.bracket(B.mono(m1, m2), _elt(G, m3))
-        sign = -1 if (m1.total_degree * m2.total_degree) % 2 else 1
+        sign = -1 if (total_degree(m1) * total_degree(m2)) % 2 else 1
         rhs = weil_add(rhs, weil_scale(sign, B.bracket(_elt(G, m2), B.mono(m1, m3))))
         if lhs != rhs and jacobi_witness is None:
             jacobi_witness = Witness(
                 (),
                 lhs.render(),
                 rhs.render(),
-                at=f"({m1.render()}, {m2.render()}, {m3.render()})",
+                at=f"({render(m1)}, {render(m2)}, {render(m3)})",
             )
 
     leibniz_witness = None
     for m1 in monos:
         for m2, m3 in itertools.combinations_with_replacement(monos, 2):
-            if m2.total_degree + m3.total_degree > degree_bound:
+            if total_degree(m2) + total_degree(m3) > degree_bound:
                 continue
             prod = weil_mul(_elt(G, m2), _elt(G, m3))
             lhs = B.bracket(_elt(G, m1), prod)
             rhs = weil_mul(B.mono(m1, m2), _elt(G, m3))
-            sign = -1 if (m1.total_degree * m2.total_degree) % 2 else 1
+            sign = -1 if (total_degree(m1) * total_degree(m2)) % 2 else 1
             rhs = weil_add(rhs, weil_scale(sign, weil_mul(_elt(G, m2), B.mono(m1, m3))))
             if lhs != rhs and leibniz_witness is None:
                 leibniz_witness = Witness(
                     (),
                     lhs.render(),
                     rhs.render(),
-                    at=f"({m1.render()}; {m2.render()}, {m3.render()})",
+                    at=f"({render(m1)}; {render(m2)}, {render(m3)})",
                 )
 
     return VerificationReport(
@@ -315,11 +321,11 @@ def derivation_of_bracket_over(
     """d[x,y] = [d x, y] + (-1)^|x| [x, d y] on generator pairs and on sorted pairs of ``monos``."""
     B = MonomialBracket(G)
 
-    def defect(m1: WeilMonomial, m2: WeilMonomial) -> WeilElement:
+    def defect(m1: Monomial, m2: Monomial) -> WeilElement:
         e1, e2 = _elt(G, m1), _elt(G, m2)
         lhs = apply_derivation_by_products(d, B.mono(m1, m2))
         rhs = B.bracket(apply_derivation_by_products(d, e1), e2)
-        sign = -1 if m1.total_degree % 2 else 1
+        sign = -1 if total_degree(m1) % 2 else 1
         rhs = weil_add(rhs, weil_scale(sign, B.bracket(e1, apply_derivation_by_products(d, e2))))
         return weil_sub(lhs, rhs)
 
@@ -328,13 +334,13 @@ def derivation_of_bracket_over(
     for m1, m2 in itertools.product(gens, gens):
         dft = defect(m1, m2)
         if not dft.is_zero() and gen_witness is None:
-            gen_witness = Witness((), dft.render(), "0", at=f"({m1.render()}, {m2.render()})")
+            gen_witness = Witness((), dft.render(), "0", at=f"({render(m1)}, {render(m2)})")
 
     mono_witness = None
     for m1, m2 in itertools.combinations_with_replacement(monos, 2):
         dft = defect(m1, m2)
         if not dft.is_zero() and mono_witness is None:
-            mono_witness = Witness((), dft.render(), "0", at=f"({m1.render()}, {m2.render()})")
+            mono_witness = Witness((), dft.render(), "0", at=f"({render(m1)}, {render(m2)})")
 
     return VerificationReport(
         (
@@ -381,7 +387,7 @@ def random_table_and_derivation(rng):
     monos = enumerate_monomials(dims, 2 + degree)
 
     def image(gen_degree: int) -> dict:
-        of_degree = [m for m in monos if m.total_degree == gen_degree + degree]
+        of_degree = [m for m in monos if total_degree(m) == gen_degree + degree]
         if kind == "zero" or not of_degree:
             return {}
         return {rng.choice(of_degree): rng.choice(_VALUES) for _ in range(rng.randrange(3))}

@@ -126,6 +126,37 @@ def test_parse_rejects_duplicate_entries():
     assert "duplicate" in str(err.value)
 
 
+# each per-entry refusal of a block, as the second entry of a crossed
+# module's action block on g0 (dim 2) x g1 (dim 3) x g1
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ([[0, 0, 0]], "must be a pair [indices, rational]"),
+        ("0", "must be a pair [indices, rational]"),
+        ([[0, 0.5, 0], "1"], "indices must be a list of integers"),
+        ([[0, "1", 0], "1"], "indices must be a list of integers"),
+        ([[0, True, 0], "1"], "indices must be a list of integers"),
+        ([[0, 0], "1"], "expected 3 indices for block action"),
+        ([[2, 0, 0], "1"], "index 2 out of range on axis 0 (space g0, dim 2)"),
+        ([[0, 3, 0], "1"], "index 3 out of range on axis 1 (space g1, dim 3)"),
+        ([[0, 0, -1], "1"], "index -1 out of range on axis 2 (space g1, dim 3)"),
+        ([[0, 0, 1], "2"], "duplicate index [0, 0, 1]"),
+        ([[0, 1, 1], "1/0"], "bad rational literal '1/0': zero denominator"),
+        ([[0, 1, 1], 1], "bad rational literal 1: expected 'p' or 'p/q'"),
+    ],
+)
+def test_parse_entry_refusals_name_path_and_message(entry, message):
+    doc = {
+        "kind": "crossed_module",
+        "spaces": {"g0": {"dim": 2}, "g1": {"dim": 3}},
+        "blocks": {"action": [[[0, 0, 1], "1"], entry]},
+    }
+    with pytest.raises(DocumentError) as err:
+        parse_document(json.dumps(doc).encode())
+    assert str(err.value) == f"blocks.action[1]: {message}"
+    assert err.value.path == "blocks.action[1]"
+
+
 def test_parse_syntax_error_carries_position():
     with pytest.raises(DocumentError) as err:
         parse_document(b'{"kind": ')

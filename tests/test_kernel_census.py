@@ -24,3 +24,6 @@ def test_kernel_census_lists_never_entered_functions():
     listed = {line.split()[0] for line in proc.stdout.splitlines() if line.startswith("  ")}
     assert "weil.check_square_zero" in listed  # only the benchmark's tracer names it
     assert "twoterm.verify_cm" not in listed
+    # the census reads malformed documents too, so refusing one counts
+    assert "documents.DocumentError.__init__" not in listed
+    assert "documents._long_int_path" not in listed

@@ -24,13 +24,20 @@ from l2b.liecore import (
     verify_lie,
     verify_rep,
 )
-from l2b.documents import build_crossed_module, build_lie2_bialgebra, parse_document
+from l2b import catalog
+from l2b.documents import (
+    build_bialgebra,
+    build_crossed_module,
+    build_lie2_bialgebra,
+    parse_document,
+)
 from l2b.twoterm import DerivedBracketError, gamma_total
 
 import random
 
 from conftest import bench_workloads
 from cocycle_oracle import random_bialgebra_candidate, verify_cocycle_by_pairs
+from drinfeld_double_oracle import is_lie_bialgebra
 from jacobi_oracle import verify_lie_by_fold
 
 
@@ -344,6 +351,24 @@ def test_bialgebra_duality_symmetry(seed):
 def test_cocycle_equals_pair_oracle(seed):
     g, d = random_bialgebra_candidate(random.Random(seed))
     assert verify_cocycle(g, d).checks == verify_cocycle_by_pairs(g, d).checks
+
+
+def test_drinfeld_double_decides_bialgebras():
+    # the catalog's bialgebra documents and random candidates, valid and
+    # invalid alike: the double is a Lie algebra iff the cocycle verdict passes
+    cases = [
+        build_bialgebra(entry.document)
+        for entry in catalog.entries()
+        if entry.kind == "bialgebra"
+    ]
+    assert len(cases) == 2
+    cases += [random_bialgebra_candidate(random.Random(seed)) for seed in range(40)]
+    verdicts = Counter()
+    for g, d in cases:
+        passed = verify_cocycle(g, d).passed
+        assert is_lie_bialgebra(g, d) == passed
+        verdicts[passed] += 1
+    assert verdicts[True] and verdicts[False]
 
 
 def test_pair_oracle_candidates_pass_and_fail():

@@ -20,6 +20,7 @@ from l2b.liecore import LieAlgebra, LieCobracket
 from l2b.weil import (
     GradedDerivation,
     WeilElement,
+    _total_degree,
     apply_derivation,
     derivation_sum,
     gerst_bracket,
@@ -88,7 +89,7 @@ def table_and_derivation(draw):
     monos = enumerate_monomials(dims, 2 + degree)
 
     def image(gen_degree):
-        of_degree = [m for m in monos if m.total_degree == gen_degree + degree]
+        of_degree = [m for m in monos if _total_degree(m) == gen_degree + degree]
         if not of_degree:
             return {}
         return draw(st.dictionaries(st.sampled_from(of_degree), mixed, max_size=2))
