@@ -98,6 +98,9 @@ def refusals() -> dict[str, bytes]:
         "duplicate": lie("2", '[[[0, 1, 1], "1"], [[0, 1, 1], "1"]]'),
         "literal": lie("2", '[[[0, 1, 1], "1/0"]]'),
         "not-antisymmetric": lie("2", '[[[0, 1, 1], "1"]]'),
+        # the first bracket is not antisymmetric, the second is
+        "repeated-key": lie("2", '[[[0, 1, 1], "1"], [[1, 0, 1], "1"]], '
+                                 '"bracket": [[[0, 1, 1], "1"], [[1, 0, 1], "-1"]]'),
     }
 
 

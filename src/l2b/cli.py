@@ -1,9 +1,11 @@
 """Command-line interface: verify, dualize, gen, catalog.
 
 Exit codes: 0 verification passed (or command succeeded), 1 verification
-failed, 2 input or usage error.  Reports and documents go to stdout (or
-``--out``); diagnostics go to stderr.  Every command is a pure function of
-its inputs, flags and seed, so repeated runs are byte-identical.
+failed, 2 input or usage error (one ``error:`` line) or a defect of the
+kernel (one ``internal error:`` line, without a traceback).  Reports and
+documents go to stdout (or ``--out``); diagnostics go to stderr.  Every
+command is a pure function of its inputs, flags and seed, so repeated runs
+are byte-identical.
 """
 
 from __future__ import annotations
@@ -123,15 +125,18 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ValueError, catalog.RetryExhaustion) as e:
-        # DocumentError, UnsupportedMethod, dimension and construction-invariant
-        # failures are all ValueError subclasses: every one of them is an input
-        # problem, exit code 2
+    except (DocumentError, UnsupportedMethod, catalog.UnknownFamily, catalog.RetryExhaustion) as e:
+        # the input errors: a malformed or unreadable document, a method,
+        # dualization, family or instance that does not apply or exist
         sys.stderr.write(f"error: {e}\n")
         return 2
     except OSError as e:
         # an output path that cannot be written, or a closed stdout
         sys.stderr.write(f"error: cannot write output: {e}\n")
+        return 2
+    except Exception as e:
+        # anything else is a defect of the kernel, not of the input
+        sys.stderr.write(f"internal error: {type(e).__name__}: {e}\n")
         return 2
 
 

@@ -174,16 +174,29 @@ def _long_int_path(obj) -> str:
     return ""
 
 
+def _unique_keys(pairs: list) -> dict:
+    """The JSON object of ``pairs``, refusing a repeated key, of which
+    `json.loads` would keep only the last value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [k for k, _ in pairs]
+        key = next(k for i, k in enumerate(keys) if k in keys[:i])
+        raise DocumentError("", f"repeated key {key!r}")
+    return obj
+
+
 def _load_json(text: str):
     try:
         try:
-            return json.loads(text)
-        except json.JSONDecodeError:
+            return json.loads(text, object_pairs_hook=_unique_keys)
+        except (json.JSONDecodeError, DocumentError):
             raise
         except ValueError:
             # an integer of more digits than int() reads from text: read the
             # text again, keeping each integer's digits, to name the first
-            path = _long_int_path(json.loads(text, parse_int=_IntText))
+            path = _long_int_path(
+                json.loads(text, parse_int=_IntText, object_pairs_hook=_unique_keys)
+            )
             limit = sys.get_int_max_str_digits()
             raise DocumentError(path, f"integer of more than {limit} digits") from None
     except json.JSONDecodeError as e:

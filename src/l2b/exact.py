@@ -154,9 +154,6 @@ class SparseTensor:
     def get(self, idx) -> Rational:
         return self.entries.get(tuple(idx), _ZERO)
 
-    def is_zero(self) -> bool:
-        return not self.entries
-
     def add(self, other: "SparseTensor") -> "SparseTensor":
         if self.dims != other.dims:
             raise DimensionMismatch(f"{self.dims} vs {other.dims}")

@@ -228,10 +228,6 @@ class LieCobracket:
             raise ValueError(f"cobracket tensor not antisymmetric at {bad}")
 
     @classmethod
-    def zero(cls, n: int) -> "LieCobracket":
-        return cls(n, SparseTensor.zero((n, n, n)))
-
-    @classmethod
     def from_table(cls, n: int, table) -> "LieCobracket":
         """Build from ``{i: {(j, k): coeff}}`` for j < k; the mirror is filled in."""
         entries: dict[tuple[int, int, int], Rational] = {}

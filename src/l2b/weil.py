@@ -38,27 +38,22 @@ The checks compute on plain ``{(ext, sym): coefficient}`` term dicts.  A
 monomial ``a_ext g_sym`` is the tuple ``(ext, sym)`` of a strictly
 increasing tuple of exterior indices and a non-decreasing one of symmetric
 indices, so hashing and equality run in C; `_total_degree`, `_sort_key`
-and `_render_monomial` read it.  A `GradedDerivation` is its total degree
-and the zero-free term dicts of its images of the generators; `_derive`
-applies it by adding into a dict, and an identity is decided on one dict
-holding its left side minus its right side.  Only total degrees are
-tracked, since `_derive` needs only their parity; the bidegrees above name
-the components.  A `WeilElement` is built only for the result of
-`apply_derivation` or `gerst_bracket`; witnesses are rendered from term
-dicts (`_render`).
+and `_render_monomial` read it.  A `GradedDerivation` is the record of its
+dims, its total degree and the zero-free term dicts of its images of the
+generators in `_generators` order, the order of the rows of `_brackets`;
+`_derive` applies it by adding into a dict, and an identity is decided on
+one dict holding its left side minus its right side.  Only total degrees
+are tracked, since `_derive` needs only their parity; the bidegrees above
+name the components.  Witnesses are rendered from term dicts (`_render`).
 
-Validation happens at the public constructors: `WeilElement` checks each
-monomial (`_monomial`: integer indices, sorted as above) and that it is in
-range, converting coefficients with `exact.rational` (an `int` when
-integral, else a `Fraction`) and dropping zeros, and `GradedDerivation`
-validates each image as `WeilElement` does and checks its total degree.
-Squares, commutators, sums and the elements `apply_derivation` and
-`gerst_bracket` return are built by the trusted `_trusted` constructors,
-since they combine monomials and exact rational coefficients of valid
-operands of the same dims; so are the three differentials the kernel
-reads off `CrossedModuleData` and `WeakLie2Data`, whose dims and
-antisymmetry their constructors have checked, and the derivations
-``ad_x``, whose images are read off ``cm2`` the same way.
+A derivation is built one way, unchecked: the three differentials are
+read off `CrossedModuleData` and `WeakLie2Data`, whose constructors have
+checked dims and antisymmetry, the derivations ``ad_x`` off ``cm2`` the
+same way, and squares, commutators and sums combine monomials and exact
+rational coefficients of such derivations.  `WeilElement`, the one
+validating constructor (`_monomial`: integer indices, sorted as above; in
+range; coefficients through `exact.rational`), and `check_square_zero`
+are entered by no verifier; the benchmark's tracer names them.
 """
 
 from __future__ import annotations
@@ -111,8 +106,11 @@ def _render_monomial(mono: Monomial) -> str:
 class WeilElement:
     """A zero-free map from monomials to exact rational coefficients.
 
-    The constructor validates its arguments; results of the kernel
-    operations are built by `_trusted`, which skips that work.
+    The constructor validates its arguments: each key through `_monomial`
+    and in range, each coefficient through `exact.rational`.  No kernel
+    path builds one, since the checks compute on term dicts; the class
+    stays because the benchmark's tracer (``bench/tracing.py``) counts its
+    constructions by name, and goes when that count does (ROADMAP).
     """
 
     dims: tuple[int, int]
@@ -130,20 +128,6 @@ class WeilElement:
                 clean[mono] = q
         object.__setattr__(self, "dims", (index(n0), index(n1)))
         object.__setattr__(self, "terms", clean)
-
-    @classmethod
-    def _trusted(cls, dims: tuple[int, int], terms: dict) -> "WeilElement":
-        """An element from in-range monomials to nonzero rationals, unchecked."""
-        e = object.__new__(cls)
-        object.__setattr__(e, "dims", dims)
-        object.__setattr__(e, "terms", terms)
-        return e
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def render(self) -> str:
-        return _render(self.terms)
 
 
 def _clean(terms: dict) -> dict:
@@ -183,45 +167,19 @@ def _generators(dims) -> list[Monomial]:
 
 @dataclass(frozen=True)
 class GradedDerivation:
-    """A derivation of total degree ``total_degree``, given by the zero-free
-    term dicts of its images of the generators ``a_i`` and ``g_j``.
+    """A derivation of total degree ``total_degree``, given by ``images``,
+    the zero-free term dicts of its images of the generators in
+    `_generators` order: ``a0..a{n0-1}``, then ``g0..g{n1-1}``.
 
     Images extend to the whole algebra lazily by the graded Leibniz rule
-    (`_derive`).  The constructor validates each image as `WeilElement`
-    does and checks that its monomials have the total degree of their
-    generator plus ``total_degree``; derivations the kernel derives from
-    valid data are built by `_trusted`.
+    (`_derive`).  The record is not validated: every derivation is read off
+    `CrossedModuleData` or `WeakLie2Data`, whose constructors check dims
+    and antisymmetry, or combined from such derivations.
     """
 
     dims: tuple[int, int]
     total_degree: int
-    ext_images: tuple[dict[Monomial, Rational], ...]
-    sym_images: tuple[dict[Monomial, Rational], ...]
-
-    def __post_init__(self):
-        n0, n1 = self.dims
-        if len(self.ext_images) != n0 or len(self.sym_images) != n1:
-            raise DimensionMismatch(
-                f"generator image count {(len(self.ext_images), len(self.sym_images))} "
-                f"does not match dims {self.dims}"
-            )
-        degree = index(self.total_degree)
-        for name, gen_degree in (("ext_images", 1), ("sym_images", 2)):
-            images = tuple(WeilElement(self.dims, img).terms for img in getattr(self, name))
-            if any(_total_degree(m) != gen_degree + degree for img in images for m in img):
-                raise ValueError("image total degree inconsistent with derivation degree")
-            object.__setattr__(self, name, images)
-        object.__setattr__(self, "total_degree", degree)
-
-    @classmethod
-    def _trusted(cls, dims, total_degree: int, ext_images, sym_images) -> "GradedDerivation":
-        """A derivation from zero-free images of the right degrees, unchecked."""
-        d = object.__new__(cls)
-        object.__setattr__(d, "dims", dims)
-        object.__setattr__(d, "total_degree", total_degree)
-        object.__setattr__(d, "ext_images", ext_images)
-        object.__setattr__(d, "sym_images", sym_images)
-        return d
+    images: tuple[dict[Monomial, Rational], ...]
 
 
 def _derive(d: GradedDerivation, terms: dict, out: dict, sign: int) -> None:
@@ -238,19 +196,19 @@ def _derive(d: GradedDerivation, terms: dict, out: dict, sign: int) -> None:
     a ``rest`` one.  The term vanishes if ``ie`` and ``rest`` share an
     index.  Symmetric factors are even and only get sorted.
     """
-    ext_images, sym_images, dodd = d.ext_images, d.sym_images, d.total_degree % 2
+    images, n0, dodd = d.images, d.dims[0], d.total_degree % 2
     for (ext, sym), coeff in terms.items():
         if sign < 0:
             coeff = -coeff
         r = len(ext)
         for pos in range(r + len(sym)):
             if pos < r:
-                img = ext_images[ext[pos]]
+                img = images[ext[pos]]
                 if not img:
                     continue
                 rest, base, shift = ext[:pos] + ext[pos + 1 :], sym, pos
             else:
-                img = sym_images[sym[pos - r]]
+                img = images[n0 + sym[pos - r]]
                 if not img:
                     continue
                 rest, base, shift = ext, sym[: pos - r] + sym[pos - r + 1 :], r
@@ -280,13 +238,6 @@ def _apply(d: GradedDerivation, terms: dict, sign: int = 1) -> dict:
     return _clean(out)
 
 
-def apply_derivation(d: GradedDerivation, a: WeilElement) -> WeilElement:
-    """Extend the generator images by the graded Leibniz rule (`_derive`)."""
-    if d.dims != a.dims:
-        raise DimensionMismatch(f"{d.dims} vs {a.dims}")
-    return WeilElement._trusted(a.dims, _apply(d, a.terms))
-
-
 def derivation_sum(d1: GradedDerivation, d2: GradedDerivation) -> GradedDerivation:
     if d1.dims != d2.dims:
         raise DimensionMismatch(f"{d1.dims} vs {d2.dims}")
@@ -298,12 +249,7 @@ def derivation_sum(d1: GradedDerivation, d2: GradedDerivation) -> GradedDerivati
         _add_terms(out, img2, 1)
         return _clean(out)
 
-    return GradedDerivation._trusted(
-        d1.dims,
-        d1.total_degree,
-        tuple(map(add, d1.ext_images, d2.ext_images)),
-        tuple(map(add, d1.sym_images, d2.sym_images)),
-    )
+    return GradedDerivation(d1.dims, d1.total_degree, tuple(map(add, d1.images, d2.images)))
 
 
 def graded_commutator(d1: GradedDerivation, d2: GradedDerivation) -> GradedDerivation:
@@ -318,19 +264,16 @@ def graded_commutator(d1: GradedDerivation, d2: GradedDerivation) -> GradedDeriv
         _derive(d2, img1, out, -sign)
         return _clean(out)
 
-    return GradedDerivation._trusted(
-        d1.dims,
-        d1.total_degree + d2.total_degree,
-        tuple(map(comm_on, d2.ext_images, d1.ext_images)),
-        tuple(map(comm_on, d2.sym_images, d1.sym_images)),
+    return GradedDerivation(
+        d1.dims, d1.total_degree + d2.total_degree, tuple(map(comm_on, d2.images, d1.images))
     )
 
 
 def check_zero_on_generators(d: GradedDerivation, prefix: str) -> VerificationReport:
     """Two checks ({prefix}.side / {prefix}.core): d vanishes on each generator
     family, each failing with its first generator of nonzero image."""
-    checks = []
-    for family, gen, images in (("side", "a", d.ext_images), ("core", "g", d.sym_images)):
+    n0, checks = d.dims[0], []
+    for family, gen, images in (("side", "a", d.images[:n0]), ("core", "g", d.images[n0:])):
         i = next((i for i, img in enumerate(images) if img), None)
         witness = None if i is None else Witness((i,), _render(images[i]), "0", at=f"{gen}{i}")
         checks.append(Check(f"{prefix}.{family}", witness is None, witness))
@@ -339,16 +282,17 @@ def check_zero_on_generators(d: GradedDerivation, prefix: str) -> VerificationRe
 
 def _square(d: GradedDerivation) -> GradedDerivation:
     """``d o d`` on the generators; for odd ``d`` it is the derivation ``[d, d] / 2``."""
-    return GradedDerivation._trusted(
-        d.dims,
-        2 * d.total_degree,
-        tuple(_apply(d, img) for img in d.ext_images),
-        tuple(_apply(d, img) for img in d.sym_images),
-    )
+    return GradedDerivation(d.dims, 2 * d.total_degree, tuple(_apply(d, img) for img in d.images))
 
 
 def check_square_zero(d: GradedDerivation) -> VerificationReport:
-    """d(d(gen)) = 0 for every generator; only odd derivations can square to zero."""
+    """d(d(gen)) = 0 for every generator; only odd derivations can square to zero.
+
+    No verifier calls this (`check_cm_square` and `verify_weak_lie2` read
+    the components of a square instead); it stays because the benchmark's
+    tracer (``bench/tracing.py``) times it by name, and goes when that
+    timing does (ROADMAP).
+    """
     if d.total_degree % 2 == 0:
         raise ValueError("square-zero check requires an odd derivation")
     return check_zero_on_generators(_square(d), "square_zero")
@@ -366,30 +310,26 @@ def cm_differentials(cm: CrossedModuleData) -> tuple[GradedDerivation, GradedDer
     ``delta_h(g_b)`` on ``x (x) c`` to ``-g_b(x.c)``.
     """
     n0, n1 = dims = (cm.dim0, cm.dim1)
-    dv: list[dict[Monomial, Rational]] = [{} for _ in range(n0)]
+    dv: list[dict[Monomial, Rational]] = [{} for _ in range(n0 + n1)]
     for (a, b), v in cm.tvs.partial.entries.items():
         dv[a][((), (b,))] = v
-    dh_ext: list[dict[Monomial, Rational]] = [{} for _ in range(n0)]
+    dh: list[dict[Monomial, Rational]] = [{} for _ in range(n0 + n1)]
     for (p, q, k), v in cm.base.bracket.entries.items():
         if p < q:
-            dh_ext[k][((p, q), ())] = -v
-    dh_sym: list[dict[Monomial, Rational]] = [{} for _ in range(n1)]
+            dh[k][((p, q), ())] = -v
     for (i, j, k), v in cm.action.entries.items():
-        dh_sym[k][((i,), (j,))] = -v
-    return (
-        GradedDerivation._trusted(dims, 1, tuple(dv), ({},) * n1),
-        GradedDerivation._trusted(dims, 1, tuple(dh_ext), tuple(dh_sym)),
-    )
+        dh[n0 + k][((i,), (j,))] = -v
+    return GradedDerivation(dims, 1, tuple(dv)), GradedDerivation(dims, 1, tuple(dh))
 
 
 def build_delta_j(w: WeakLie2Data) -> GradedDerivation:
     """The bidegree (2,-1) component dual to the Jacobiator l3: wedge^3 g0 -> g1."""
     n0, n1 = dims = (w.cm.dim0, w.cm.dim1)
-    sym: list[dict[Monomial, Rational]] = [{} for _ in range(n1)]
+    images: list[dict[Monomial, Rational]] = [{} for _ in range(n0 + n1)]
     for (i, j, k, b), v in w.jacobiator.entries.items():
         if i < j < k:
-            sym[b][((i, j, k), ())] = -v
-    return GradedDerivation._trusted(dims, 1, ({},) * n0, tuple(sym))
+            images[n0 + b][((i, j, k), ())] = -v
+    return GradedDerivation(dims, 1, tuple(images))
 
 
 # each `twoterm.verify_cm` check id -> the `check_cm_square` check deciding it
@@ -473,43 +413,17 @@ def _bracket_table(cm2: CrossedModuleData):
     generators ``x_p`` in `_generators` order, their total degrees, the
     table ``br`` of `_brackets` and the derivations ``ad_{x_p}``, of degree
     ``|x_p| - 2``, whose images are the rows ``br[p]``."""
-    dims = n0, _ = (cm2.dim1, cm2.dim0)
+    dims = (cm2.dim1, cm2.dim0)
     gens = _generators(dims)
     deg = [_total_degree(m) for m in gens]
     br = _brackets(cm2)
-    ads = [
-        GradedDerivation._trusted(dims, t - 2, tuple(row[:n0]), tuple(row[n0:]))
-        for t, row in zip(deg, br)
-    ]
+    ads = [GradedDerivation(dims, t - 2, tuple(row)) for t, row in zip(deg, br)]
     return dims, gens, deg, br, ads
 
 
 def _swap_sign(deg_a: int, deg_b: int) -> int:
     """The sign of ``[a, b] = sign * [b, a]``, by graded skew."""
     return 1 if (deg_a * deg_b) % 2 else -1
-
-
-def gerst_bracket(cm2: CrossedModuleData, a: WeilElement, b: WeilElement) -> WeilElement:
-    """The bracket of two elements, as a derivation applied to ``b``.
-
-    For ``a`` of total degree ``t``, ``[a, -]`` is the derivation of degree
-    ``t - 2`` whose image of a generator ``y`` is
-    ``[a, y] = -(-1)^(t|y|) ad_y(a)``; an ``a`` of several total degrees is
-    split by degree.
-    """
-    dims, _, deg, _, ads = _bracket_table(cm2)
-    if a.dims != dims or b.dims != dims:
-        raise DimensionMismatch(f"{a.dims}/{b.dims} vs structure dims {dims}")
-    n0 = dims[0]
-    parts: dict[int, dict[Monomial, Rational]] = {}
-    for mono, coeff in a.terms.items():
-        parts.setdefault(_total_degree(mono), {})[mono] = coeff
-    out: dict[Monomial, Rational] = {}
-    for t, terms in parts.items():
-        images = [_apply(ad, terms, _swap_sign(t, dy)) for ad, dy in zip(ads, deg)]
-        ad_a = GradedDerivation._trusted(dims, t - 2, tuple(images[:n0]), tuple(images[n0:]))
-        _derive(ad_a, b.terms, out, 1)
-    return WeilElement._trusted(dims, _clean(out))
 
 
 def check_gerst_axioms(cm2: CrossedModuleData) -> VerificationReport:
@@ -574,8 +488,7 @@ def check_derivation_of_bracket(
     dims, gens, deg, br, ads = _bracket_table(cm2)  # br[p][q] = [x_p, x_q]
     if d.dims != dims:
         raise DimensionMismatch(f"{d.dims} vs {dims}")
-    d_gens = d.ext_images + d.sym_images  # d x_q
-    ad_d = [[_apply(ad, dy) for dy in d_gens] for ad in ads]  # ad_d[p][q] = ad_{x_p}(d x_q)
+    ad_d = [[_apply(ad, dy) for dy in d.images] for ad in ads]  # ad_d[p][q] = ad_{x_p}(d x_q)
     witness = None
     for p, q in itertools.product(range(len(gens)), repeat=2):
         if not (br[p][q] or ad_d[q][p] or ad_d[p][q]):

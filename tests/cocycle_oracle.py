@@ -145,7 +145,7 @@ def random_bialgebra_candidate(rng):
     n = g.dim
     kind = rng.random()
     if kind < 0.2:
-        return g, LieCobracket.zero(n)
+        return g, LieCobracket(n, SparseTensor.zero((n, n, n)))
     if kind < 0.55:
         return g, _coboundary(rng, g)
     table: dict = {}

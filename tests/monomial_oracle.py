@@ -16,15 +16,20 @@ The oracle's other checks are the facts that make the rest redundant:
 is graded skew and a biderivation by construction, and ``monomial_pairs``
 has the verdict of ``generator_pairs``.
 
-It also holds element-level oracles for `l2b.weil.apply_derivation` and
-`l2b.weil.gerst_bracket`, which compute the same values the long way,
-through element products and sums.  The element algebra (``weil_zero`` to
-``weil_mul``) is its own: it builds every result through the validating
-`WeilElement` constructor, which checks each ``(ext, sym)`` monomial key,
-and shares no arithmetic with the kernel.
+The element-level values are compared too: `l2b.weil._apply` with
+`apply_derivation_by_products`, and `bracket_by_ads`, the bracket of two
+elements as the kernel's table and engine evaluate it (`_bracket_table`,
+`_derive`), with `gerst_bracket_by_sums`.  The element algebra
+(``weil_zero`` to ``weil_mul``) is its own: it builds every result through
+the validating `WeilElement` constructor, which checks each ``(ext, sym)``
+monomial key, and shares no arithmetic with the kernel.  `derivation`
+builds a `GradedDerivation` from the images of the ``a``s and the ``g``s
+with the checks that the kernel's unvalidated record skips.
 """
 
 import itertools
+
+from operator import index
 
 from l2b.exact import DimensionMismatch
 from l2b.liecore import Check, VerificationReport, Witness
@@ -33,8 +38,14 @@ from l2b.weil import (
     GradedDerivation,
     Monomial,
     WeilElement,
+    _apply,
+    _bracket_table,
+    _clean,
+    _derive,
+    _render,
     _render_monomial as render,
     _sort_key,
+    _swap_sign,
     _total_degree as total_degree,
 )
 
@@ -101,8 +112,54 @@ def weil_mul(a: WeilElement, b: WeilElement) -> WeilElement:
 # --- derivations and the bracket, the long way ----------------------------------------
 
 
+def derivation(dims, degree, ext_images, sym_images) -> GradedDerivation:
+    """The derivation of total degree ``degree`` with the given images of
+    ``a0..a{n0-1}`` and of ``g0..g{n1-1}``, validated.
+
+    One image per generator, else `DimensionMismatch`; each image is
+    validated as `WeilElement` validates its terms (stored without zeros)
+    and must have the total degree of its generator plus ``degree``, else
+    `ValueError`.
+    """
+    n0, n1 = dims = (index(dims[0]), index(dims[1]))
+    if len(ext_images) != n0 or len(sym_images) != n1:
+        raise DimensionMismatch(
+            f"generator image count {(len(ext_images), len(sym_images))} "
+            f"does not match dims {dims}"
+        )
+    degree = index(degree)
+    images = []
+    for gen_degree, family in ((1, ext_images), (2, sym_images)):
+        for img in family:
+            terms = WeilElement(dims, img).terms
+            if any(total_degree(m) != gen_degree + degree for m in terms):
+                raise ValueError("image total degree inconsistent with derivation degree")
+            images.append(terms)
+    return GradedDerivation(dims, degree, tuple(images))
+
+
+def bracket_by_ads(cm2: CrossedModuleData, a: dict, b: dict) -> dict:
+    """The term dict of ``[a, b]`` for term dicts ``a`` and ``b``, on the
+    kernel's ``ad_x`` table.
+
+    For ``a`` of total degree ``t``, ``[a, -]`` is the derivation of degree
+    ``t - 2`` whose image of a generator ``y`` is
+    ``[a, y] = -(-1)^(t|y|) ad_y(a)``; an ``a`` of several total degrees is
+    split by degree.
+    """
+    dims, _, deg, _, ads = _bracket_table(cm2)
+    parts: dict = {}
+    for mono, coeff in a.items():
+        parts.setdefault(total_degree(mono), {})[mono] = coeff
+    out: dict = {}
+    for t, terms in parts.items():
+        images = tuple(_apply(ad, terms, _swap_sign(t, dy)) for ad, dy in zip(ads, deg))
+        _derive(GradedDerivation(dims, t - 2, images), b, out, 1)
+    return _clean(out)
+
+
 def apply_derivation_by_products(d: GradedDerivation, a: WeilElement) -> WeilElement:
-    """`apply_derivation` as ``prefix * image * suffix`` element products.
+    """``d(a)`` as ``prefix * image * suffix`` element products.
 
     Passing the derivation over a prefix of total degree ``t`` contributes
     the sign ``(-1)**(deg(d) * t)``.
@@ -113,7 +170,7 @@ def apply_derivation_by_products(d: GradedDerivation, a: WeilElement) -> WeilEle
         gens = [("ext", i) for i in ext] + [("sym", j) for j in sym]
         prefix_deg = 0
         for pos, (kind, idx) in enumerate(gens):
-            img = d.ext_images[idx] if kind == "ext" else d.sym_images[idx]
+            img = d.images[idx if kind == "ext" else d.dims[0] + idx]
             if img:
                 sign = -1 if (dodd and prefix_deg % 2) else 1
                 pre_ext = ext[:pos] if kind == "ext" else ext
@@ -220,7 +277,7 @@ def _peel(m: Monomial):
 
 
 def gerst_bracket_by_sums(G: CrossedModuleData, a: WeilElement, b: WeilElement) -> WeilElement:
-    """`gerst_bracket` as a sum of scaled recursive monomial brackets."""
+    """``[a, b]`` as a sum of scaled recursive monomial brackets."""
     return MonomialBracket(G).bracket(a, b)
 
 
@@ -261,7 +318,7 @@ def gerst_axioms_over(G: CrossedModuleData, monos, degree_bound: int) -> Verific
         rhs = weil_scale(-sign, B.mono(m2, m1))
         if lhs != rhs and skew_witness is None:
             skew_witness = Witness(
-                (), lhs.render(), rhs.render(), at=f"({render(m1)}, {render(m2)})"
+                (), _render(lhs.terms), _render(rhs.terms), at=f"({render(m1)}, {render(m2)})"
             )
 
     jacobi_witness = None
@@ -273,8 +330,8 @@ def gerst_axioms_over(G: CrossedModuleData, monos, degree_bound: int) -> Verific
         if lhs != rhs and jacobi_witness is None:
             jacobi_witness = Witness(
                 (),
-                lhs.render(),
-                rhs.render(),
+                _render(lhs.terms),
+                _render(rhs.terms),
                 at=f"({render(m1)}, {render(m2)}, {render(m3)})",
             )
 
@@ -291,8 +348,8 @@ def gerst_axioms_over(G: CrossedModuleData, monos, degree_bound: int) -> Verific
             if lhs != rhs and leibniz_witness is None:
                 leibniz_witness = Witness(
                     (),
-                    lhs.render(),
-                    rhs.render(),
+                    _render(lhs.terms),
+                    _render(rhs.terms),
                     at=f"({render(m1)}; {render(m2)}, {render(m3)})",
                 )
 
@@ -333,14 +390,14 @@ def derivation_of_bracket_over(
     gen_witness = None
     for m1, m2 in itertools.product(gens, gens):
         dft = defect(m1, m2)
-        if not dft.is_zero() and gen_witness is None:
-            gen_witness = Witness((), dft.render(), "0", at=f"({render(m1)}, {render(m2)})")
+        if dft.terms and gen_witness is None:
+            gen_witness = Witness((), _render(dft.terms), "0", at=f"({render(m1)}, {render(m2)})")
 
     mono_witness = None
     for m1, m2 in itertools.combinations_with_replacement(monos, 2):
         dft = defect(m1, m2)
-        if not dft.is_zero() and mono_witness is None:
-            mono_witness = Witness((), dft.render(), "0", at=f"({render(m1)}, {render(m2)})")
+        if dft.terms and mono_witness is None:
+            mono_witness = Witness((), _render(dft.terms), "0", at=f"({render(m1)}, {render(m2)})")
 
     return VerificationReport(
         (
@@ -382,7 +439,7 @@ def random_table_and_derivation(rng):
     if kind == "ad" and n0:
         i = rng.randrange(n0)
         sym = tuple(MonomialBracket(G).table(("ext", i), ("sym", j)).terms for j in range(n1))
-        return G, GradedDerivation(dims, -1, ({},) * n0, sym)
+        return G, derivation(dims, -1, ({},) * n0, sym)
     degree = rng.choice((-1, 1))
     monos = enumerate_monomials(dims, 2 + degree)
 
@@ -394,4 +451,4 @@ def random_table_and_derivation(rng):
 
     ext = tuple(image(1) for _ in range(n0))
     sym = tuple(image(2) for _ in range(n1))
-    return G, GradedDerivation(dims, degree, ext, sym)
+    return G, derivation(dims, degree, ext, sym)

@@ -13,7 +13,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
-from l2b import catalog
+from l2b import catalog, documents
 from l2b.cli import main
 from l2b.documents import (
     DUALIZATIONS,
@@ -24,7 +24,7 @@ from l2b.documents import (
     parse_document,
     serialize_document,
 )
-from l2b.exact import perm_parity
+from l2b.exact import DimensionMismatch, perm_parity
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -318,6 +318,33 @@ def test_verify_weak_lie2_bracket_not_antisymmetric_exit_two(tmp_path, capsys):
     assert messages[0] == messages[1] == (
         "error: blocks.bracket0: bracket tensor not antisymmetric at (0, 1, 0)\n"
     )
+
+
+def test_verify_repeated_key_exit_two(tmp_path, capsys):
+    # the first bracket is not antisymmetric; read with its last value
+    # only, the document would verify as pass
+    path = tmp_path / "repeated.json"
+    path.write_text(
+        '{"kind": "lie_algebra", "spaces": {"g": {"dim": 2}}, "blocks": '
+        '{"bracket": [[[0,1,1],"1"],[[1,0,1],"1"]], "bracket": [[[0,1,1],"1"],[[1,0,1],"-1"]]}}'
+    )
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: repeated key 'bracket'\n"
+
+
+@pytest.mark.parametrize("fault", [KeyError("jacobi"), DimensionMismatch("(3, 3) vs (2, 2)")])
+def test_kernel_defect_is_an_internal_error(doc_file, capsys, monkeypatch, fault):
+    # an exception that is not an input error is a defect of the kernel:
+    # one line naming its type, exit 2, no traceback; a `DimensionMismatch`
+    # is a `ValueError` but not a refusal of the document
+    def broken(*args):
+        raise fault
+
+    monkeypatch.setattr(documents, "verify_lie", broken)
+    code, out, err = run_cli(capsys, "verify", doc_file("sl2"))
+    assert code == 2 and out == ""
+    assert err == f"internal error: {type(fault).__name__}: {fault}\n"
 
 
 def test_verify_unwritable_out_exit_two(doc_file, tmp_path, capsys):

@@ -126,6 +126,26 @@ def test_parse_rejects_duplicate_entries():
     assert "duplicate" in str(err.value)
 
 
+def test_parse_rejects_repeated_keys():
+    # `json.loads` alone keeps the last value of a repeated key, which would
+    # pass this Lie algebra although its first bracket is not antisymmetric
+    lie = '{"kind": "lie_algebra", "spaces": {"g": {"dim": 2}}, "blocks": {%s}}'
+    bracket = '"bracket": [[[0, 1, 1], "1"], [[1, 0, 1], "%s"]]'
+    text = lie % f"{bracket % '1'}, {bracket % '-1'}"
+    assert run_verifier(parse_document((lie % (bracket % "-1")).encode()), "auto").passed
+    for data, key in (
+        (text, "bracket"),
+        ('{"kind": "lie_algebra", "kind": "lie_algebra"}', "kind"),
+        ('{"kind": "lie_algebra", "spaces": {"g": {"dim": 2, "dim": 3}}}', "dim"),
+        # refused while the text is read again for an over-long integer
+        ('{"spaces": {"g": {"dim": 1%s}}, "a": 0, "a": 1}' % ("0" * sys.get_int_max_str_digits()),
+         "a"),
+    ):
+        with pytest.raises(DocumentError) as err:
+            parse_document(data.encode())
+        assert str(err.value) == f"repeated key {key!r}"
+
+
 # each per-entry refusal of a block, as the second entry of a crossed
 # module's action block on g0 (dim 2) x g1 (dim 3) x g1
 @pytest.mark.parametrize(
@@ -169,7 +189,7 @@ def test_missing_blocks_mean_zero():
     assert set(doc.blocks) == {"partial"}
     assert doc.block_tensor("action") == SparseTensor.zero((2, 1, 1))
     cm = build_crossed_module(doc)
-    assert cm.base.bracket.is_zero() and cm.action.is_zero()
+    assert not cm.base.bracket.entries and not cm.action.entries
     assert cm.tvs.partial == SparseTensor((2, 1), {(0, 0): 3})
     # a block of zero entries is absent too, after parse and after a constructor
     obj = json.loads(data)

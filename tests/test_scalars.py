@@ -3,7 +3,8 @@
 The kernel operations must give the same values whatever mix of `int` and
 `Fraction` their operands hold, and never a `float`: a ``/`` or ``**``
 applied to two ints would leave the exact rationals here.  Operands are
-built with the trusted constructors, so that they also hold the integral
+built unvalidated (`SparseTensor._trusted`, plain term dicts and the
+`GradedDerivation` record), so that they also hold the integral
 `Fraction`s that kernel results may carry.
 """
 
@@ -19,15 +20,13 @@ from l2b.exact import SparseTensor, contract, format_rational, parse_rational, p
 from l2b.liecore import LieAlgebra, LieCobracket
 from l2b.weil import (
     GradedDerivation,
-    WeilElement,
+    _apply,
     _total_degree,
-    apply_derivation,
     derivation_sum,
-    gerst_bracket,
     graded_commutator,
 )
 from conftest import assert_canonical, assert_exact, crossed_module, rationals
-from monomial_oracle import enumerate_monomials
+from monomial_oracle import bracket_by_ads, enumerate_monomials
 
 # ints, integral Fractions and proper Fractions
 mixed = st.one_of(st.integers(-3, 3), rationals).filter(bool)
@@ -52,23 +51,13 @@ def terms_as_fractions(terms: dict) -> dict:
     return {m: Q(c) for m, c in terms.items()}
 
 
-def element_as_fractions(e: WeilElement) -> WeilElement:
-    return WeilElement._trusted(e.dims, terms_as_fractions(e.terms))
-
-
 def derivation_as_fractions(d: GradedDerivation) -> GradedDerivation:
-    return GradedDerivation._trusted(
-        d.dims,
-        d.total_degree,
-        tuple(map(terms_as_fractions, d.ext_images)),
-        tuple(map(terms_as_fractions, d.sym_images)),
-    )
+    return GradedDerivation(d.dims, d.total_degree, tuple(map(terms_as_fractions, d.images)))
 
 
-def mixed_element(dims, degree_bound=3):
+def mixed_terms(dims, degree_bound=3):
     monos = enumerate_monomials(dims, degree_bound)
-    terms = st.dictionaries(st.sampled_from(monos), mixed, max_size=4)
-    return terms.map(lambda t: WeilElement._trusted(dims, t))
+    return st.dictionaries(st.sampled_from(monos), mixed, max_size=4)
 
 
 @st.composite
@@ -94,9 +83,8 @@ def table_and_derivation(draw):
             return {}
         return draw(st.dictionaries(st.sampled_from(of_degree), mixed, max_size=2))
 
-    d = GradedDerivation._trusted(
-        dims, degree, tuple(image(1) for _ in range(n0)), tuple(image(2) for _ in range(n1))
-    )
+    images = tuple(image(1) for _ in range(n0)) + tuple(image(2) for _ in range(n1))
+    d = GradedDerivation(dims, degree, images)
     return G, d
 
 
@@ -124,24 +112,24 @@ def test_tensor_ops_on_mixed_operands_equal_all_fraction_copies(t1, t2, t3, c):
 @given(table_and_derivation(), st.data())
 def test_weil_ops_on_mixed_operands_equal_all_fraction_copies(case, data):
     G, d = case
-    a = data.draw(mixed_element(d.dims))
-    b = data.draw(mixed_element(d.dims))
-    fa, fb = element_as_fractions(a), element_as_fractions(b)
+    a = data.draw(mixed_terms(d.dims))
+    b = data.draw(mixed_terms(d.dims))
+    fa, fb = terms_as_fractions(a), terms_as_fractions(b)
     fG = crossed_module(
         (G.dim0, G.dim1), tensor_as_fractions(G.base.bracket), tensor_as_fractions(G.action)
     )
     fd = derivation_as_fractions(d)
     for got, want in (
-        (apply_derivation(d, a), apply_derivation(fd, fa)),
-        (gerst_bracket(G, a, b), gerst_bracket(fG, fa, fb)),
+        (_apply(d, a), _apply(fd, fa)),
+        (bracket_by_ads(G, a, b), bracket_by_ads(fG, fa, fb)),
     ):
-        assert_same_exact(got, want, lambda e: e.terms.values())
+        assert_same_exact(got, want, dict.values)
     for got, want in (
         (derivation_sum(d, fd), derivation_sum(fd, fd)),
         (graded_commutator(d, d), graded_commutator(fd, fd)),
     ):
         assert_same_exact(
-            got, want, lambda g: (c for img in g.ext_images + g.sym_images for c in img.values())
+            got, want, lambda g: (c for img in g.images for c in img.values())
         )
 
 
