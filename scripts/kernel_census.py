@@ -30,25 +30,33 @@ import time
 import types
 
 
+def code_key(code) -> tuple:
+    """The key of a code object, the same for the walk and the profile hook."""
+    return (code.co_filename, code.co_firstlineno, code.co_name)
+
+
 def kernel_functions():
     """``(module, qualname, lines, key)`` of every named function in ``l2b``.
 
     Nested functions are included; lambdas and comprehensions are not.
-    ``key`` identifies the function's code object.
+    ``key`` identifies the function's code object.  Each qualname is built
+    while walking (code objects carry one only from Python 3.11 on): a
+    function's ``__qualname__``, then ``.<locals>.`` and the name per
+    nesting level.
     """
     import l2b
 
     found = {}
 
-    def visit(module, code):
+    def visit(module, code, qualname):
         if code.co_filename != module.__file__:
             return  # generated by dataclasses, or defined elsewhere
         if not code.co_name.startswith("<"):
-            key = (code.co_filename, code.co_firstlineno, code.co_qualname)
-            found[key] = (module.__name__, code.co_qualname, len(inspect.getsourcelines(code)[0]))
+            lines = len(inspect.getsourcelines(code)[0])
+            found[code_key(code)] = (module.__name__, qualname, lines)
         for const in code.co_consts:
             if isinstance(const, types.CodeType):
-                visit(module, const)
+                visit(module, const, f"{qualname}.<locals>.{const.co_name}")
 
     def visit_object(module, obj):
         if isinstance(obj, (staticmethod, classmethod)):
@@ -56,7 +64,7 @@ def kernel_functions():
         if isinstance(obj, property):
             obj = obj.fget
         if isinstance(obj, types.FunctionType):
-            visit(module, obj.__code__)
+            visit(module, obj.__code__, obj.__qualname__)
 
     for info in pkgutil.iter_modules(l2b.__path__):
         if info.name == "__main__":
@@ -152,8 +160,7 @@ def census(seeds: int):
 
     def hook(frame, event, arg):
         if event == "call":
-            code = frame.f_code
-            entered.add((code.co_filename, code.co_firstlineno, code.co_qualname))
+            entered.add(code_key(frame.f_code))
 
     sys.setprofile(hook)
     try:

@@ -10,7 +10,6 @@ the result genuinely fails its verifier.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,7 +29,7 @@ from .documents import (
     doc_from_weak_lie2,
     run_verifier,
 )
-from .exact import SparseTensor, contract, perm_parity, permute_axes
+from .exact import SparseTensor, antisymmetrized, contract, permute_axes
 from .liecore import LieAlgebra, LieCobracket
 from .twoterm import (
     CrossedModuleData,
@@ -126,10 +125,7 @@ def trace_pair(a, b, c, d) -> Lie2BialgebraData:
 
 def weak_l3_example(n1: int = 1, coeff=1, target: int = 0) -> WeakLie2Data:
     """Abelian 3-dim side, trivial structure, nonzero alternating 3-form into g1."""
-    entries = {
-        perm + (target,): perm_parity(perm) * Fraction(coeff)
-        for perm in itertools.permutations((0, 1, 2))
-    }
+    entries = antisymmetrized([((0, 1, 2, target), Fraction(coeff))], 4, (0, 1, 2))
     return WeakLie2Data(abelian_cm(3, n1), SparseTensor((3, 3, 3, n1), entries))
 
 
@@ -468,21 +464,17 @@ def _gen_valid(family: str, rng: random.Random, name: str) -> StructureDocument:
     return doc_from_lie2_bialgebra(transform_l2b(d, s, s_inv, t, t_inv), name)
 
 
-# perturbation slot descriptions: block name -> symmetry kind
-_SYMMETRY = {
-    "bracket": "antisym01",
-    "bracket0": "antisym01",
-    "bracket_h": "antisym01",
-    "bracket_k": "antisym01",
-    "dual_bracket": "antisym01",
-    "cobracket": "antisym12",
-    "jacobiator": "antisym012",
-    "partial": "plain",
-    "action": "plain",
-    "action0": "plain",
-    "dual_action": "plain",
-    "act_h_on_k": "plain",
-    "act_k_on_h": "plain",
+# the antisymmetric axes of each block that has them, which are consecutive;
+# an edit of such a block is antisymmetrized over them, of any other block
+# made at one entry
+_ANTISYMMETRIC = {
+    "bracket": (0, 1),
+    "bracket0": (0, 1),
+    "bracket_h": (0, 1),
+    "bracket_k": (0, 1),
+    "dual_bracket": (0, 1),
+    "cobracket": (1, 2),
+    "jacobiator": (0, 1, 2),
 }
 
 _DELTAS = (Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2))
@@ -493,16 +485,12 @@ def _perturbable_blocks(doc: StructureDocument):
     usable = []
     for key, axes in schema.items():
         dims = tuple(doc.spaces[s].dim for s in axes)
-        sym = _SYMMETRY[key]
-        if sym == "antisym01" and (dims[0] < 2):
-            continue
-        if sym == "antisym12" and (dims[1] < 2):
-            continue
-        if sym == "antisym012" and (dims[0] < 3):
+        anti = _ANTISYMMETRIC.get(key, ())
+        if anti and dims[anti[0]] < len(anti):
             continue
         if any(d == 0 for d in dims):
             continue
-        usable.append((key, dims, sym))
+        usable.append((key, dims, anti))
     return usable
 
 
@@ -511,44 +499,21 @@ def perturb_document(doc: StructureDocument, rng: random.Random) -> StructureDoc
     usable = _perturbable_blocks(doc)
     if not usable:
         raise RetryExhaustion(f"no perturbable blocks in kind {doc.kind}")
-    key, dims, sym = usable[rng.randrange(len(usable))]
+    key, dims, anti = usable[rng.randrange(len(usable))]
     delta = _DELTAS[rng.randrange(len(_DELTAS))]
+    # one index, distinct on the antisymmetric axes: each value drawn there
+    # is redrawn while an earlier one of them has it
+    idx = []
+    for ax, d in enumerate(dims):
+        v = rng.randrange(d)
+        while ax in anti and v in idx[anti[0]:]:
+            v = rng.randrange(d)
+        idx.append(v)
+    if len(anti) == 3:  # a Jacobiator edit is made at the sorted triple
+        idx[:3] = sorted(idx[:3])
     entries = dict(doc.block_tensor(key).entries)
-
-    def bump(idx, val):
-        cur = entries.get(idx, Fraction(0)) + val
-        if cur:
-            entries[idx] = cur
-        else:
-            entries.pop(idx, None)
-
-    if sym == "antisym01":
-        i = rng.randrange(dims[0])
-        j = rng.randrange(dims[0])
-        while j == i:
-            j = rng.randrange(dims[0])
-        k = rng.randrange(dims[2])
-        bump((i, j, k), delta)
-        bump((j, i, k), -delta)
-    elif sym == "antisym12":
-        i = rng.randrange(dims[0])
-        j = rng.randrange(dims[1])
-        k = rng.randrange(dims[1])
-        while k == j:
-            k = rng.randrange(dims[1])
-        bump((i, j, k), delta)
-        bump((i, k, j), -delta)
-    elif sym == "antisym012":
-        picks: set[int] = set()
-        while len(picks) < 3:
-            picks.add(rng.randrange(dims[0]))
-        i, j, k = sorted(picks)
-        b = rng.randrange(dims[3])
-        for perm in itertools.permutations((i, j, k)):
-            bump(perm + (b,), perm_parity(perm) * delta)
-    else:
-        idx = tuple(rng.randrange(d) for d in dims)
-        bump(idx, delta)
+    for i, v in antisymmetrized([(tuple(idx), delta)], len(dims), anti).items():
+        entries[i] = entries.get(i, 0) + v
     blocks = {**doc.blocks, key: SparseTensor(dims, entries)}
     return StructureDocument(doc.kind, doc.name, doc.spaces, blocks)
 

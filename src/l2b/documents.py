@@ -179,8 +179,8 @@ def _unique_keys(pairs: list) -> dict:
     `json.loads` would keep only the last value."""
     obj = dict(pairs)
     if len(obj) < len(pairs):
-        keys = [k for k, _ in pairs]
-        key = next(k for i, k in enumerate(keys) if k in keys[:i])
+        seen: set = set()
+        key = next(k for k, _ in pairs if k in seen or seen.add(k))
         raise DocumentError("", f"repeated key {key!r}")
     return obj
 

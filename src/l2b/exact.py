@@ -19,6 +19,11 @@ and drops zeros.  The kernel operations (`contract`, `permute_axes`,
 trusted `SparseTensor._trusted`, because indices taken from valid operands
 are in range and products and sums of exact rationals are exact; they only
 drop the zeros that cancellation leaves.
+
+Antisymmetry has one table of signed axis permutations (`_axis_moves`):
+`asymmetric_entries` decides it with the table, and `antisymmetrized` builds
+it, summing given entries over the table; every antisymmetric tensor the
+kernel fills in is built that way.
 """
 
 from __future__ import annotations
@@ -248,6 +253,24 @@ def asymmetric_entries(t: SparseTensor, axes):
             if get(move(idx), _ZERO) != (-val if odd else val):
                 yield idx
                 break
+
+
+def antisymmetrized(entries, rank: int, axes) -> dict:
+    """The ``(index, value)`` pairs ``entries`` of rank ``rank``, summed over
+    every permutation of ``axes``, each image signed by the permutation's
+    parity; zero sums are dropped.
+
+    It is the one way the kernel builds an antisymmetric tensor from some of
+    its entries: the result has no `asymmetric_entries` on ``axes``.
+    """
+    moves = _axis_moves(rank, tuple(axes))
+    out: dict[tuple[int, ...], Rational] = {}
+    for idx, val in entries:
+        out[idx] = out.get(idx, _ZERO) + val
+        for move, odd in moves:
+            image = move(idx)
+            out[image] = out.get(image, _ZERO) + (-val if odd else val)
+    return {idx: v for idx, v in out.items() if v}
 
 
 def permute_axes(t: SparseTensor, perm) -> SparseTensor:

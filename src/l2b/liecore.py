@@ -36,6 +36,7 @@ from .exact import (
     DimensionMismatch,
     Rational,
     SparseTensor,
+    antisymmetrized,
     asymmetric_entries,
     contract,
     format_rational,
@@ -199,18 +200,15 @@ class LieAlgebra:
 
     @classmethod
     def from_table(cls, labels, table) -> "LieAlgebra":
-        """Build from ``{(i, j): {k: coeff}}`` for i < j; the mirror is filled in."""
+        """Build from ``{(i, j): {k: coeff}}`` for i < j; `antisymmetrized` fills in the mirror."""
         labels = tuple(labels)
         n = len(labels)
-        entries: dict[tuple[int, int, int], Rational] = {}
-        for (i, j), row in table.items():
-            if i == j:
-                raise ValueError(f"diagonal bracket entry ({i},{i})")
-            for k, c in row.items():
-                c = rational(c)
-                entries[(i, j, k)] = entries.get((i, j, k), 0) + c
-                entries[(j, i, k)] = entries.get((j, i, k), 0) - c
-        return cls(labels, SparseTensor((n, n, n), entries))
+        if (i := next((i for i, j in table if i == j), None)) is not None:
+            raise ValueError(f"diagonal bracket entry ({i},{i})")
+        entries = (
+            ((i, j, k), rational(c)) for (i, j), row in table.items() for k, c in row.items()
+        )
+        return cls(labels, SparseTensor((n, n, n), antisymmetrized(entries, 3, (0, 1))))
 
 
 @dataclass(frozen=True)
@@ -229,16 +227,14 @@ class LieCobracket:
 
     @classmethod
     def from_table(cls, n: int, table) -> "LieCobracket":
-        """Build from ``{i: {(j, k): coeff}}`` for j < k; the mirror is filled in."""
-        entries: dict[tuple[int, int, int], Rational] = {}
-        for i, row in table.items():
-            for (j, k), c in row.items():
-                if j == k:
-                    raise ValueError(f"diagonal wedge entry ({j},{j})")
-                c = rational(c)
-                entries[(i, j, k)] = entries.get((i, j, k), 0) + c
-                entries[(i, k, j)] = entries.get((i, k, j), 0) - c
-        return cls(n, SparseTensor((n, n, n), entries))
+        """Build from ``{i: {(j, k): coeff}}`` for j < k; `antisymmetrized` fills in the mirror."""
+        diagonal = (j for row in table.values() for j, k in row if j == k)
+        if (j := next(diagonal, None)) is not None:
+            raise ValueError(f"diagonal wedge entry ({j},{j})")
+        entries = (
+            ((i, j, k), rational(c)) for i, row in table.items() for (j, k), c in row.items()
+        )
+        return cls(n, SparseTensor((n, n, n), antisymmetrized(entries, 3, (1, 2))))
 
 
 # --- operations ---------------------------------------------------------------
@@ -364,12 +360,10 @@ def bicrossed_sum(
     entries: dict[tuple[int, int, int], Rational] = dict(h.bracket.entries)
     for (a, b, c), v in k.bracket.entries.items():
         entries[(nh + a, nh + b, nh + c)] = v
-    # [x_j, k_a]: h-part -(k_a > x_j), k-part +(x_j > k_a)
-    for (a, j, c), v in k_on_h.entries.items():
-        entries[(j, nh + a, c)] = -v
-        entries[(nh + a, j, c)] = v
-    for (i, b, c), v in h_on_k.entries.items():
-        entries[(i, nh + b, nh + c)] = v
-        entries[(nh + b, i, nh + c)] = -v
+    # [k_a, x_j] has h-part k_a > x_j and [x_i, k_b] has k-part x_i > k_b;
+    # these blocks are disjoint from the two brackets and from each other
+    mixed = [((nh + a, j, c), v) for (a, j, c), v in k_on_h.entries.items()]
+    mixed += [((i, nh + b, nh + c), v) for (i, b, c), v in h_on_k.entries.items()]
+    entries.update(antisymmetrized(mixed, 3, (0, 1)))
     total = nh + nk
     return LieAlgebra(h.labels + k.labels, SparseTensor._trusted((total, total, total), entries))

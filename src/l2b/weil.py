@@ -52,8 +52,8 @@ checked dims and antisymmetry, the derivations ``ad_x`` off ``cm2`` the
 same way, and squares, commutators and sums combine monomials and exact
 rational coefficients of such derivations.  `WeilElement`, the one
 validating constructor (`_monomial`: integer indices, sorted as above; in
-range; coefficients through `exact.rational`), and `check_square_zero`
-are entered by no verifier; the benchmark's tracer names them.
+range; coefficients through `exact.rational`), is entered by no verifier;
+the benchmark's tracer names it.
 """
 
 from __future__ import annotations
@@ -288,10 +288,7 @@ def _square(d: GradedDerivation) -> GradedDerivation:
 def check_square_zero(d: GradedDerivation) -> VerificationReport:
     """d(d(gen)) = 0 for every generator; only odd derivations can square to zero.
 
-    No verifier calls this (`check_cm_square` and `verify_weak_lie2` read
-    the components of a square instead); it stays because the benchmark's
-    tracer (``bench/tracing.py``) times it by name, and goes when that
-    timing does (ROADMAP).
+    `check_cm_square` decides ``delta_h^2`` with it.
     """
     if d.total_degree % 2 == 0:
         raise ValueError("square-zero check requires an odd derivation")
@@ -352,7 +349,7 @@ def check_cm_square(dv: GradedDerivation, dh: GradedDerivation) -> VerificationR
     to 0.  So it is not computed.
     """
     return combine(
-        check_zero_on_generators(_square(dh), "delta_h.square_zero"),
+        ("delta_h.", check_square_zero(dh)),
         check_zero_on_generators(graded_commutator(dv, dh), "commute"),
     )
 

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from decimal import Decimal
 from pathlib import Path
 
@@ -331,6 +332,18 @@ def test_verify_repeated_key_exit_two(tmp_path, capsys):
     code, out, err = run_cli(capsys, "verify", str(path))
     assert code == 2 and out == ""
     assert err == "error: repeated key 'bracket'\n"
+
+
+def test_verify_repeated_key_of_a_large_object_exit_two(tmp_path, capsys):
+    # the repeated key is found in one pass over the object's keys, so a
+    # 100 000-key object is refused at once
+    path = tmp_path / "large.json"
+    path.write_text("{%s, \"k0\": 1}" % ", ".join(f'"k{i}": 0' for i in range(100_000)))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert time.perf_counter() - start < 10
+    assert code == 2 and out == ""
+    assert err == "error: repeated key 'k0'\n"
 
 
 @pytest.mark.parametrize("fault", [KeyError("jacobi"), DimensionMismatch("(3, 3) vs (2, 2)")])

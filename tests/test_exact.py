@@ -9,6 +9,7 @@ from l2b.exact import (
     DimensionMismatch,
     MalformedPermutation,
     SparseTensor,
+    antisymmetrized,
     asymmetric_entries,
     contract,
     format_rational,
@@ -16,6 +17,7 @@ from l2b.exact import (
     perm_parity,
     permute_axes,
 )
+from l2b.liecore import LieAlgebra, LieCobracket
 from conftest import (
     assert_canonical,
     assert_exact,
@@ -213,6 +215,15 @@ def test_matrix_products_as_tensors():
 
 # --- the antisymmetry finder ------------------------------------------------------
 
+def permuted(idx, axes, perm):
+    """``idx`` with the entry on axis ``axes[src]`` moved to axis
+    ``axes[pos]`` for each position ``pos`` of ``perm``."""
+    out = list(idx)
+    for pos, src in enumerate(perm):
+        out[axes[pos]] = idx[axes[src]]
+    return tuple(out)
+
+
 @st.composite
 def nearly_antisymmetric(draw, dims, axes):
     """Signed orbits of a few entries under the permutations of ``axes``,
@@ -222,12 +233,11 @@ def nearly_antisymmetric(draw, dims, axes):
         base = draw(st.tuples(*(st.integers(0, d - 1) for d in dims)))
         v = draw(nonzero_rationals)
         for perm in itertools.permutations(range(len(axes))):
-            idx = list(base)
-            for pos, src in enumerate(perm):
-                idx[axes[pos]] = base[axes[src]]
             fault = draw(st.sampled_from((None, None, None, "omit", "flip")))
             if fault != "omit":
-                entries[tuple(idx)] = perm_parity(perm) * v * (-1 if fault == "flip" else 1)
+                entries[permuted(base, axes, perm)] = (
+                    perm_parity(perm) * v * (-1 if fault == "flip" else 1)
+                )
     return SparseTensor(dims, entries)
 
 
@@ -237,10 +247,7 @@ def asymmetric_by_permutations(t, axes):
     bad = []
     for idx, v in t.entries.items():
         for perm in itertools.permutations(range(len(axes))):
-            tgt = list(idx)
-            for pos, src in enumerate(perm):
-                tgt[axes[pos]] = idx[axes[src]]
-            if t.get(tgt) != perm_parity(perm) * v:
+            if t.get(permuted(idx, axes, perm)) != perm_parity(perm) * v:
                 bad.append(idx)
                 break
     return bad
@@ -251,3 +258,71 @@ def asymmetric_by_permutations(t, axes):
 def test_asymmetric_entries_equal_permutation_oracle(dims, axes, data):
     t = data.draw(nearly_antisymmetric(dims, axes))
     assert list(asymmetric_entries(t, axes)) == asymmetric_by_permutations(t, axes)
+
+
+# --- the antisymmetrizer ------------------------------------------------------------
+
+@st.composite
+def entries_and_axes(draw):
+    """A rank 2-4 tensor's dims, 2 or 3 of its axes, all of one dim, in any
+    order, and two few-entry tensors of those dims."""
+    rank = draw(st.integers(2, 4))
+    axes = tuple(draw(st.permutations(range(rank)))[: draw(st.integers(2, min(3, rank)))])
+    n = draw(st.integers(1, 3))
+    dims = tuple(n if ax in axes else draw(st.integers(1, 3)) for ax in range(rank))
+    return dims, axes, draw(small_tensor(dims)), draw(small_tensor(dims))
+
+
+def antisymmetrized_by_permutations(t, axes):
+    """The entries of ``t`` summed over every permutation of ``axes``, each
+    image times the permutation's sign."""
+    out = {}
+    for idx, v in t.entries.items():
+        for perm in itertools.permutations(range(len(axes))):
+            tgt = permuted(idx, axes, perm)
+            out[tgt] = out.get(tgt, 0) + perm_parity(perm) * v
+    return {idx: v for idx, v in out.items() if v}
+
+
+@given(entries_and_axes(), rationals)
+def test_antisymmetrized_is_the_signed_permutation_sum(drawn, a):
+    dims, axes, t1, t2 = drawn
+    anti = antisymmetrized(t1.entries.items(), len(dims), axes)
+    assert anti == antisymmetrized_by_permutations(t1, axes)
+    assert not list(asymmetric_entries(SparseTensor(dims, anti), axes))
+    # linear; an index listed twice counts twice
+    pairs = [*t1.entries.items(), *((i, a * v) for i, v in t2.entries.items())]
+    both = SparseTensor(dims, antisymmetrized(pairs, len(dims), axes))
+    anti2 = SparseTensor(dims, antisymmetrized(t2.entries.items(), len(dims), axes))
+    assert both == SparseTensor(dims, anti).add(anti2.scale(a))
+
+
+class _ListedTable:
+    """A table whose items list a key twice, which a dict cannot."""
+
+    def __init__(self, *items):
+        self._items = items
+
+    def items(self):
+        return self._items
+
+    def __iter__(self):
+        return (key for key, _ in self._items)
+
+    def values(self):
+        return (row for _, row in self._items)
+
+
+def test_from_table_sums_every_listing():
+    # every listing adds up: [e_i, e_j] listed as (i, j) and as (j, i), or
+    # under one key twice; so does a wedge e_j^e_k
+    labels = ("x", "y", "z")
+    table = {(0, 1): {2: 3}, (1, 0): {2: 1, 0: 1}, (0, 2): {1: 1}, (2, 0): {1: 1}}
+    g = LieAlgebra.from_table(labels, table)
+    assert g.bracket.entries == {(0, 1, 2): 2, (1, 0, 2): -2, (0, 1, 0): -1, (1, 0, 0): 1}
+    g = LieAlgebra.from_table(labels, _ListedTable(((0, 1), {2: 1}), ((0, 1), {2: Q(1, 2)})))
+    assert g.bracket.entries == {(0, 1, 2): Q(3, 2), (1, 0, 2): Q(-3, 2)}
+    d = LieCobracket.from_table(3, {0: {(1, 2): 1, (2, 1): 3}, 2: {(0, 1): 1}})
+    assert d.tensor.entries == {(0, 1, 2): -2, (0, 2, 1): 2, (2, 0, 1): 1, (2, 1, 0): -1}
+    d = LieCobracket.from_table(3, _ListedTable((1, {(0, 2): 1}), (1, {(0, 2): 1, (2, 0): 3})))
+    assert d.tensor.entries == {(1, 0, 2): -1, (1, 2, 0): 1}

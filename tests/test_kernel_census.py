@@ -12,7 +12,6 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # never-entered function -> why it stays
 ALLOWED = {
-    "weil.check_square_zero": "the benchmark's tracer times it as weil.square_zero",
     "weil.WeilElement.__post_init__": "the benchmark's tracer counts it as weil.element_count",
     "weil._monomial": "WeilElement.__post_init__ validates its keys with it",
     "catalog.transform_lie": "the benchmark's tracer times it as catalog.transform",

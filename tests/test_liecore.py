@@ -9,7 +9,13 @@ import hypothesis.strategies as st
 
 from l2b.bicross import abelian_dual_pair, matched_pair_of
 from l2b.catalog import adjoint_cm, axb, heisenberg, sl2, transform_lie, _unimodular
-from l2b.exact import DimensionMismatch, SparseTensor, permute_axes
+from l2b.exact import (
+    DimensionMismatch,
+    SparseTensor,
+    asymmetric_entries,
+    format_rational,
+    permute_axes,
+)
 from l2b.liecore import (
     Check,
     LieAlgebra,
@@ -369,6 +375,71 @@ def test_drinfeld_double_decides_bialgebras():
         assert is_lie_bialgebra(g, d) == passed
         verdicts[passed] += 1
     assert verdicts[True] and verdicts[False]
+
+
+# `perturb_document` on each catalog bialgebra at seeds 0-19: the edited
+# block and its entries, as "<block> <indices>:<value> ...", each entry's
+# indices written as digits
+BIALGEBRA_EDITS = {
+    "axb_bialgebra": (
+        "cobracket 001:-1/2 010:1/2 101:1 110:-1",
+        "bracket",
+        "bracket 010:1 011:1 100:-1 101:-1",
+        "bracket 010:1 011:1 100:-1 101:-1",
+        "bracket 011:3 101:-3",
+        "cobracket 001:-2 010:2 101:1 110:-1",
+        "bracket 010:-1/2 011:1 100:1/2 101:-1",
+        "cobracket",
+        "bracket 010:-2 011:1 100:2 101:-1",
+        "cobracket 101:3 110:-3",
+        "bracket 010:-1/2 011:1 100:1/2 101:-1",
+        "cobracket 101:3/2 110:-3/2",
+        "cobracket 101:3 110:-3",
+        "cobracket 001:2 010:-2 101:1 110:-1",
+        "bracket 011:2 101:-2",
+        "bracket 010:1 011:1 100:-1 101:-1",
+        "cobracket 101:1/2 110:-1/2",
+        "cobracket 101:-1 110:1",
+        "bracket 010:-1 011:1 100:1 101:-1",
+        "bracket 011:2 101:-2",
+    ),
+    "heisenberg_bad_cocycle": (
+        "cobracket 012:1/2 021:-1/2 201:1 210:-1",
+        "bracket 011:-1 012:1 101:1 102:-1",
+        "bracket 010:1 012:1 100:-1 102:-1",
+        "bracket 012:1 102:-1 121:-1 211:1",
+        "bracket 012:1 021:2 102:-1 201:-2",
+        "cobracket 201:1 202:-2 210:-1 220:2",
+        "bracket 010:-1/2 012:1 100:1/2 102:-1",
+        "cobracket 102:1 120:-1 201:1 210:-1",
+        "bracket 010:-2 012:1 100:2 102:-1",
+        "cobracket 102:2 120:-2 201:1 210:-1",
+        "bracket 012:1 102:-1 120:1/2 210:-1/2",
+        "cobracket 102:-1/2 120:1/2 201:1 210:-1",
+        "cobracket 201:1 210:-1 212:-2 221:2",
+        "cobracket 201:1 202:-2 210:-1 220:2",
+        "bracket 012:1 102:-1 121:-1 211:1",
+        "bracket 012:1 020:-1 102:-1 200:1",
+        "cobracket 101:-1/2 110:1/2 201:1 210:-1",
+        "cobracket 101:-2 110:2 201:1 210:-1",
+        "bracket 012:1 102:-1 121:-1 211:1",
+        "bracket 012:1 021:-1 102:-1 201:1",
+    ),
+}
+
+
+def test_perturb_document_edits_bialgebras_antisymmetrically():
+    for name, pinned in BIALGEBRA_EDITS.items():
+        doc = catalog.get(name).document
+        for seed, want in enumerate(pinned):
+            edit = catalog.perturb_document(doc, random.Random(seed))
+            (key,) = (k for k in doc.blocks if edit.blocks.get(k) != doc.blocks[k])
+            block = edit.block_tensor(key)
+            entries = sorted(block.entries.items())
+            shown = [key] + [f"{''.join(map(str, i))}:{format_rational(v)}" for i, v in entries]
+            assert " ".join(shown) == want, (name, seed)
+            # a cobracket is antisymmetric in its wedge axes, a bracket in its inputs
+            assert not list(asymmetric_entries(block, (1, 2) if key == "cobracket" else (0, 1)))
 
 
 def test_pair_oracle_candidates_pass_and_fail():
